@@ -73,8 +73,8 @@ class RunConfig:
 
 def cmd_compute(config: RunConfig) -> list[Path]:
     """Write field.csv plus one contour JSON per requested kind."""
+    kinds = [config.kind] if config.kind != "both" else [KIND_CONDITION, KIND_PSEUDO]
     for e in config.eps_list:
-        kinds = [config.kind] if config.kind != "both" else [KIND_CONDITION, KIND_PSEUDO]
         for k in kinds:
             eps_value(e, k)
     out = Path(config.out)
@@ -85,7 +85,6 @@ def cmd_compute(config: RunConfig) -> list[Path]:
     with open(field_path, "w") as fp:
         write_field_csv(field, fp)
     written.append(field_path)
-    kinds = [config.kind] if config.kind != "both" else [KIND_CONDITION, KIND_PSEUDO]
     for kind in kinds:
         contours = extract_contours(field, config.eps_list, kind)
         path = out / f"contours_{kind}.json"

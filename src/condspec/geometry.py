@@ -10,12 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_points(z) -> np.ndarray:
-    """Complex scalar/array -> (k, 2) float array."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    return np.column_stack([z.real, z.imag])
-
-
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Andrew monotone chain; returns hull vertices in CCW order.
 

@@ -194,12 +194,21 @@ def _parse_matrix_market(text: str) -> list[list[complex]]:
         except (ValueError, IndexError):
             raise ParseError(f"bad numeric data {' '.join(parts)!r}", line=lineno)
 
+    def to_int(token, lineno, minimum=None):
+        try:
+            v = int(token)
+        except ValueError:
+            raise ParseError(f"bad integer {token!r}", line=lineno) from None
+        if minimum is not None and v < minimum:
+            raise ParseError(f"expected an integer >= {minimum}, got {v}", line=lineno)
+        return v
+
     vals_per_entry = 2 if field == "complex" else 1
 
     if layout == "array":
         if len(sizes) != 2:
             raise ParseError("array size line needs 'rows cols'", line=size_lineno)
-        nrow, ncol = int(sizes[0]), int(sizes[1])
+        nrow, ncol = (to_int(t, size_lineno, 1) for t in sizes)
         a = np.zeros((nrow, ncol), dtype=np.complex128)
         # array data is column-major; symmetric variants store the lower triangle
         coords = []
@@ -224,7 +233,7 @@ def _parse_matrix_market(text: str) -> list[list[complex]]:
     else:
         if len(sizes) != 3:
             raise ParseError("coordinate size line needs 'rows cols nnz'", line=size_lineno)
-        nrow, ncol, nnz = int(sizes[0]), int(sizes[1]), int(sizes[2])
+        nrow, ncol, nnz = (to_int(t, size_lineno, m) for t, m in zip(sizes, (1, 1, 0)))
         data = body[1:]
         if len(data) != nnz:
             raise ParseError(f"declared {nnz} entries, found {len(data)}", line=size_lineno)
@@ -234,7 +243,7 @@ def _parse_matrix_market(text: str) -> list[list[complex]]:
             if len(parts) != 2 + vals_per_entry:
                 raise ParseError(f"expected 'i j value' with {vals_per_entry} numeric field(s)",
                                  line=lineno)
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+            i, j = to_int(parts[0], lineno) - 1, to_int(parts[1], lineno) - 1
             if not (0 <= i < nrow and 0 <= j < ncol):
                 raise ParseError(f"index ({i + 1}, {j + 1}) out of range", line=lineno)
             v = to_value(parts[2:], lineno)

@@ -111,20 +111,43 @@ def singularity_threshold(n: int, sigma_max: float) -> float:
     return n * U_MACH * sigma_max
 
 
+def condition_ratio(smin, smax, n: int) -> np.ndarray:
+    """sigma_max / sigma_min elementwise; +inf where sigma_min is at or
+    below the singularity threshold.  A finite result is always below
+    1/(n*U_MACH), so +inf marks exactly the numerically singular entries."""
+    smin, smax = np.asarray(smin), np.asarray(smax)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = smax / smin
+    return np.where(smin <= singularity_threshold(n, smax), np.inf, ratio)
+
+
+def shifted_extremes(A, zs) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_min, sigma_max) of z*I - A for every z in zs, from one
+    batched SVD.  Each z*I - A must be finite, as for a ComplexMatrix."""
+    a = _entries(A)
+    z = np.asarray(zs, dtype=np.complex128).reshape(-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        stack = z[:, None, None] * np.eye(a.shape[0], dtype=np.complex128) - a
+    if not np.isfinite(stack).all():
+        raise ValueError("shifted matrix entries must be finite (no NaN/Inf)")
+    try:
+        s = np.linalg.svd(stack, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    return s[:, -1], s[:, 0]
+
+
 def is_singular(M) -> bool:
     m = as_matrix(M)
     s = singular_values(m)
-    return bool(s[-1] <= singularity_threshold(m.n, float(s[0])))
+    return bool(np.isinf(condition_ratio(s[-1], s[0], m.n)))
 
 
 def condition_number(S) -> float:
     """sigma_max / sigma_min; +inf when S is numerically singular."""
     m = as_matrix(S)
     s = singular_values(m)
-    smax, smin = float(s[0]), float(s[-1])
-    if smin <= singularity_threshold(m.n, smax):
-        return float("inf")
-    return smax / smin
+    return float(condition_ratio(s[-1], s[0], m.n))
 
 
 def eigenvalues(A) -> np.ndarray:

@@ -21,16 +21,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GridResolutionError, GridTooSmallError
 from .numkernel import (
     ComplexMatrix,
-    U_MACH,
     as_matrix,
+    condition_ratio,
     eigenvalues,
-    singularity_threshold,
-    singular_values,
+    shifted_extremes,
     spectral_norm,
 )
 
@@ -40,6 +38,11 @@ KIND_PSEUDO = "pseudo"
 # Default node count per axis and margin factor for auto-sized grids.
 DEFAULT_GRID_NODES = 401
 GRID_MARGIN = 1.1
+
+# Relative half-width of the band around the membership level (ratio =
+# 1/eps, sigma_min = eps) that set-inclusion and equivalence checks leave
+# out: membership there is decided by rounding.
+BOUNDARY_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,7 @@ class Epsilon:
 
 def eps_value(eps, kind: str = KIND_CONDITION) -> float:
     """Validate an Epsilon/float for the given spectrum kind."""
-    v = eps.value if isinstance(eps, Epsilon) else float(eps)
-    if not np.isfinite(v) or v <= 0.0:
-        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+    v = (eps if isinstance(eps, Epsilon) else Epsilon(eps)).value
     if kind == KIND_CONDITION and v >= 1.0:
         raise ValueError(f"condition-spectrum eps must satisfy 0 < eps < 1, got {v}")
     if kind not in (KIND_CONDITION, KIND_PSEUDO):
@@ -172,19 +173,13 @@ def compute_field(A, grid: GridSpec) -> SpectralField:
     number of worker threads (each worker owns fixed whole rows).
     """
     m = as_matrix(A)
-    n = m.n
     re = grid.re_axis()
     im = grid.im_axis()
     smin = np.empty((grid.nx, grid.ny))
     smax = np.empty((grid.nx, grid.ny))
-    eye = np.eye(n, dtype=np.complex128)
 
     def fill_row(ix: int):
-        z = re[ix] + 1j * im
-        stack = z[:, None, None] * eye - m.entries
-        s = np.linalg.svd(stack, compute_uv=False)
-        smax[ix, :] = s[:, 0]
-        smin[ix, :] = s[:, -1]
+        smin[ix, :], smax[ix, :] = shifted_extremes(m, re[ix] + 1j * im)
 
     workers = _thread_count()
     if workers == 1 or grid.nx == 1:
@@ -194,10 +189,7 @@ def compute_field(A, grid: GridSpec) -> SpectralField:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill_row, range(grid.nx)))
 
-    singular = smin <= n * U_MACH * smax
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = smax / smin
-    ratio[singular] = np.inf
+    ratio = condition_ratio(smin, smax, m.n)
     for arr in (smin, smax, ratio):
         arr.setflags(write=False)
     return SpectralField(grid, smin, smax, ratio, m)
@@ -207,11 +199,7 @@ def condition_number_at(A, z: complex) -> float:
     """kappa(z*I - A) = sigma_max/sigma_min; +inf when z is (numerically)
     an eigenvalue."""
     m = as_matrix(A)
-    s = singular_values(m.shifted(z))
-    smax, smin = float(s[0]), float(s[-1])
-    if smin <= singularity_threshold(m.n, smax):
-        return float("inf")
-    return smax / smin
+    return float(condition_ratio(*shifted_extremes(m, z), m.n)[0])
 
 
 def in_condition_spectrum(A, z: complex, eps) -> bool:
@@ -221,8 +209,7 @@ def in_condition_spectrum(A, z: complex, eps) -> bool:
 
 def in_pseudospectrum(A, z: complex, eps) -> bool:
     e = eps_value(eps, KIND_PSEUDO)
-    m = as_matrix(A)
-    return bool(singular_values(m.shifted(z))[-1] <= e)
+    return bool(shifted_extremes(A, z)[0][0] <= e)
 
 
 def bounding_region(A, eps, kind: str = KIND_CONDITION) -> float:
@@ -481,6 +468,8 @@ def component_count(field: SpectralField, eps) -> int:
         ix = int(np.argmin(np.abs(re - lam.real)))
         iy = int(np.argmin(np.abs(im - lam.imag)))
         mask[ix, iy] = True
+
+    from scipy import ndimage  # deferred: it dominates the import time of the CLI
 
     labels, count = ndimage.label(mask)
     nodes = field.grid.nodes()

@@ -22,15 +22,12 @@ from .errors import NotAMemberError
 from .numkernel import (
     ComplexMatrix,
     as_matrix,
+    condition_ratio,
     singularity_threshold,
     spectral_norm,
 )
 from .report import TheoremReport
-from .spectra import eps_value, in_condition_spectrum
-
-# Relative half-width of the band around ratio = 1/eps inside which the
-# three routes are allowed to disagree (they differ only by rounding).
-BOUNDARY_BAND = 1e-9
+from .spectra import BOUNDARY_BAND, eps_value, in_condition_spectrum
 
 # Eigen-membership tolerance used by certificates: sigma_min((A+E) - z).
 _CERT_EIG_TOL = 1e-8
@@ -157,8 +154,7 @@ def check_equivalence(A, z: complex, eps) -> TheoremReport:
     m = as_matrix(A)
     u, smin, smax = _smallest_right_singular_vector(m.shifted(z))
 
-    threshold = singularity_threshold(m.n, smax)
-    ratio = float("inf") if smin <= threshold else smax / smin
+    ratio = float(condition_ratio(smin, smax, m.n))
     route_ratio = ratio >= 1.0 / e
 
     residual = float(np.linalg.norm(m.entries @ u - z * u))

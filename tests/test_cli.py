@@ -1,5 +1,8 @@
 """CLI behavior: pipeline, exit codes, SVG structure, determinism."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -133,6 +136,14 @@ def test_malformed_matrix_exits_2(tmp_path):
     bad.write_text("[[1, 2], [3]]")
     assert main(["verify", "--matrix", str(bad), "--eps", "0.2",
                  "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_cli_import_defers_scipy_ndimage():
+    code = "import sys, condspec.cli; print('scipy.ndimage' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_illegal_eps_per_kind(diag_file, tmp_path):

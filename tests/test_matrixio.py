@@ -82,6 +82,20 @@ def test_bad_csv_entry_reports_position():
     assert err.value.line == 2 and err.value.column == 2
 
 
+@pytest.mark.parametrize("text, line", [
+    ("%%MatrixMarket matrix coordinate real general\n2 2 x\n", 2),
+    ("%%MatrixMarket matrix coordinate real general\n% note\n2 2 1\n1.5 1 3\n", 4),
+    ("%%MatrixMarket matrix coordinate real general\n0 0 0\n", 2),
+    ("%%MatrixMarket matrix coordinate real general\n-2 -2 0\n", 2),
+    ("%%MatrixMarket matrix array real general\n2 two\n1\n2\n3\n4\n", 2),
+    ("%%MatrixMarket matrix array real general\n0 0\n", 2),
+])
+def test_matrix_market_bad_integer_fields_report_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text, fmt=FORMAT_MATRIX_MARKET)
+    assert err.value.line == line
+
+
 def test_non_square_rejected():
     with pytest.raises(ParseError, match="square"):
         parse_matrix("[[1, 2, 3], [4, 5, 6]]")

@@ -17,6 +17,8 @@ from condspec.numkernel import (
     eigen_decomposition,
     eigenvalues,
     power_norms,
+    shifted_extremes,
+    singular_values,
     smallest_singular_value,
     spectral_norm,
     svd,
@@ -297,6 +299,31 @@ def test_power_norm_submultiplicative(A, j, k):
 def test_spectral_norm_scaling(A, cre, cim):
     c = complex(cre, cim)
     assert spectral_norm(c * A) == pytest.approx(abs(c) * spectral_norm(A), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices(max_n=6), st.lists(st.tuples(finite, finite), max_size=5),
+       st.integers(0, 5))
+def test_shifted_extremes_matches_per_point_svd_bitwise(A, points, n_eigs):
+    # Eigenvalues give singular or nearly singular shifts, where the
+    # singularity rule is decided.
+    m = as_matrix(A)
+    zs = np.concatenate([np.array([complex(re, im) for re, im in points], dtype=np.complex128),
+                         eigenvalues(m)[:n_eigs]])
+    smin, smax = shifted_extremes(m, zs)
+    expected = np.array([singular_values(m.shifted(z))[[-1, 0]] for z in zs]).reshape(-1, 2)
+    assert np.array_equal(smin, expected[:, 0]) and np.array_equal(smax, expected[:, 1])
+
+
+def test_shifted_extremes_empty_points():
+    smin, smax = shifted_extremes(np.eye(3), np.array([], dtype=np.complex128))
+    assert smin.shape == (0,) and smax.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf), complex(np.nan, 1)])
+def test_shifted_extremes_rejects_nonfinite_points(bad):
+    with pytest.raises(ValueError, match="finite"):
+        shifted_extremes(np.eye(2), [0.5, bad])
 
 
 def test_convergence_error_type_exists():
