@@ -129,6 +129,9 @@ def cmd_verify(config: RunConfig) -> tuple[list, int]:
         status = "PASS" if r.passed else "FAIL"
         note = r.details.get("status", "")
         print(f"{r.theorem_id}: {status}" + (f" ({note})" if note else ""))
+    passed = [r for r in reports if r.passed and not r.skipped]
+    print(f"{len(passed)} passed ({sum(r.vacuous for r in passed)} vacuous), "
+          f"{len(failed)} failed, {len(reports) - len(passed) - len(failed)} skipped")
     return reports, (1 if failed else 0)
 
 

@@ -1,8 +1,10 @@
 """Small planar-geometry kernel: hulls, polygon distances, containment.
 
 Points are (k, 2) float arrays or complex scalars/arrays; polygons are
-(m, 2) vertex arrays.  Everything is deterministic and loop-free where the
-point count is large.
+(m, 2) vertex arrays.  Everything is deterministic.  `distance_to_polygon`
+and `hull_depths` are vectorized over the points; `convex_hull` runs its
+Python monotone chain only over the two ends of each row of equal y;
+`dedupe_ring` and `polyline_contains` loop over vertices in Python.
 """
 
 from __future__ import annotations
@@ -14,12 +16,22 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     """Andrew monotone chain; returns hull vertices in CCW order.
 
     Collinear inputs collapse to the 2-point (or 1-point) degenerate hull.
+    Before the chain runs, each row of equal y keeps only its leftmost and
+    rightmost point: the others lie on the segment between those two, so
+    they are never vertices.
     """
     pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
     if len(pts) <= 2:
         return pts
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
+    by_row = np.lexsort((pts[:, 0], pts[:, 1]))
+    y = pts[by_row, 1]
+    row_end = np.append(y[1:] != y[:-1], True)
+    row_start = np.insert(row_end[:-1], 0, True)
+    keep = np.zeros(len(pts), dtype=bool)
+    keep[by_row[row_start | row_end]] = True
+    pts = pts[keep]
 
     def half(seq):
         out = []
@@ -71,14 +83,12 @@ def dedupe_ring(points: np.ndarray, tol: float) -> np.ndarray:
     return p[keep]
 
 
-def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = b - a
-    L2 = float(d @ d)
-    if L2 == 0.0:
-        return np.hypot(points[:, 0] - a[0], points[:, 1] - a[1])
-    t = np.clip(((points - a) @ d) / L2, 0.0, 1.0)
-    proj = a + t[:, None] * d
-    return np.hypot(points[:, 0] - proj[:, 0], points[:, 1] - proj[:, 1])
+# Points per block in distance_to_polygon: bounds its (edges x points)
+# temporaries for callers that pass many points, such as tests measuring
+# whole member sets; T9 passes hull vertices, far fewer than one block.
+# Each point's distance is computed on its own, so the block size changes
+# no value.
+_DISTANCE_BLOCK = 1024
 
 
 def distance_to_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -89,19 +99,29 @@ def distance_to_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     poly = np.asarray(poly, dtype=np.float64).reshape(-1, 2)
     if len(poly) == 1:
         return np.hypot(pts[:, 0] - poly[0, 0], pts[:, 1] - poly[0, 1])
-    edges = [(poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly))]
-    if len(poly) == 2:
-        edges = edges[:1]
-    dmin = np.min(np.stack([_segment_distances(pts, a, b) for a, b in edges]), axis=0)
-    if len(poly) >= 3 and abs(polygon_signed_area(poly)) > 0.0:
-        ccw = poly if polygon_signed_area(poly) > 0 else poly[::-1]
-        inside = np.ones(len(pts), dtype=bool)
-        for i in range(len(ccw)):
-            a, b = ccw[i], ccw[(i + 1) % len(ccw)]
-            cr = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-            inside &= cr >= 0.0
-        dmin = np.where(inside, 0.0, dmin)
-    return dmin
+    a = poly if len(poly) > 2 else poly[:1]
+    d = np.roll(poly, -1, axis=0)[:len(a)] - a
+    # Batched matmul gives the bits of a per-edge `d @ d` and `(p - a) @ d`.
+    L2 = (d[:, None, :] @ d[:, :, None])[:, :, 0]
+    # An edge with d @ d == 0 measures the distance to its start point.
+    point_edge = L2 == 0.0
+    d = np.where(point_edge, 0.0, d)
+    L2 = np.where(point_edge, 1.0, L2)
+    area = polygon_signed_area(poly) if len(poly) >= 3 else 0.0
+    ccw = poly if area > 0 else poly[::-1]
+    ccw_d = np.roll(ccw, -1, axis=0) - ccw
+    out = np.empty(len(pts))
+    for lo in range(0, len(pts), _DISTANCE_BLOCK):
+        blk = pts[lo:lo + _DISTANCE_BLOCK]
+        t = np.clip(((blk - a[:, None, :]) @ d[:, :, None])[:, :, 0] / L2, 0.0, 1.0)
+        proj = a[:, None, :] + t[:, :, None] * d[:, None, :]
+        dist = np.hypot(blk[:, 0] - proj[:, :, 0], blk[:, 1] - proj[:, :, 1]).min(axis=0)
+        if abs(area) > 0.0:
+            cr = (ccw_d[:, None, 0] * (blk[:, 1] - ccw[:, None, 1])
+                  - ccw_d[:, None, 1] * (blk[:, 0] - ccw[:, None, 0]))
+            dist = np.where((cr >= 0.0).all(axis=0), 0.0, dist)
+        out[lo:lo + len(blk)] = dist
+    return out
 
 
 def hull_depths(points: np.ndarray, hull: np.ndarray) -> np.ndarray:

@@ -80,7 +80,7 @@ def parse_matrix(source, fmt: str | None = None, max_n: int = MAX_DIMENSION) -> 
     elif fmt == FORMAT_CSV:
         entries = _parse_csv(text)
     elif fmt == FORMAT_MATRIX_MARKET:
-        entries = _parse_matrix_market(text)
+        entries = _parse_matrix_market(text, max_n)
     else:
         raise ParseError(f"unknown matrix format {fmt!r}")
     rows = len(entries)
@@ -164,7 +164,7 @@ def _parse_csv(text: str) -> list[list[complex]]:
 
 # -- Matrix Market ---------------------------------------------------------
 
-def _parse_matrix_market(text: str) -> list[list[complex]]:
+def _parse_matrix_market(text: str, max_n: int) -> list[list[complex]]:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ParseError("missing %%MatrixMarket header", line=1)
@@ -203,12 +203,19 @@ def _parse_matrix_market(text: str) -> list[list[complex]]:
             raise ParseError(f"expected an integer >= {minimum}, got {v}", line=lineno)
         return v
 
+    def check_dims(nrow, ncol):
+        # before anything is allocated for the declared size
+        if max(nrow, ncol) > max_n:
+            raise ParseError(f"matrix dimension {max(nrow, ncol)} exceeds the configured "
+                             f"maximum {max_n}", line=size_lineno)
+
     vals_per_entry = 2 if field == "complex" else 1
 
     if layout == "array":
         if len(sizes) != 2:
             raise ParseError("array size line needs 'rows cols'", line=size_lineno)
         nrow, ncol = (to_int(t, size_lineno, 1) for t in sizes)
+        check_dims(nrow, ncol)
         a = np.zeros((nrow, ncol), dtype=np.complex128)
         # array data is column-major; symmetric variants store the lower triangle
         coords = []
@@ -234,6 +241,7 @@ def _parse_matrix_market(text: str) -> list[list[complex]]:
         if len(sizes) != 3:
             raise ParseError("coordinate size line needs 'rows cols nnz'", line=size_lineno)
         nrow, ncol, nnz = (to_int(t, size_lineno, m) for t, m in zip(sizes, (1, 1, 0)))
+        check_dims(nrow, ncol)
         data = body[1:]
         if len(data) != nnz:
             raise ParseError(f"declared {nnz} entries, found {len(data)}", line=size_lineno)

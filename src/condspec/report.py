@@ -36,3 +36,7 @@ class TheoremReport:
     @property
     def skipped(self) -> bool:
         return str(self.details.get("status", "")).startswith("skipped")
+
+    @property
+    def vacuous(self) -> bool:
+        return str(self.details.get("status", "")).startswith("vacuous")

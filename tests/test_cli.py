@@ -138,12 +138,50 @@ def test_malformed_matrix_exits_2(tmp_path):
                  "--out", str(tmp_path / "r.json")]) == 2
 
 
-def test_cli_import_defers_scipy_ndimage():
-    code = "import sys, condspec.cli; print('scipy.ndimage' in sys.modules)"
+def _cli_import_output(module):
+    """stdout of a fresh `import condspec.cli` that then prints whether
+    `module` is loaded; anything but exactly "False" fails the caller."""
+    code = f"import sys, condspec.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_defers_scipy_ndimage():
+    assert _cli_import_output("scipy.ndimage") == "False"
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    # qhull would add its import time to every CLI start
+    assert _cli_import_output("scipy.spatial") == "False"
+
+
+def test_verify_reports_overflowing_power_bound(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    write_matrix(np.array([[1e200, 1.0], [0.0, 1e200]]), path)
+    report = tmp_path / "r.json"
+    assert main(["verify", "--matrix", str(path), "--eps", "0.05", "--theorems", "t7",
+                 "--grid", "41", "--out", str(report)]) in (0, 1)
+    entries = jsonio.loads(report.read_text())
+    assert {e["theorem_id"] for e in entries} == {"T7σ", "T7ε"}
+    assert all("overflow" in e["details"]["status"] for e in entries)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_summary_counts_vacuous(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    write_matrix(np.zeros((2, 2)), path)
+    report = tmp_path / "r.json"
+    assert main(["verify", "--matrix", str(path), "--eps", "0.2",
+                 "--grid", "41", "--out", str(report)]) == 0
+    entries = jsonio.loads(report.read_text())
+    status = [e["details"].get("status", "") for e in entries]
+    vacuous = sum(s.startswith("vacuous") for s in status)
+    skipped = sum(s.startswith("skipped") for s in status)
+    assert vacuous > 0
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last == f"{len(entries) - skipped} passed ({vacuous} vacuous), 0 failed, {skipped} skipped"
 
 
 def test_illegal_eps_per_kind(diag_file, tmp_path):

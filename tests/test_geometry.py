@@ -1,0 +1,173 @@
+"""Hull, polygon distance and numerical range against loop references.
+
+The references are the plain per-point / per-edge / per-angle loops the
+vectorized kernels replaced; every comparison is bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from condspec.geometry import convex_hull, distance_to_polygon, hull_depths
+from condspec.matrixio import generate
+from condspec.numkernel import as_matrix, spectral_norm
+from condspec.spectra import KIND_CONDITION, KIND_PSEUDO, GridSpec, compute_field
+from condspec.theorems import check_t9, check_t9e, numerical_range_boundary
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def reference_hull(points):
+    """Andrew monotone chain over every distinct point."""
+    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    if len(pts) <= 2:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
+    return pts[:1] if len(hull) < 2 else hull
+
+
+def _segment_distances(points, a, b):
+    d = b - a
+    L2 = float(d @ d)
+    if L2 == 0.0:
+        return np.hypot(points[:, 0] - a[0], points[:, 1] - a[1])
+    t = np.clip(((points - a) @ d) / L2, 0.0, 1.0)
+    proj = a + t[:, None] * d
+    return np.hypot(points[:, 0] - proj[:, 0], points[:, 1] - proj[:, 1])
+
+
+def _signed_area(poly):
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def reference_distance(points, poly):
+    """One segment-distance pass and one half-plane test per edge."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    poly = np.asarray(poly, dtype=np.float64).reshape(-1, 2)
+    if len(poly) == 1:
+        return np.hypot(pts[:, 0] - poly[0, 0], pts[:, 1] - poly[0, 1])
+    edges = [(poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly))]
+    if len(poly) == 2:
+        edges = edges[:1]
+    dmin = np.min(np.stack([_segment_distances(pts, a, b) for a, b in edges]), axis=0)
+    if len(poly) >= 3 and abs(_signed_area(poly)) > 0.0:
+        ccw = poly if _signed_area(poly) > 0 else poly[::-1]
+        inside = np.ones(len(pts), dtype=bool)
+        for i in range(len(ccw)):
+            a, b = ccw[i], ccw[(i + 1) % len(ccw)]
+            cr = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
+            inside &= cr >= 0.0
+        dmin = np.where(inside, 0.0, dmin)
+    return dmin
+
+
+def reference_range(A, n_angles):
+    """One Hermitian eigensolve per support angle."""
+    m = as_matrix(A)
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    points = np.empty(n_angles, dtype=np.complex128)
+    for i, th in enumerate(thetas):
+        rotated = np.exp(1j * th) * m.entries
+        _, vecs = np.linalg.eigh(0.5 * (rotated + rotated.conj().T))
+        v = vecs[:, -1]
+        points[i] = v.conj() @ m.entries @ v
+    return points
+
+
+@st.composite
+def grid_subsets(draw):
+    nx, ny = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    x0, y0 = draw(st.floats(-3, 3)), draw(st.floats(-3, 3))
+    sx, sy = draw(st.floats(1e-3, 5)), draw(st.floats(1e-3, 5))
+    X, Y = np.meshgrid(np.linspace(x0, x0 + sx, nx), np.linspace(y0, y0 + sy, ny))
+    grid = np.column_stack([X.ravel(), Y.ravel()])
+    keep = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    return grid[np.array(keep)] if any(keep) else grid[:1]
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+float_points = st.lists(st.tuples(finite, finite), min_size=1, max_size=60).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_subsets())
+def test_hull_matches_reference_on_grid_subsets(pts):
+    assert np.array_equal(convex_hull(pts), reference_hull(pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_points)
+def test_hull_matches_reference_on_float_points(pts):
+    assert np.array_equal(convex_hull(pts), reference_hull(pts))
+
+
+def _range_polygon(A):
+    return numerical_range_boundary(A, 256).polygon()
+
+
+POLYGONS = {
+    "point": np.array([[0.25, -0.5]]),
+    "segment": np.array([[-1.0, 0.0], [1.0, 0.0]]),
+    "collinear": np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+    "W(J2(0))": _range_polygon(generate("jordan", 2, value=0.0)),
+    "W(random 5x5)": _range_polygon(generate("random", 5, seed=7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYGONS))
+def test_distance_matches_per_edge_loop(name):
+    poly = POLYGONS[name]
+    rng = np.random.default_rng(11)
+    # 2500 points cross the kernel's point-block boundaries
+    pts = rng.uniform(-2.5, 2.5, size=(2500, 2))
+    assert np.array_equal(distance_to_polygon(pts, poly), reference_distance(pts, poly))
+    assert np.array_equal(distance_to_polygon(poly, poly), reference_distance(poly, poly))
+
+
+# n = 65 solves 257 angles in two eigh batches (248 + 9), so the chunk
+# loop and batched eigh beyond one call are compared too.
+@pytest.mark.parametrize("n", [*range(1, 9), 65])
+def test_batched_range_matches_per_angle_loop(n):
+    for A in (generate("random", n, seed=100 + n), generate("jordan", n, value=0.9)):
+        for n_angles in (8, 257):
+            got = numerical_range_boundary(A, n_angles).boundary_points
+            assert np.array_equal(got, reference_range(A, n_angles))
+
+
+# W(diag(1+i, -1+i, -i)) is a triangle with a horizontal top edge, which
+# member-hull edges on the grid rows run parallel to: there a point between
+# two hull vertices is as far from W(A) as they are in exact arithmetic, and
+# the computed maximum must still come out at a vertex to the bit.
+@pytest.mark.parametrize("A", [np.diag([1.0, -1.0]),
+                               generate("jordan", 4, value=0.9).entries,
+                               generate("random", 5, seed=2003).entries,
+                               np.diag([1 + 1j, -1 + 1j, -1j])],
+                         ids=["diag(1,-1)", "J4(0.9)", "random5", "diag(1+i,-1+i,-i)"])
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+def test_t9_worst_is_the_maximum_over_all_members(A, eps):
+    field = compute_field(A, GridSpec.auto(A, eps, n=81))
+    poly = _range_polygon(A)
+    norm_a = spectral_norm(A)
+    for check, kind, pad in ((check_t9, KIND_CONDITION, 2 * eps / (1 - eps) * norm_a),
+                             (check_t9e, KIND_PSEUDO, eps)):
+        members = field.member_nodes(eps, kind)
+        pts = np.column_stack([members.real, members.imag])
+        eroded = pts[hull_depths(pts, convex_hull(pts)) >= pad]
+        r = check(A, eps, field)
+        assert r.lhs == reference_distance(pts, poly).max()
+        assert r.details["eroded_points"] == len(eroded)
+        expected = reference_distance(eroded, poly).max() if len(eroded) else 0.0
+        assert r.details["eroded_worst_distance"] == expected

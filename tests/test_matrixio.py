@@ -96,6 +96,15 @@ def test_matrix_market_bad_integer_fields_report_line(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("size_line", ["100000 100000", "3 100000", "100000 3"])
+@pytest.mark.parametrize("layout, nnz", [("array", ""), ("coordinate", " 0")])
+def test_matrix_market_size_line_over_cap(layout, nnz, size_line):
+    text = f"%%MatrixMarket matrix {layout} real general\n% c\n{size_line}{nnz}\n"
+    with pytest.raises(ParseError, match="exceeds the configured maximum") as err:
+        parse_matrix(text, fmt=FORMAT_MATRIX_MARKET)
+    assert err.value.line == 3
+
+
 def test_non_square_rejected():
     with pytest.raises(ParseError, match="square"):
         parse_matrix("[[1, 2, 3], [4, 5, 6]]")
