@@ -161,9 +161,18 @@ def cmd_plot(field_path, contour_paths, matrix: ComplexMatrix | None,
         name = Path(cpath).stem
         kind = KIND_PSEUDO if "pseudo" in name else KIND_CONDITION
         data = jsonio.loads(Path(cpath).read_text())
+        if not isinstance(data, list):
+            raise ParseError(f"{cpath}: contour JSON must be a list of levels")
         for level in data:
-            polys = [np.asarray(p, dtype=np.float64).reshape(-1, 2)
-                     for p in level["polylines"]]
+            if not (isinstance(level, dict) and isinstance(level.get("polylines"), list)
+                    and isinstance(level.get("eps"), (int, float))):
+                raise ParseError(f"{cpath}: each contour level must be an object with "
+                                 "a numeric 'eps' and a 'polylines' list")
+            try:
+                polys = [np.asarray(p, dtype=np.float64).reshape(-1, 2)
+                         for p in level["polylines"]]
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{cpath}: polylines must be lists of [re, im] pairs") from exc
             groups.append((kind, float(level["eps"]), polys))
     eig = eigenvalues(matrix) if matrix is not None else None
     svg = svgplot.render_svg(groups, eigenvalues=eig, bounds=bounds,

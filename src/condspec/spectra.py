@@ -8,15 +8,25 @@ sigma_min(z*I - A) <= eps, i.e. the resolvent norm reaches 1/eps.
 Grid computation samples sigma_min, sigma_max and their ratio over a
 rectangle of the complex plane; classification, contour extraction,
 radii, distances and component counts are all derived from that field.
-Per-node evaluations are independent, so the field may be computed with a
-thread pool (capped by the CONDSPEC_THREADS environment variable); chunk
-boundaries are fixed, which keeps the output bit-identical at any thread
-count.
+Per-node evaluations are independent, so the field is computed by a
+thread pool (capped by the CONDSPEC_THREADS environment variable) whose
+workers own fixed whole rows.  That pool is the only parallelism: while it
+runs, and while ||A|| is taken for the bounding radius that sizes auto
+grids, every loaded OpenBLAS is pinned to one thread and then set back.
+BLAS threads nested under the pool would oversubscribe the cores, and a
+multi-threaded SVD rounds differently from n ~ 64 on.  So fields and auto
+grids are bit-identical at any CONDSPEC_THREADS and OPENBLAS_NUM_THREADS;
+on a BLAS without OpenBLAS's thread-count entry points the pin does nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
+import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -166,11 +176,70 @@ def _thread_count() -> int:
     return min(cap, 32)
 
 
+# C entry points of OpenBLAS's thread count: plain OpenBLAS, then the
+# scipy-openblas builds of scipy (32-bit ints) and numpy (64-bit ints).
+_OPENBLAS_NAMES = (("openblas_get_num_threads", "openblas_set_num_threads"),
+                   ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+                   ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"))
+
+# Held from saving the BLAS thread counts to restoring them, so concurrent
+# fields cannot restore each other's pin.  Each field already fills every
+# core, so serializing them costs nothing.
+_BLAS_PIN_LOCK = threading.Lock()
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process: numpy and scipy may each bring their own copy.  Empty without
+    /proc or without OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as fp:
+            fields = [line.split(maxsplit=5) for line in fp]
+    except OSError:
+        return ()
+    paths = sorted({f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in f[5].lower()})
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_NAMES:
+            try:
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+            break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Pin every loaded OpenBLAS to one thread, restoring its count on exit.
+    Not reentrant: nothing run inside may enter it again."""
+    with _BLAS_PIN_LOCK:
+        controls = _openblas_thread_controls()
+        saved = [get() for get, _ in controls]
+        try:
+            for _, set_ in controls:
+                set_(1)
+            yield
+        finally:
+            for (_, set_), count in zip(controls, saved):
+                set_(count)
+
+
 def compute_field(A, grid: GridSpec) -> SpectralField:
     """Sample sigma_min/sigma_max/ratio of z*I - A at every grid node.
 
     Deterministic: node values depend only on (A, grid), never on the
-    number of worker threads (each worker owns fixed whole rows).
+    number of worker threads (each worker owns fixed whole rows, and BLAS
+    runs single-threaded under the pool).
     """
     m = as_matrix(A)
     re = grid.re_axis()
@@ -182,12 +251,13 @@ def compute_field(A, grid: GridSpec) -> SpectralField:
         smin[ix, :], smax[ix, :] = shifted_extremes(m, re[ix] + 1j * im)
 
     workers = _thread_count()
-    if workers == 1 or grid.nx == 1:
-        for ix in range(grid.nx):
-            fill_row(ix)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(grid.nx)))
+    with _single_threaded_blas():
+        if workers == 1:
+            for ix in range(grid.nx):
+                fill_row(ix)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(fill_row, range(grid.nx)))
 
     ratio = condition_ratio(smin, smax, m.n)
     for arr in (smin, smax, ratio):
@@ -216,7 +286,10 @@ def bounding_region(A, eps, kind: str = KIND_CONDITION) -> float:
     """Radius R of a disk about 0 guaranteed to contain the spectrum:
     (1+eps)/(1-eps)*||A|| for the condition spectrum, ||A||+eps for the
     pseudospectrum."""
-    norm = spectral_norm(A)
+    # Auto grids are sized from this radius, so ||A|| is pinned like the
+    # field: a multi-threaded SVD changes its last bits from n ~ 64 on.
+    with _single_threaded_blas():
+        norm = spectral_norm(A)
     e = eps_value(eps, kind)
     if kind == KIND_CONDITION:
         return (1.0 + e) / (1.0 - e) * norm
@@ -504,7 +577,13 @@ def read_field_csv(fp) -> SpectralField:
     header = fp.readline().strip()
     if header != "re,im,sigma_min,sigma_max,ratio":
         raise ValueError(f"unexpected field CSV header: {header!r}")
-    rows = np.loadtxt(fp, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows: raised below
+        rows = np.loadtxt(fp, delimiter=",", ndmin=2)
+    if rows.shape[0] == 0:
+        raise ValueError("field CSV has no data rows")
+    if rows.shape[1] != 5:
+        raise ValueError(f"field CSV rows need 5 columns, got {rows.shape[1]}")
     re = np.unique(rows[:, 0])
     im = np.unique(rows[:, 1])
     nx, ny = len(re), len(im)

@@ -14,6 +14,7 @@ resolvent-norm >= 1/eps convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -602,7 +603,8 @@ def _sagitta(norm_a: float, n_angles: int) -> float:
     return norm_a * (np.pi / n_angles) ** 2 / 2.0
 
 
-def _range_cover_report(theorem_id, A, field, eps, kind, pad, n_angles) -> TheoremReport:
+def _range_cover_report(theorem_id, A, field, eps, kind, pad, n_angles,
+                        range_polygon) -> TheoremReport:
     m = as_matrix(A)
     members = field.member_nodes(eps, kind)
     diag = field.grid.cell_diagonal()
@@ -611,7 +613,7 @@ def _range_cover_report(theorem_id, A, field, eps, kind, pad, n_angles) -> Theor
     if members.size == 0:
         return TheoremReport(theorem_id, True, 0.0, pad + slack, slack,
                              {"status": "vacuous: no classified members"})
-    poly = numerical_range_boundary(m, n_angles).polygon()
+    poly = range_polygon()
     pts = np.column_stack([members.real, members.imag])
     # Distance to a convex set is convex, so its maximum over a point set
     # is reached at a vertex of that set's hull.  That is exact in exact
@@ -638,21 +640,30 @@ def _range_cover_report(theorem_id, A, field, eps, kind, pad, n_angles) -> Theor
                           "eroded_worst_distance": eroded_worst})
 
 
-def check_t9(A, eps, grid=None, n_angles: int = 256) -> TheoremReport:
+def _range_polygon_of(A, n_angles: int):
+    """Zero-argument callable computing the W(A) polygon on first use only,
+    so a suite computes it once per matrix and a vacuous check never."""
+    return functools.cache(lambda: numerical_range_boundary(A, n_angles).polygon())
+
+
+def check_t9(A, eps, grid=None, n_angles: int = 256, range_polygon=None) -> TheoremReport:
     """Members lie within 2eps/(1-eps)*||A|| of the numerical range, and
     the eps1-eroded hull of the members sits inside it (both with grid,
-    polygon and floating slack)."""
+    polygon and floating slack).  `range_polygon`, a zero-argument
+    callable returning the W(A) polygon, lets checks share one W(A)."""
     e = eps_value(eps)
     field = _field_for(A, grid, e)
     pad = 2.0 * e / (1.0 - e) * spectral_norm(A)
-    return _range_cover_report("T9σ", A, field, e, KIND_CONDITION, pad, n_angles)
+    return _range_cover_report("T9σ", A, field, e, KIND_CONDITION, pad, n_angles,
+                               range_polygon or _range_polygon_of(A, n_angles))
 
 
-def check_t9e(A, eps, grid=None, n_angles: int = 256) -> TheoremReport:
+def check_t9e(A, eps, grid=None, n_angles: int = 256, range_polygon=None) -> TheoremReport:
     """Companion: pseudospectrum members within eps of the numerical range."""
     e = eps_value(eps, KIND_PSEUDO)
     field = _field_for(A, grid, e)
-    return _range_cover_report("T9ε", A, field, e, KIND_PSEUDO, e, n_angles)
+    return _range_cover_report("T9ε", A, field, e, KIND_PSEUDO, e, n_angles,
+                               range_polygon or _range_polygon_of(A, n_angles))
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +794,8 @@ def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConf
         raise ValueError(f"unknown theorem selector(s): {unknown}")
 
     shared = dict(m=m, field=field, transient=transient, n_angles=n_angles, s_mat=s_mat,
-                  alpha=alpha, beta=beta, samples=samples)
+                  alpha=alpha, beta=beta, samples=samples,
+                  range_polygon=_range_polygon_of(m, n_angles))
     reports: list[TheoremReport] = []
     for i_eps, e in enumerate(eps_vals):
         for i_t, name in enumerate(names):
@@ -824,8 +836,10 @@ _CHECKS = {
         check_t7e(m, e, grid=field, count=samples, seed=seed),
     "t8": lambda m, e, field, **_: check_t8(m, e, field),
     "t8e": lambda m, e, field, **_: check_t8e(m, e, field),
-    "t9": lambda m, e, field, n_angles, **_: check_t9(m, e, field, n_angles),
-    "t9e": lambda m, e, field, n_angles, **_: check_t9e(m, e, field, n_angles),
+    "t9": lambda m, e, field, n_angles, range_polygon, **_:
+        check_t9(m, e, field, n_angles, range_polygon),
+    "t9e": lambda m, e, field, n_angles, range_polygon, **_:
+        check_t9e(m, e, field, n_angles, range_polygon),
     "t10": lambda m, e, alpha, beta, seed, **_: check_t10(m, alpha, beta, e, seed=seed),
     "t10e": lambda m, e, alpha, beta, seed, **_: check_t10e(m, alpha, beta, e, seed=seed),
 }

@@ -235,3 +235,30 @@ def test_byte_identical_outputs_across_runs(diag_file, tmp_path):
             svg.read_bytes(),
         ))
     assert blobs[0] == blobs[1]
+
+
+def _field_csv_2x2(values):
+    """field.csv text: the header, then a complete 2 x 2 grid of rows
+    `re,im,<values>`."""
+    return "re,im,sigma_min,sigma_max,ratio\n" + "".join(
+        f"{re},{im},{values}\n" for re in (0, 1) for im in (0, 1))
+
+
+@pytest.mark.parametrize("name, text", [
+    ("field.csv", "re,im,sigma_min,sigma_max,ratio\n"),
+    ("field.csv", _field_csv_2x2("1,1")),
+    ("field.csv", _field_csv_2x2("1,1,1,1")),
+    ("contours_condition.json", '[[{"x": 1}]]'),
+    ("contours_condition.json", '[{"eps": 0.1}]'),
+    ("contours_condition.json", '{"eps": 0.1, "polylines": []}'),
+    ("contours_condition.json", '[{"eps": 0.1, "polylines": [{"x": 1}]}]'),
+], ids=["header-only", "4-columns", "6-columns", "level-not-object", "no-polylines",
+        "not-a-list", "polyline-not-list"])
+def test_plot_rejects_malformed_inputs_with_exit_2(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    flag = "--field" if name == "field.csv" else "--contours"
+    assert main(["plot", flag, str(path), "--out", str(tmp_path / "fig.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "fig.svg").exists()
