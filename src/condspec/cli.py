@@ -138,8 +138,14 @@ def cmd_verify(config: RunConfig) -> tuple[list, int]:
 def _certificate_report(config: RunConfig):
     from .report import TheoremReport
 
-    obj = jsonio.loads(Path(config.certificate).read_text())
+    try:
+        obj = jsonio.loads(Path(config.certificate).read_text())
+    except ValueError as exc:
+        raise ParseError(f"{config.certificate}: not JSON: {exc}") from None
     w = witness_from_json_obj(obj)
+    if w.E.n != config.matrix.n:
+        raise ParseError(f"certificate 'E' is {w.E.n} x {w.E.n}, the matrix is "
+                         f"{config.matrix.n} x {config.matrix.n}")
     eps = config.eps_list[0]
     ok = membership_from_perturbation(config.matrix, w.z, w.E, eps)
     return TheoremReport("CERT", bool(ok), None, None, 0.0,
@@ -152,10 +158,10 @@ def cmd_plot(field_path, contour_paths, matrix: ComplexMatrix | None,
     """Render contour JSON (plus optional eigenvalue markers) to SVG."""
     bounds = None
     if field_path is not None:
-        from .spectra import read_field_csv
+        from .spectra import read_field_grid
         with open(field_path) as fp:
-            f = read_field_csv(fp)
-        bounds = (f.grid.re_min, f.grid.re_max, f.grid.im_min, f.grid.im_max)
+            grid = read_field_grid(fp)
+        bounds = (grid.re_min, grid.re_max, grid.im_min, grid.im_max)
     groups = []
     for cpath in contour_paths:
         name = Path(cpath).stem

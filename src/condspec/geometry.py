@@ -1,10 +1,10 @@
-"""Small planar-geometry kernel: hulls, polygon distances, containment.
+"""Small planar-geometry kernel: hulls, polygon distances, hull depths.
 
 Points are (k, 2) float arrays or complex scalars/arrays; polygons are
 (m, 2) vertex arrays.  Everything is deterministic.  `distance_to_polygon`
 and `hull_depths` are vectorized over the points; `convex_hull` runs its
 Python monotone chain only over the two ends of each row of equal y;
-`dedupe_ring` and `polyline_contains` loop over vertices in Python.
+`dedupe_ring` loops over vertices in Python.
 """
 
 from __future__ import annotations
@@ -56,17 +56,6 @@ def _cross(o, a, b) -> float:
 def polygon_signed_area(poly: np.ndarray) -> float:
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def is_convex_polygon(poly: np.ndarray, tol: float = 0.0) -> bool:
-    """Cross-product sign test; collinear (degenerate) chains pass."""
-    p = np.asarray(poly, dtype=np.float64)
-    if len(p) < 3:
-        return True
-    a = np.roll(p, -1, axis=0) - p
-    b = np.roll(a, -1, axis=0)
-    cr = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return bool(np.all(cr >= -tol) or np.all(cr <= tol))
 
 
 def dedupe_ring(points: np.ndarray, tol: float) -> np.ndarray:
@@ -142,17 +131,3 @@ def hull_depths(points: np.ndarray, hull: np.ndarray) -> np.ndarray:
         depths = np.minimum(depths, cr / L)
     return depths
 
-
-def polyline_contains(polyline: np.ndarray, point: complex) -> bool:
-    """Crossing-number containment test for a closed polyline."""
-    p = np.asarray(polyline, dtype=np.float64).reshape(-1, 2)
-    x, y = float(np.real(point)), float(np.imag(point))
-    inside = False
-    for i in range(len(p)):
-        x0, y0 = p[i]
-        x1, y1 = p[(i + 1) % len(p)]
-        if (y0 > y) != (y1 > y):
-            xc = x0 + (y - y0) / (y1 - y0) * (x1 - x0)
-            if xc > x:
-                inside = not inside
-    return inside

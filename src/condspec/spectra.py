@@ -24,6 +24,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
+import operator
 import os
 import threading
 import warnings
@@ -307,10 +309,6 @@ class ContourLevel:
     kind: str
     polylines: tuple  # of (k, 2) float arrays [[re, im], ...]
 
-    def closed_count(self) -> int:
-        return sum(1 for p in self.polylines
-                   if len(p) > 2 and np.allclose(p[0], p[-1], rtol=0.0, atol=0.0))
-
 
 @dataclass(frozen=True, eq=False)
 class ContourSet:
@@ -559,23 +557,25 @@ def component_count(field: SpectralField, eps) -> int:
 # ---------------------------------------------------------------------------
 # Serialization
 
+_FIELD_CSV_HEADER = "re,im,sigma_min,sigma_max,ratio"
+
+
 def write_field_csv(field: SpectralField, fp) -> None:
     """CSV rows `re,im,sigma_min,sigma_max,ratio`, row-major over the grid
     (re index outer, im inner), 17 significant digits."""
-    fp.write("re,im,sigma_min,sigma_max,ratio\n")
-    re = field.grid.re_axis()
-    im = field.grid.im_axis()
-    for i in range(field.grid.nx):
-        for j in range(field.grid.ny):
-            fp.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
-                re[i], im[j], field.sigma_min[i, j], field.sigma_max[i, j],
-                field.ratio[i, j]))
+    fp.write(_FIELD_CSV_HEADER + "\n")
+    # Each axis value is formatted once.  A grid row is one template, the
+    # re text joined onto the per-im-node tails, filled by a single `%`.
+    tails = [",%.17g,%%.17g,%%.17g,%%.17g\n" % y for y in field.grid.im_axis().tolist()]
+    values = np.stack([field.sigma_min, field.sigma_max, field.ratio], -1)
+    for x, row in zip(field.grid.re_axis().tolist(), values):
+        fp.write(("%.17g" % x).join([""] + tails) % tuple(row.ravel().tolist()))
 
 
 def read_field_csv(fp) -> SpectralField:
     """Inverse of write_field_csv (the source matrix is not recoverable)."""
     header = fp.readline().strip()
-    if header != "re,im,sigma_min,sigma_max,ratio":
+    if header != _FIELD_CSV_HEADER:
         raise ValueError(f"unexpected field CSV header: {header!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data rows: raised below
@@ -596,3 +596,59 @@ def read_field_csv(fp) -> SpectralField:
     smax = rows[:, 3].reshape(nx, ny)
     ratio = rows[:, 4].reshape(nx, ny)
     return SpectralField(grid, smin, smax, ratio, None)
+
+
+def read_field_grid(fp) -> GridSpec:
+    """The grid of a field CSV, read without parsing the node values.
+
+    A file in compute's own row order is streamed, keeping only its axis
+    tokens: re blocks in ascending order, each holding the first block's
+    ascending im tokens, exactly 5 fields per row, and re and im tokens that
+    parse as finite floats.  Any other file is read again from the start
+    (fp must be seekable) by read_field_csv, so rows in any order still
+    work and every file that read_field_csv rejects is still rejected,
+    with one narrowing: in compute's order the three value tokens of a row
+    are not parsed, so non-numeric values pass.
+    """
+    start = fp.tell()
+    grid = _grid_in_compute_order(fp)
+    if grid is None:
+        fp.seek(start)
+        grid = read_field_csv(fp).grid
+    return grid
+
+
+def _grid_in_compute_order(fp) -> GridSpec | None:
+    """read_field_grid's streaming pass; None on any deviation."""
+    if fp.readline().strip() != _FIELD_CSV_HEADER:
+        return None
+    re_tokens, im_tokens = [], None
+    rows = map(str.split, fp, itertools.repeat(","))
+    for re_token, block in itertools.groupby(rows, operator.itemgetter(0)):
+        tokens = [f[1] if len(f) == 5 else None for f in block]
+        if im_tokens is None:
+            im_tokens = tokens
+        if tokens != im_tokens or None in tokens:
+            return None
+        re_tokens.append(re_token)
+    if im_tokens is None:
+        return None
+    re, im = _axis_values(re_tokens), _axis_values(im_tokens)
+    if re is None or im is None:
+        return None
+    return GridSpec(float(re[0]), float(re[-1]), float(im[0]), float(im[-1]), len(re), len(im))
+
+
+def _axis_values(tokens: list) -> np.ndarray | None:
+    """Floats of axis tokens by read_field_csv's own parser; None unless
+    there are at least 2, all finite and strictly ascending."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # all tokens blank
+            values = np.loadtxt(tokens, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if (len(values) < 2 or len(values) != len(tokens) or not np.isfinite(values).all()
+            or not (np.diff(values) > 0.0).all()):
+        return None
+    return values

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAMemberError
+from .errors import NotAMemberError, ParseError
 from .numkernel import (
     ComplexMatrix,
     as_matrix,
@@ -57,20 +57,32 @@ class Witness:
         }
 
 
-def witness_from_json_obj(obj: dict) -> Witness:
-    def vec(pairs):
-        a = np.asarray(pairs, dtype=np.float64)
-        return a[:, 0] + 1j * a[:, 1]
+def witness_from_json_obj(obj) -> Witness:
+    """Inverse of Witness.to_json_obj.  Complex values are [re, im] pairs;
+    anything else raises ParseError naming the bad key or shape."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"certificate must be a JSON object, got {type(obj).__name__}")
+    missing = [k for k in ("z", "eps_hat", "u", "v", "w", "E") if k not in obj]
+    if missing:
+        raise ParseError("certificate is missing " + ", ".join(map(repr, missing)))
 
-    e = np.asarray(obj["E"], dtype=np.float64)
-    return Witness(
-        z=complex(obj["z"][0], obj["z"][1]),
-        u=vec(obj["u"]),
-        v=vec(obj["v"]),
-        w=vec(obj["w"]),
-        eps_hat=float(obj["eps_hat"]),
-        E=ComplexMatrix(e[..., 0] + 1j * e[..., 1]),
-    )
+    def pairs(key, shape, what):
+        try:
+            a = np.asarray(obj[key], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            a = None
+        if a is None or a.shape != (*shape, 2) or not np.isfinite(a).all():
+            raise ParseError(f"certificate {key!r} must be {what}")
+        return a[..., 0] + 1j * a[..., 1]
+
+    try:
+        eps_hat = float(obj["eps_hat"])
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError("certificate 'eps_hat' must be a number") from None
+    n = len(obj["E"]) if isinstance(obj["E"], list) else 0  # [] fails the (0, 0, 2) shape
+    E = ComplexMatrix(pairs("E", (n, n), "a square matrix of finite [re, im] pairs"))
+    u, v, w = (pairs(key, (n,), f"a list of {n} finite [re, im] pairs") for key in "uvw")
+    return Witness(complex(pairs("z", (), "a finite [re, im] pair")), u, v, w, eps_hat, E)
 
 
 def _fix_phase(u: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CLI behavior: pipeline, exit codes, SVG structure, determinism."""
 
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -262,3 +263,66 @@ def test_plot_rejects_malformed_inputs_with_exit_2(tmp_path, capsys, name, text)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "fig.svg").exists()
+
+
+@pytest.fixture()
+def diag_field_csv(diag_file, tmp_path):
+    """field.csv and condition contours that compute wrote for diag(1, -1)."""
+    outdir = tmp_path / "out"
+    assert main(["compute", "--matrix", str(diag_file), "--eps", "0.2", "--grid", "41",
+                 "--out", str(outdir)]) == 0
+    return outdir / "field.csv", outdir / "contours_condition.json"
+
+
+def test_plot_writes_the_same_svg_from_shuffled_field_rows(diag_field_csv, tmp_path):
+    field, contours = diag_field_csv
+    header, *rows = field.read_text().splitlines(keepends=True)
+    random.Random(5).shuffle(rows)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows))
+    svgs = []
+    for path in (field, shuffled):
+        svg = tmp_path / f"{path.stem}.svg"
+        assert main(["plot", "--field", str(path), "--contours", str(contours),
+                     "--out", str(svg)]) == 0
+        svgs.append(svg.read_bytes())
+    assert svgs[0] == svgs[1]
+
+
+@pytest.mark.parametrize("damage", ["drop-row", "duplicate-row", "4-field-row"])
+def test_plot_rejects_damaged_compute_order_field_with_exit_2(diag_field_csv, tmp_path,
+                                                              capsys, damage):
+    field, _ = diag_field_csv
+    header, *rows = field.read_text().splitlines(keepends=True)
+    k = len(rows) // 2 + 7  # deep inside a re block
+    if damage == "drop-row":
+        del rows[k]
+    elif damage == "duplicate-row":
+        rows.insert(k, rows[k])
+    else:
+        rows[k] = rows[k].rsplit(",", 1)[0] + "\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text(header + "".join(rows))
+    assert main(["plot", "--field", str(bad), "--out", str(tmp_path / "fig.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "fig.svg").exists()
+
+
+_SQUARE_E = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("certificate", [
+    None, [], {}, {"z": [0, 0]}, {"z": "x", "E": 1}, {"z": [0, 0], "E": [[1]]},
+    {"z": [0, 0], "eps_hat": 0.0, "E": _SQUARE_E},
+], ids=["null", "list", "empty-object", "no-E", "bad-z-and-E", "no-u", "no-u-v-w"])
+def test_verify_rejects_malformed_certificate_with_exit_2(diag_file, tmp_path, capsys,
+                                                          certificate):
+    cert = tmp_path / "cert.json"
+    cert.write_text(jsonio.dumps(certificate))
+    code = main(["verify", "--matrix", str(diag_file), "--eps", "0.5", "--grid", "21",
+                 "--theorems", "t1", "--certificate", str(cert),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "certificate" in err and "Traceback" not in err

@@ -1,9 +1,12 @@
 """Membership predicates, grid fields, radii, distances, components."""
 
 import io
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from condspec.errors import GridTooSmallError
 from condspec.matrixio import generate
@@ -11,6 +14,7 @@ from condspec.numkernel import eigenvalues
 from condspec.spectra import (
     Epsilon,
     GridSpec,
+    SpectralField,
     bounding_region,
     component_count,
     compute_field,
@@ -21,6 +25,7 @@ from condspec.spectra import (
     in_condition_spectrum,
     in_pseudospectrum,
     read_field_csv,
+    read_field_grid,
     write_field_csv,
 )
 
@@ -308,3 +313,100 @@ def test_field_csv_writes_infinities():
     assert "inf" in buf.getvalue()  # eigenvalue nodes at +-1 are on this grid
     back = read_field_csv(io.StringIO(buf.getvalue()))
     assert np.isinf(back.ratio).sum() == 2
+
+
+def per_node_field_csv(field) -> str:
+    """The field CSV as the per-node writer formatted it, one `%` per node:
+    the byte oracle for write_field_csv."""
+    out = ["re,im,sigma_min,sigma_max,ratio\n"]
+    re = field.grid.re_axis()
+    im = field.grid.im_axis()
+    for i in range(field.grid.nx):
+        for j in range(field.grid.ny):
+            out.append("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+                re[i], im[j], field.sigma_min[i, j], field.sigma_max[i, j],
+                field.ratio[i, j]))
+    return "".join(out)
+
+
+def field_csv(field) -> str:
+    buf = io.StringIO()
+    write_field_csv(field, buf)
+    return buf.getvalue()
+
+
+# Node values from every range the writer formats: zeros, subnormals, values
+# near the float64 limit and the +inf ratio of an eigenvalue node.
+node_values = st.one_of(
+    st.floats(0.0, 1e3),
+    st.floats(0.0, 2.3e-308),
+    st.floats(1e299, 1.7976931348623157e308),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e300, np.inf]),
+)
+# Axis ends; a -0.0 end puts -0.0 on the axis.
+axis_ends = st.sampled_from([(-2.0, -0.0), (-0.0, 1.5), (-1.0, 1.0), (-1e300, 1e300),
+                             (1e-310, 3e-310), (-3.0, 7.25)])
+
+
+@st.composite
+def fields(draw):
+    nx, ny = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    (re_min, re_max), (im_min, im_max) = draw(axis_ends), draw(axis_ends)
+    grid = GridSpec(re_min, re_max, im_min, im_max, nx, ny)
+    smin, smax, ratio = (np.array(draw(st.lists(node_values, min_size=nx * ny,
+                                                max_size=nx * ny))).reshape(nx, ny)
+                         for _ in range(3))
+    return SpectralField(grid, smin, smax, ratio)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields())
+def test_field_csv_bytes_match_per_node_writer(field):
+    assert field_csv(field) == per_node_field_csv(field)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(-2.0, -0.0, -2.0, 2.0, 5, 9),
+                                  GridSpec(-2.0, 2.0, -0.0, 1.0, 9, 2)])
+def test_field_csv_bytes_match_per_node_writer_at_eigenvalues(grid):
+    field = compute_field(DIAG, grid)  # the node -1 + 0i is an eigenvalue
+    assert np.isinf(field.ratio).any()
+    assert field_csv(field) == per_node_field_csv(field)
+
+
+def test_field_grid_matches_full_parse_on_compute_output():
+    A = random_complex(3, 31)
+    text = field_csv(compute_field(A, GridSpec(-2.0, 2.0, -0.0, 1.5, 13, 6)))
+    assert read_field_grid(io.StringIO(text)) == read_field_csv(io.StringIO(text)).grid
+
+
+def test_field_grid_reads_rows_in_any_order():
+    field = compute_field(DIAG, GridSpec(-2.0, 2.0, -1.0, 1.0, 7, 5))
+    header, *rows = field_csv(field).splitlines(keepends=True)
+    for order in (rows[::-1], random.Random(3).sample(rows, len(rows))):
+        assert read_field_grid(io.StringIO(header + "".join(order))) == field.grid
+
+
+def test_field_grid_leaves_value_tokens_unparsed_in_compute_order():
+    text = "re,im,sigma_min,sigma_max,ratio\n" + "".join(
+        f"{re},{im},x,y,z\n" for re in (0, 1, 2) for im in (-1, 1))
+    assert read_field_grid(io.StringIO(text)) == GridSpec(0.0, 2.0, -1.0, 1.0, 3, 2)
+    with pytest.raises(ValueError):
+        read_field_csv(io.StringIO(text))
+
+
+def test_field_grid_keeps_only_the_axes_in_memory(tmp_path):
+    n = 301
+    values = np.linspace(1.0, 2.0, n * n).reshape(n, n)
+    path = tmp_path / "field.csv"
+    with open(path, "w") as fp:
+        write_field_csv(SpectralField(GridSpec.square(1.0, n), values, values, values), fp)
+    assert path.stat().st_size > 8_000_000
+    with open(path) as fp:
+        tracemalloc.start()
+        try:
+            grid = read_field_grid(fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert grid == GridSpec.square(1.0, n)
+    assert peak < 1_000_000

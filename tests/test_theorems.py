@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from condspec.errors import PreconditionError
-from condspec.geometry import convex_hull, distance_to_polygon, is_convex_polygon
+from condspec.geometry import convex_hull, distance_to_polygon
 from condspec.matrixio import generate
 from condspec.numkernel import eigenvalues, spectral_norm
 from condspec.spectra import GridSpec, compute_field
@@ -38,6 +38,17 @@ JORDAN2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 def random_complex(n, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def is_convex_polygon(poly, tol: float = 0.0) -> bool:
+    """Cross-product sign test; collinear (degenerate) chains pass."""
+    p = np.asarray(poly, dtype=np.float64)
+    if len(p) < 3:
+        return True
+    a = np.roll(p, -1, axis=0) - p
+    b = np.roll(a, -1, axis=0)
+    cr = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return bool(np.all(cr >= -tol) or np.all(cr <= tol))
 
 
 @pytest.fixture(scope="module")

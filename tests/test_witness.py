@@ -3,9 +3,10 @@ three-way equivalence checker."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from condspec import jsonio
-from condspec.errors import NotAMemberError
+from condspec.errors import NotAMemberError, ParseError
 from condspec.numkernel import as_matrix, eigenvalues, singular_values, spectral_norm
 from condspec.spectra import GridSpec, compute_field, condition_number_at, in_condition_spectrum
 from condspec.theorems import sample_points
@@ -210,3 +211,34 @@ def test_witness_json_round_trip():
     assert np.array_equal(back.w, w.w)
     assert np.array_equal(back.E.entries, w.E.entries)
     assert isinstance(back, Witness)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("z", "x"), ("z", [0, 0, 0]), ("eps_hat", [1]), ("E", [[1]]), ("E", []),
+    ("E", [[[1, 0], [0, 0]]]), ("E", [[[float("nan"), 0]]]), ("u", [[1, 0], [0, 1]]),
+    ("w", None),
+])
+def test_witness_json_names_the_bad_entry(key, value):
+    obj = jsonio.loads(jsonio.dumps(witness_perturbation(np.array([[0.5]]), 0.5, 0.5)
+                                    .to_json_obj()))
+    obj[key] = value
+    with pytest.raises(ParseError, match=f"certificate '{key}'"):
+        witness_from_json_obj(obj)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**1100, 2**1100) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=4),
+    max_leaves=24)
+certificate_like = st.fixed_dictionaries(
+    {}, optional={key: json_values for key in ("z", "eps_hat", "u", "v", "w", "E")})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(json_values, certificate_like))
+def test_witness_json_fuzz_raises_only_parse_error(obj):
+    try:
+        witness_from_json_obj(obj)
+    except ParseError:
+        pass
