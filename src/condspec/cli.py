@@ -99,9 +99,12 @@ def cmd_compute(config: RunConfig) -> list[Path]:
 
 
 def cmd_verify(config: RunConfig) -> tuple[list, int]:
-    """Run the selected checks, write the report JSON, return exit code."""
+    """Run the selected checks, write the report JSON, return exit code.
+    A certificate is loaded before the suite runs, so a malformed one
+    fails fast; its membership is checked after the suite."""
     reports = []
     try:
+        witness = None if config.certificate is None else _load_certificate(config)
         suite = run_suite(
             config.matrix, config.eps_list,
             theorems=config.theorems or None,
@@ -113,8 +116,8 @@ def cmd_verify(config: RunConfig) -> tuple[list, int]:
             strict=config.explicit_theorems,
         )
         reports.extend(suite)
-        if config.certificate is not None:
-            reports.append(_certificate_report(config))
+        if witness is not None:
+            reports.append(_certificate_report(config, witness))
     except (PreconditionError, GridTooSmallError, ValueError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return reports, 2
@@ -135,9 +138,7 @@ def cmd_verify(config: RunConfig) -> tuple[list, int]:
     return reports, (1 if failed else 0)
 
 
-def _certificate_report(config: RunConfig):
-    from .report import TheoremReport
-
+def _load_certificate(config: RunConfig):
     try:
         obj = jsonio.loads(Path(config.certificate).read_text())
     except ValueError as exc:
@@ -146,6 +147,12 @@ def _certificate_report(config: RunConfig):
     if w.E.n != config.matrix.n:
         raise ParseError(f"certificate 'E' is {w.E.n} x {w.E.n}, the matrix is "
                          f"{config.matrix.n} x {config.matrix.n}")
+    return w
+
+
+def _certificate_report(config: RunConfig, w):
+    from .report import TheoremReport
+
     eps = config.eps_list[0]
     ok = membership_from_perturbation(config.matrix, w.z, w.E, eps)
     return TheoremReport("CERT", bool(ok), None, None, 0.0,

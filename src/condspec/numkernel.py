@@ -137,12 +137,6 @@ def shifted_extremes(A, zs) -> tuple[np.ndarray, np.ndarray]:
     return s[:, -1], s[:, 0]
 
 
-def is_singular(M) -> bool:
-    m = as_matrix(M)
-    s = singular_values(m)
-    return bool(np.isinf(condition_ratio(s[-1], s[0], m.n)))
-
-
 def condition_number(S) -> float:
     """sigma_max / sigma_min; +inf when S is numerically singular."""
     m = as_matrix(S)

@@ -3,7 +3,11 @@
 A point z belongs to the eps-condition spectrum of A when z*I - A is
 singular or its condition number sigma_max/sigma_min reaches 1/eps (with
 0 < eps < 1).  It belongs to the eps-pseudospectrum when
-sigma_min(z*I - A) <= eps, i.e. the resolvent norm reaches 1/eps.
+sigma_min(z*I - A) <= eps, i.e. the resolvent norm reaches 1/eps.  One
+SpectrumKind record per kind (CONDITION, PSEUDO) holds every rule that
+differs between the two: the eps range, the compared quantity and its
+level, the boundary band, the bounding radius and the pad the theorems
+share.  Functions that take a kind accept either record or its name.
 
 Grid computation samples sigma_min, sigma_max and their ratio over a
 rectangle of the complex plane; classification, contour extraction,
@@ -31,6 +35,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
@@ -71,14 +76,93 @@ class Epsilon:
         object.__setattr__(self, "value", v)
 
 
+@dataclass(frozen=True)
+class SpectrumKind:
+    """Everything that differs between the eps-condition spectrum and the
+    eps-pseudospectrum.  CONDITION and PSEUDO are the only instances.
+
+    Membership compares one quantity of z*I - A, picked from (sigma_min,
+    ratio), with a level set by eps.  Reports are compared bit for bit, so
+    each callable fixes its operation order: the pad is scale * 2.0 * eps
+    / (1 - eps) * ||A|| left to right, not scale times the pad.
+    """
+
+    name: str
+    suffix: str          # of theorem labels: T1σ, T1ε
+    eps_limit: float     # eps must lie below it
+    degree: int          # quantity of alpha + beta*A at z = |beta|**degree * A's at (z-alpha)/beta
+    poles: bool          # the quantity is +inf at the eigenvalues
+    quantity: Callable   # (sigma_min, ratio) -> the compared quantity
+    measure: Callable    # (sigma_min, ratio) -> kappa or the resolvent norm, >= 1/eps inside
+    level: Callable      # (eps, scale=1.0) -> scale times the level of the quantity
+    inside: Callable     # (quantity, eps) -> membership
+    off_level: Callable  # (quantity, eps) -> relative distance from the level
+    depth: Callable      # (quantity, eps) -> margin, >= 1 inside level eps
+    radius: Callable     # (eps, ||A||) -> radius of a disk about 0 holding the spectrum
+    pad: Callable        # (eps, () -> ||A||, scale=1.0) -> scale times the pad of T4, T7-T9;
+                         # ||A|| is taken only by the kind whose pad uses it
+
+    def eps(self, eps) -> float:
+        """Validate an Epsilon/float for this kind."""
+        v = (eps if isinstance(eps, Epsilon) else Epsilon(eps)).value
+        if v >= self.eps_limit:
+            raise ValueError(f"{self.name}-spectrum eps must satisfy "
+                             f"0 < eps < {self.eps_limit:g}, got {v}")
+        return v
+
+    def at(self, A, zs) -> tuple[np.ndarray, np.ndarray]:
+        """(sigma_min, quantity) of z*I - A at every z in zs."""
+        m = as_matrix(A)
+        smin, smax = shifted_extremes(m, zs)
+        return smin, self.quantity(smin, condition_ratio(smin, smax, m.n))
+
+
+CONDITION = SpectrumKind(
+    name=KIND_CONDITION, suffix="σ", eps_limit=1.0, degree=0, poles=True,
+    quantity=lambda smin, ratio: ratio,
+    measure=lambda smin, ratio: ratio,
+    level=lambda e, scale=1.0: scale / e,
+    inside=lambda ratio, e: ratio >= 1.0 / e,
+    off_level=lambda ratio, e: abs(ratio * e - 1.0),
+    depth=lambda ratio, e: ratio * e,
+    radius=lambda e, norm: (1.0 + e) / (1.0 - e) * norm,
+    pad=lambda e, norm, scale=1.0: scale * 2.0 * e / (1.0 - e) * norm(),
+)
+
+PSEUDO = SpectrumKind(
+    name=KIND_PSEUDO, suffix="ε", eps_limit=np.inf, degree=1, poles=False,
+    quantity=lambda smin, ratio: smin,
+    measure=lambda smin, ratio: 1.0 / smin,
+    level=lambda e, scale=1.0: scale * e,
+    inside=lambda smin, e: smin <= e,
+    off_level=lambda smin, e: abs(smin / e - 1.0),
+    depth=lambda smin, e: _ratio_or_inf(e, smin),
+    radius=lambda e, norm: norm + e,
+    pad=lambda e, norm, scale=1.0: scale * e,
+)
+
+_KINDS = {k.name: k for k in (CONDITION, PSEUDO)}
+
+
+def _ratio_or_inf(e, smin):
+    """e / smin, +inf where smin is not positive."""
+    with np.errstate(divide="ignore"):
+        return np.where(smin > 0, e / smin, np.inf)
+
+
+def spectrum_kind(kind) -> SpectrumKind:
+    """The record of a kind given by record or by name."""
+    if isinstance(kind, SpectrumKind):
+        return kind
+    try:
+        return _KINDS[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown spectrum kind {kind!r}") from None
+
+
 def eps_value(eps, kind: str = KIND_CONDITION) -> float:
     """Validate an Epsilon/float for the given spectrum kind."""
-    v = (eps if isinstance(eps, Epsilon) else Epsilon(eps)).value
-    if kind == KIND_CONDITION and v >= 1.0:
-        raise ValueError(f"condition-spectrum eps must satisfy 0 < eps < 1, got {v}")
-    if kind not in (KIND_CONDITION, KIND_PSEUDO):
-        raise ValueError(f"unknown spectrum kind {kind!r}")
-    return v
+    return spectrum_kind(kind).eps(eps)
 
 
 @dataclass(frozen=True)
@@ -152,16 +236,17 @@ class SpectralField:
     ratio: np.ndarray
     matrix: ComplexMatrix | None = dc_field(default=None, repr=False)
 
-    def member_mask(self, eps) -> np.ndarray:
-        """Condition-spectrum membership at every node."""
-        return self.ratio >= 1.0 / eps_value(eps, KIND_CONDITION)
+    def quantity(self, kind) -> np.ndarray:
+        """The kind's compared quantity at every node."""
+        return spectrum_kind(kind).quantity(self.sigma_min, self.ratio)
 
-    def pseudo_mask(self, eps) -> np.ndarray:
-        return self.sigma_min <= eps_value(eps, KIND_PSEUDO)
+    def member_mask(self, eps, kind: str = KIND_CONDITION) -> np.ndarray:
+        """Membership at every node (condition spectrum by default)."""
+        k = spectrum_kind(kind)
+        return k.inside(self.quantity(k), k.eps(eps))
 
     def member_nodes(self, eps, kind: str = KIND_CONDITION) -> np.ndarray:
-        mask = self.member_mask(eps) if kind == KIND_CONDITION else self.pseudo_mask(eps)
-        return self.grid.nodes()[mask]
+        return self.grid.nodes()[self.member_mask(eps, kind)]
 
 
 def _thread_count() -> int:
@@ -274,14 +359,19 @@ def condition_number_at(A, z: complex) -> float:
     return float(condition_ratio(*shifted_extremes(m, z), m.n)[0])
 
 
+def in_spectrum(A, z: complex, eps, kind: str = KIND_CONDITION) -> bool:
+    """Whether z belongs to the eps-spectrum of A of the given kind."""
+    k = spectrum_kind(kind)
+    e = k.eps(eps)
+    return bool(k.inside(k.at(A, z)[1][0], e))
+
+
 def in_condition_spectrum(A, z: complex, eps) -> bool:
-    e = eps_value(eps, KIND_CONDITION)
-    return bool(condition_number_at(A, z) >= 1.0 / e)
+    return in_spectrum(A, z, eps, CONDITION)
 
 
 def in_pseudospectrum(A, z: complex, eps) -> bool:
-    e = eps_value(eps, KIND_PSEUDO)
-    return bool(shifted_extremes(A, z)[0][0] <= e)
+    return in_spectrum(A, z, eps, PSEUDO)
 
 
 def bounding_region(A, eps, kind: str = KIND_CONDITION) -> float:
@@ -292,10 +382,8 @@ def bounding_region(A, eps, kind: str = KIND_CONDITION) -> float:
     # field: a multi-threaded SVD changes its last bits from n ~ 64 on.
     with _single_threaded_blas():
         norm = spectral_norm(A)
-    e = eps_value(eps, kind)
-    if kind == KIND_CONDITION:
-        return (1.0 + e) / (1.0 - e) * norm
-    return norm + e
+    k = spectrum_kind(kind)
+    return k.radius(k.eps(eps), norm)
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +547,15 @@ def extract_contours(field: SpectralField, eps_list, kind: str = KIND_CONDITION)
     on a log10 scale.  A level that never crosses inside the grid yields an
     empty polyline list for that eps (reported, not an error).
     """
+    k = spectrum_kind(kind)
     xs = field.grid.re_axis()
     ys = field.grid.im_axis()
     levels = []
     for eps in eps_list:
-        e = eps_value(eps, kind)
-        if kind == KIND_CONDITION:
-            t, lv, poles = _log_scaled(field.ratio, 1.0 / e)
-        else:
-            t, lv, poles = _log_scaled(field.sigma_min, e)
+        e = k.eps(eps)
+        t, lv, poles = _log_scaled(field.quantity(k), k.level(e))
         polys = _marching_squares(xs, ys, t, lv, poles)
-        levels.append(ContourLevel(e, kind, tuple(polys)))
+        levels.append(ContourLevel(e, k.name, tuple(polys)))
     return ContourSet(tuple(levels))
 
 
@@ -477,29 +563,39 @@ def extract_contours(field: SpectralField, eps_list, kind: str = KIND_CONDITION)
 # Derived grid quantities
 
 def _require_covering(A, eps, grid: GridSpec):
-    r = bounding_region(A, eps, KIND_CONDITION)
+    r = bounding_region(A, eps)
     if not grid.contains_disk(r):
         raise GridTooSmallError(
             f"grid [{grid.re_min}, {grid.re_max}] x [{grid.im_min}, {grid.im_max}] "
             f"does not contain the bounding disk D(0, {r:.6g})")
 
 
-def _field_on(A, grid) -> SpectralField:
+def field_for(A, grid, eps) -> SpectralField:
+    """`grid` itself when it is a SpectralField, else the field of A on a
+    GridSpec, or on an auto grid of `grid` nodes per axis (None: the
+    default count).  Auto grids are sized by the condition-spectrum bound
+    at min(eps, 0.9)."""
     if isinstance(grid, SpectralField):
         return grid
+    if grid is None or isinstance(grid, int):
+        n = DEFAULT_GRID_NODES if grid is None else grid
+        grid = GridSpec.auto(A, min(float(eps), 0.9), n=n)
     return compute_field(A, grid)
+
+
+def member_radius(field: SpectralField, eps, kind: str = KIND_CONDITION) -> float:
+    """max |z| over the member nodes, 0.0 when there are none."""
+    members = field.member_nodes(eps, kind)
+    return float(np.abs(members).max()) if members.size else 0.0
 
 
 def condition_spectral_radius(A, eps, grid) -> float:
     """max |z| over grid nodes inside the condition spectrum: a resolution-
     limited lower bound of the true radius.  The grid must cover the
     bounding disk."""
-    field = _field_on(A, grid)
+    field = field_for(A, grid, eps)
     _require_covering(A, eps, field.grid)
-    members = field.member_nodes(eps)
-    if members.size == 0:
-        return 0.0
-    return float(np.abs(members).max())
+    return member_radius(field, eps)
 
 
 def distance_to_condition_spectrum(A, z: complex, eps, grid) -> float:
@@ -507,7 +603,7 @@ def distance_to_condition_spectrum(A, z: complex, eps, grid) -> float:
     diagonal.  Eigenvalues (always members) are included as candidates, so
     the result stays meaningful when eps is too small for any node to
     classify."""
-    field = _field_on(A, grid)
+    field = field_for(A, grid, eps)
     _require_covering(A, eps, field.grid)
     if in_condition_spectrum(A, z, eps):
         return 0.0

@@ -326,3 +326,21 @@ def test_verify_rejects_malformed_certificate_with_exit_2(diag_file, tmp_path, c
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "certificate" in err and "Traceback" not in err
+
+
+def test_verify_rejects_malformed_certificate_before_the_suite(diag_file, tmp_path, capsys,
+                                                               monkeypatch):
+    import condspec.cli as cli
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("run_suite called before the certificate was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    cert = tmp_path / "cert.json"
+    cert.write_text("null")
+    code = main(["verify", "--matrix", str(diag_file), "--eps", "0.5", "--grid", "21",
+                 "--certificate", str(cert), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "certificate" in err
+    assert not (tmp_path / "r.json").exists()

@@ -21,7 +21,9 @@ from condspec.theorems import (
     check_t5,
     check_t5e,
     check_t6,
+    check_t6e,
     check_t7,
+    check_t7e,
     check_t8,
     check_t9,
     check_t10,
@@ -192,6 +194,21 @@ def test_t6_precondition_strict():
         check_t6(DIAG, 0.5, TransientConfig(M=2.0, k_max=5))  # M = 1/eps exactly
 
 
+def test_t6e_growth_observed():
+    A = np.array([[0.9, 5.0], [0.0, 0.9]])
+    r = check_t6e(A, 0.05, TransientConfig(M=2.0, k_max=50), grid=201)
+    assert r.theorem_id == "T6ε" and r.passed and r.details["status"] == "growth observed"
+    assert r.lhs > r.rhs == pytest.approx(1.0 + 2.0 * 0.05)
+    assert r.details["observed_sup"] > 2.0
+
+
+def test_t6e_vacuous_antecedent():
+    # pseudospectral radius about 0.55 stays below 1 + M*eps = 1.1
+    r = check_t6e(np.diag([0.5, 0.2]), 0.05, TransientConfig(M=2.0, k_max=20), grid=121)
+    assert r.passed and r.details["status"].startswith("vacuous")
+    assert r.lhs <= r.rhs
+
+
 def test_transient_config_validation():
     with pytest.raises(ValueError):
         TransientConfig(M=0.0, k_max=5)
@@ -227,6 +244,16 @@ def test_t7_random_admissible_range():
 def test_t7_inadmissible_k():
     with pytest.raises(PreconditionError):
         check_t7(DIAG, 0.2, k_list=[3], grid=81)  # 7*0.2 = 1.4 >= 1
+
+
+def test_t7e_inadmissible_k():
+    with pytest.raises(PreconditionError, match=r"k = 4 inadmissible: k\*eps = 1\.2 >= \|\|A\|\|"):
+        check_t7e(DIAG, 0.3, k_list=[0, 4], grid=81)  # 4*0.3 >= ||A|| = 1
+
+
+def test_t7e_no_admissible_k():
+    with pytest.raises(PreconditionError, match="no admissible k"):
+        check_t7e(np.zeros((2, 2)), 0.2, grid=81)  # k*eps < ||A|| = 0 fails for every k
 
 
 # --- T8 ------------------------------------------------------------------------
@@ -391,6 +418,22 @@ def test_suite_skips_precondition_violations():
 def test_suite_strict_raises():
     with pytest.raises(PreconditionError):
         run_suite(DIAG, [0.4], grid=121, theorems=["t5"], strict=True)
+
+
+def test_suite_calls_companions_by_module_name(monkeypatch):
+    import condspec.theorems as theorems
+    from condspec.report import TheoremReport
+
+    calls = []
+
+    def fake_t5e(A, S, eps, z_samples=None, count=64, seed=0):
+        calls.append((eps, len(z_samples)))
+        return TheoremReport("T5ε", True, None, None, 0.0, {"status": "patched"})
+
+    monkeypatch.setattr(theorems, "check_t5e", fake_t5e)
+    reports = run_suite(DIAG, [0.1], grid=61, samples=8, theorems=["t5"])
+    assert [r.theorem_id for r in reports] == ["T5σ", "T5ε"]
+    assert reports[1].details == {"status": "patched"} and calls == [(0.1, 8)]
 
 
 def test_suite_rejects_unknown_selector():
