@@ -270,9 +270,10 @@ _OPENBLAS_NAMES = (("openblas_get_num_threads", "openblas_set_num_threads"),
                    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"))
 
 # Held from saving the BLAS thread counts to restoring them, so concurrent
-# fields cannot restore each other's pin.  Each field already fills every
-# core, so serializing them costs nothing.
-_BLAS_PIN_LOCK = threading.Lock()
+# fields and suites cannot restore each other's pin; they run one after
+# another, and each field already fills every core.  Reentrant, so a pin
+# nested on the owning thread saves and restores the count 1.
+_BLAS_PIN_LOCK = threading.RLock()
 
 
 @functools.cache
@@ -308,7 +309,7 @@ def _openblas_thread_controls() -> tuple:
 @contextlib.contextmanager
 def _single_threaded_blas():
     """Pin every loaded OpenBLAS to one thread, restoring its count on exit.
-    Not reentrant: nothing run inside may enter it again."""
+    Reentrant on the owning thread; pool workers never enter it."""
     with _BLAS_PIN_LOCK:
         controls = _openblas_thread_controls()
         saved = [get() for get, _ in controls]
@@ -337,14 +338,8 @@ def compute_field(A, grid: GridSpec) -> SpectralField:
     def fill_row(ix: int):
         smin[ix, :], smax[ix, :] = shifted_extremes(m, re[ix] + 1j * im)
 
-    workers = _thread_count()
-    with _single_threaded_blas():
-        if workers == 1:
-            for ix in range(grid.nx):
-                fill_row(ix)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fill_row, range(grid.nx)))
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+        list(pool.map(fill_row, range(grid.nx)))
 
     ratio = condition_ratio(smin, smax, m.n)
     for arr in (smin, smax, ratio):
@@ -410,21 +405,32 @@ class ContourSet:
 
 
 # Segment table for marching squares.  Corner bits: 0=(i,j), 1=(i+1,j),
-# 2=(i+1,j+1), 3=(i,j+1); edges: 0 bottom, 1 right, 2 top, 3 left.
+# 2=(i+1,j+1), 3=(i,j+1); edges: 0 bottom, 1 right, 2 top, 3 left.  The
+# saddles 5 and 10 take key +16 when the cell-center mean is at or above
+# the level, which joins the two inside corners.
 _MS_SEGMENTS = {
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)],
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 5: [(3, 0), (1, 2)],
+    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)], 10: [(0, 1), (2, 3)],
     11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(3, 0)],
+    21: [(0, 1), (2, 3)], 26: [(3, 0), (1, 2)],
 }
+# Corner slices of the (nx-1, ny-1) cell array, in corner-bit order.
+_MS_CORNERS = (np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:])
 
 
 def _marching_squares(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
-                      level: float, poles: np.ndarray | None = None) -> list[np.ndarray]:
+                      level: float, poles: np.ndarray) -> list[np.ndarray]:
     """Level-set polylines of a scalar field sampled at xs x ys.
 
-    Crossing points are computed once per grid edge (canonical node order),
-    so shared edges chain exactly and the output is independent of cell
-    visit order.  Saddle cells are disambiguated by the cell-center mean.
+    Every cell is classified at once: its case is the uint8 of its four
+    inside-corner bits, and saddle cells (5, 10) are split by the
+    cell-center mean.  Grid edges get integer ids, h(i, j) = i*ny + j for
+    the edge from node (i, j) to (i+1, j) and v(i, j) = nx*ny + i*ny + j
+    for the edge from (i, j) to (i, j+1), so every h id sorts before every
+    v id and each kind sorts by (i, j).  Segments are chained on these ids
+    in a fixed order (ends first, then all ids ascending), and each
+    crossing point is interpolated along its own edge, so shared edges
+    join exactly and the output does not depend on visit order.
 
     `poles` marks nodes whose original value was infinite (clamped before
     the call).  A cell whose only above-level corners are poles is skipped:
@@ -434,126 +440,78 @@ def _marching_squares(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
     """
     s = values - level
     inside = s >= 0.0
-    nx, ny = values.shape
-    if poles is None:
-        poles = np.zeros_like(inside)
+    nx, ny = s.shape
+    case = sum(inside[c].astype(np.uint8) << bit for bit, c in enumerate(_MS_CORNERS))
+    real = inside & ~poles
+    keep = (case != 15) & np.any([real[c] for c in _MS_CORNERS], axis=0)
+    saddle = keep & ((case == 5) | (case == 10))
+    s00, s10, s11, s01 = (s[c][saddle] for c in _MS_CORNERS)
+    case[saddle] += np.uint8(16) * (s00 + s10 + s11 + s01 >= 0.0)
 
-    cross_b = inside[:-1, :] != inside[1:, :]   # edges along re (axis 0)
-    cross_l = inside[:, :-1] != inside[:, 1:]   # edges along im (axis 1)
-
-    def h_point(i, j):  # between nodes (i, j) and (i+1, j)
-        t = s[i, j] / (s[i, j] - s[i + 1, j])
-        return (xs[i] + t * (xs[i + 1] - xs[i]), ys[j])
-
-    def v_point(i, j):  # between nodes (i, j) and (i, j+1)
-        t = s[i, j] / (s[i, j] - s[i, j + 1])
-        return (xs[i], ys[j] + t * (ys[j + 1] - ys[j]))
-
-    # Cells containing any crossing.
-    active = (cross_b[:, :-1] | cross_b[:, 1:] | cross_l[:-1, :] | cross_l[1:, :])
-    segments = []
-    for i, j in zip(*np.nonzero(active)):
-        case = (int(inside[i, j]) | int(inside[i + 1, j]) << 1
-                | int(inside[i + 1, j + 1]) << 2 | int(inside[i, j + 1]) << 3)
-        if case in (0, 15):
-            continue
-        corner_in = (inside[i, j], inside[i + 1, j], inside[i + 1, j + 1], inside[i, j + 1])
-        corner_pole = (poles[i, j], poles[i + 1, j], poles[i + 1, j + 1], poles[i, j + 1])
-        if all(p for ci, p in zip(corner_in, corner_pole) if ci):
-            continue  # only poles poke above the level: sub-resolution set
-        if case in (5, 10):
-            center_in = (s[i, j] + s[i + 1, j] + s[i + 1, j + 1] + s[i, j + 1]) >= 0.0
-            if case == 5:
-                segs = [(0, 1), (2, 3)] if center_in else [(3, 0), (1, 2)]
-            else:
-                segs = [(3, 0), (1, 2)] if center_in else [(0, 1), (2, 3)]
-        else:
-            segs = _MS_SEGMENTS[case]
-        edge_ids = {
-            0: ("h", i, j),
-            1: ("v", i + 1, j),
-            2: ("h", i, j + 1),
-            3: ("v", i, j),
-        }
-        for ea, eb in segs:
-            segments.append((edge_ids[ea], edge_ids[eb]))
-
-    if not segments:
-        return []
-
-    # Chain segments into polylines on the edge-id graph.
+    ci, cj = np.nonzero(keep)
+    base = ci * ny + cj
+    cell_edges = np.stack([base, base + nx * ny + ny, base + 1, base + nx * ny], -1)
     adj: dict = {}
-    for a, b in segments:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    def edge_point(eid):
-        kind_, i, j = eid
-        return h_point(i, j) if kind_ == "h" else v_point(i, j)
+    for edges, c in zip(cell_edges.tolist(), case[ci, cj].tolist()):
+        for a, b in _MS_SEGMENTS[c]:
+            adj.setdefault(edges[a], []).append(edges[b])
+            adj.setdefault(edges[b], []).append(edges[a])
 
     visited = set()
+    chains = []
+    for start in sorted(e for e, nb in adj.items() if len(nb) == 1) + sorted(adj):
+        for first in adj[start]:
+            if (min(start, first), max(start, first)) in visited:
+                continue
+            chain = [start, first]
+            visited.add((min(start, first), max(start, first)))
+            while chain[-1] != start:
+                here = chain[-1]
+                nxt = next((n for n in adj[here]
+                            if (min(here, n), max(here, n)) not in visited), None)
+                if nxt is None:
+                    break
+                visited.add((min(here, nxt), max(here, nxt)))
+                chain.append(nxt)
+            chains.append(np.array(chain))
+
     polylines = []
-
-    def walk(start, first):
-        chain = [start, first]
-        visited.add(_key(start, first))
-        while True:
-            nxts = [n for n in adj[chain[-1]]
-                    if _key(chain[-1], n) not in visited]
-            if not nxts:
-                break
-            n = nxts[0]
-            visited.add(_key(chain[-1], n))
-            chain.append(n)
-            if n == start:
-                break
-        return chain
-
-    def _key(a, b):
-        return (a, b) if a <= b else (b, a)
-
-    ends = sorted(e for e, nb in adj.items() if len(nb) == 1)
-    for e in ends:
-        for n in adj[e]:
-            if _key(e, n) not in visited:
-                polylines.append(walk(e, n))
-    for e in sorted(adj):
-        for n in adj[e]:
-            if _key(e, n) not in visited:
-                polylines.append(walk(e, n))
-
-    return [np.array([edge_point(eid) for eid in chain]) for chain in polylines]
-
-
-def _log_scaled(values: np.ndarray, level: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """log10 transform with +-inf (and log of 0) clamped just past the
-    working range so interpolation stays inside the owning cell.  Also
-    returns the pole mask (nodes that were not finite before clamping)."""
-    with np.errstate(divide="ignore"):
-        t = np.log10(values)
-    lv = float(np.log10(level))
-    poles = ~np.isfinite(t)
-    finite = t[~poles]
-    hi = (float(finite.max()) if finite.size else lv) + 2.0
-    lo = (float(finite.min()) if finite.size else lv) - 2.0
-    t = np.nan_to_num(t, nan=lo, posinf=max(hi, lv + 2.0), neginf=min(lo, lv - 2.0))
-    return t, lv, poles
+    for chain in chains:
+        vert = chain >= nx * ny
+        i, j = np.divmod(np.where(vert, chain - nx * ny, chain), ny)
+        i2, j2 = i + ~vert, j + vert
+        t = s[i, j] / (s[i, j] - s[i2, j2])
+        x = np.where(vert, xs[i], xs[i] + t * (xs[i2] - xs[i]))
+        y = np.where(vert, ys[j] + t * (ys[j2] - ys[j]), ys[j])
+        polylines.append(np.stack([x, y], -1))
+    return polylines
 
 
 def extract_contours(field: SpectralField, eps_list, kind: str = KIND_CONDITION) -> ContourSet:
     """Marching-squares boundary polylines at each requested eps.
 
     Condition kind traces ratio = 1/eps, pseudo kind sigma_min = eps, both
-    on a log10 scale.  A level that never crosses inside the grid yields an
-    empty polyline list for that eps (reported, not an error).
+    on a log10 scale.  The log is taken once per kind; for each level the
+    non-finite nodes (the poles, and log of 0) are clamped just past the
+    working range, so interpolation stays inside the owning cell.  A level
+    that never crosses inside the grid yields an empty polyline list for
+    that eps (reported, not an error).
     """
     k = spectrum_kind(kind)
     xs = field.grid.re_axis()
     ys = field.grid.im_axis()
+    with np.errstate(divide="ignore"):
+        logs = np.log10(field.quantity(k))
+    poles = ~np.isfinite(logs)
+    finite = logs[~poles]
+    bounds = (float(finite.min()), float(finite.max())) if finite.size else None
     levels = []
     for eps in eps_list:
         e = k.eps(eps)
-        t, lv, poles = _log_scaled(field.quantity(k), k.level(e))
+        lv = float(np.log10(k.level(e)))
+        lo, hi = bounds or (lv, lv)
+        lo, hi = lo - 2.0, hi + 2.0
+        t = np.nan_to_num(logs, nan=lo, posinf=max(hi, lv + 2.0), neginf=min(lo, lv - 2.0))
         polys = _marching_squares(xs, ys, t, lv, poles)
         levels.append(ContourLevel(e, k.name, tuple(polys)))
     return ContourSet(tuple(levels))

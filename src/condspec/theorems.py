@@ -45,6 +45,7 @@ from .spectra import (
     CONDITION,
     PSEUDO,
     SpectralField,
+    _single_threaded_blas,
     bounding_region,
     component_count,
     compute_field,  # unused here; condbench's tracer test reads theorems.compute_field
@@ -367,8 +368,10 @@ def _power_bound_report(kind, rule, A, eps, k_list, grid, z_samples, count, seed
     name, value, limit_name, limit = rule
     if k_list is None:
         k_list = [k for k in range(13) if value(k, e, norm_a) < limit(norm_a)]
-    if not k_list:
-        raise PreconditionError(f"no admissible k: {name} < {limit_name} fails for every k >= 0")
+        if not k_list:
+            raise PreconditionError(f"no admissible k: {name} < {limit_name} fails for every k >= 0")
+    elif not k_list:
+        raise PreconditionError("k_list is empty: give at least one k")
     for k in k_list:
         if k > 0 and not value(k, e, norm_a) < limit(norm_a):
             raise PreconditionError(
@@ -668,6 +671,7 @@ def default_similarity(n: int) -> np.ndarray:
     return s
 
 
+@_single_threaded_blas()
 def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConfig | None = None,
               n_angles: int = 256, seed: int = 0, S=None, alpha=None, beta=None,
               samples: int = 48, companions: bool = True,
@@ -676,7 +680,9 @@ def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConf
 
     In non-strict mode a precondition violation (for example
     kappa(S)^2*eps >= 1 for T5) records a skipped report; strict mode
-    re-raises it, which the CLI maps to exit code 2.
+    re-raises it, which the CLI maps to exit code 2.  Every OpenBLAS is
+    pinned to one thread for the whole suite, so reports do not depend on
+    the BLAS thread count; concurrent suites run one after another.
     """
     m = as_matrix(A)
     names = list(theorems) if theorems else list(SIGMA_CHECKS)

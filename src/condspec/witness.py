@@ -23,8 +23,10 @@ from .numkernel import (
     ComplexMatrix,
     as_matrix,
     condition_ratio,
+    singular_values,
     singularity_threshold,
     spectral_norm,
+    svd,
 )
 from .report import TheoremReport
 from .spectra import BOUNDARY_BAND, eps_value, in_condition_spectrum
@@ -96,9 +98,9 @@ def _fix_phase(u: np.ndarray) -> np.ndarray:
 
 
 def _smallest_right_singular_vector(shifted: np.ndarray) -> tuple[np.ndarray, float, float]:
-    u_, s, vh = np.linalg.svd(shifted)
-    vec = _fix_phase(vh[-1].conj())
-    return vec, float(s[-1]), float(s[0])
+    r = svd(shifted)
+    vec = _fix_phase(r.right_vectors[:, -1])
+    return vec, float(r.singular_values[-1]), float(r.singular_values[0])
 
 
 def witness_vector(A, z: complex, eps) -> np.ndarray:
@@ -147,11 +149,12 @@ def membership_from_perturbation(A, z: complex, E, eps) -> bool:
     e = eps_value(eps)
     m = as_matrix(A)
     pert = as_matrix(E)
-    s = np.linalg.svd(m.shifted(z), compute_uv=False)
-    if spectral_norm(pert) > e * float(s[0]) * (1.0 + 1e-12):
+    shifted, shifted_sum = m.shifted(z), (m.entries + pert.entries) - z * np.eye(m.n)
+    if not (np.isfinite(shifted).all() and np.isfinite(shifted_sum).all()):
+        return False  # z*I - A or A + E - z*I overflows float64: not checkable
+    if spectral_norm(pert) > e * float(singular_values(shifted)[0]) * (1.0 + 1e-12):
         return False
-    shifted_sum = (m.entries + pert.entries) - z * np.eye(m.n)
-    smin = float(np.linalg.svd(shifted_sum, compute_uv=False)[-1])
+    smin = float(singular_values(shifted_sum)[-1])
     return smin <= _CERT_EIG_TOL * (1.0 + spectral_norm(m))
 
 

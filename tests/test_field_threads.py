@@ -1,5 +1,5 @@
 """The field's one level of parallelism: bytes at any thread setting, and
-the OpenBLAS pin saved, set and restored around every field."""
+the OpenBLAS pin saved, set and restored around every field and suite."""
 
 import os
 import subprocess
@@ -9,8 +9,8 @@ import threading
 import numpy as np
 import pytest
 
-from condspec import spectra
-from condspec.matrixio import generate
+from condspec import spectra, theorems
+from condspec.matrixio import generate, write_matrix
 from condspec.spectra import GridSpec, compute_field
 
 GRID = GridSpec.square(3.0, 7)
@@ -93,7 +93,61 @@ def test_pin_restored_when_field_raises(blas_at_two):
     with pytest.raises(ValueError):
         compute_field(np.array([[1e308]]), GridSpec.square(1e308, 3))
     assert _blas_counts() == [2] * len(controls)
-    assert not spectra._BLAS_PIN_LOCK.locked()
+    assert _pin_lock_free()
+
+
+def _pin_lock_free() -> bool:
+    """Whether another thread can take the pin lock without blocking."""
+    got = []
+
+    def probe():
+        got.append(spectra._BLAS_PIN_LOCK.acquire(blocking=False))
+        if got[0]:
+            spectra._BLAS_PIN_LOCK.release()
+
+    t = threading.Thread(target=probe)
+    t.start()
+    t.join(timeout=10)
+    return got == [True]
+
+
+@needs_openblas
+def test_suite_runs_pinned_and_restores(blas_at_two, monkeypatch):
+    # The suite's field and auto grid pin again on the same thread; the
+    # nested pins leave the count at 1 until the suite returns.
+    seen = []
+    inner = theorems.check_t1
+
+    def recording(**kwargs):
+        seen.append(_blas_counts())
+        return inner(**kwargs)
+
+    monkeypatch.setattr(theorems, "check_t1", recording)
+    theorems.run_suite(generate("random", 4, seed=1), [0.1], theorems=["t1"], grid=7,
+                       companions=False)
+    assert seen == [[1] * len(controls)]
+    assert _blas_counts() == [2] * len(controls)
+    assert _pin_lock_free()
+
+
+@needs_openblas
+def test_verify_report_bytes_independent_of_both_thread_variables(tmp_path):
+    # At n = 72 a multi-threaded OpenBLAS rounds the norms, eigenvalues,
+    # matrix powers and samples of the suite differently; run_suite pins it.
+    matrix = tmp_path / "a.json"
+    write_matrix(generate("random", 72, seed=11), matrix)
+    reports = {}
+    for pool in ("1", "2"):
+        for blas in ("1", "2"):
+            out = tmp_path / f"report_{pool}{blas}.json"
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                       CONDSPEC_THREADS=pool, OPENBLAS_NUM_THREADS=blas)
+            subprocess.run([sys.executable, "-m", "condspec", "verify", "--matrix", str(matrix),
+                            "--eps", "0.1", "--grid", "21", "--samples", "4", "--out", str(out)],
+                           capture_output=True, env=env, check=True, timeout=300)
+            reports[(pool, blas)] = out.read_bytes()
+    differ = [key for key, report in reports.items() if report != reports[("1", "1")]]
+    assert differ == []
 
 
 @needs_openblas

@@ -256,6 +256,13 @@ def test_t7e_no_admissible_k():
         check_t7e(np.zeros((2, 2)), 0.2, grid=81)  # k*eps < ||A|| = 0 fails for every k
 
 
+@pytest.mark.parametrize("check", [check_t7, check_t7e])
+def test_t7_empty_k_list_rejected_as_empty(check):
+    # k = 1 is admissible at eps = 0.1 for both kinds; the list is just empty.
+    with pytest.raises(PreconditionError, match="k_list is empty"):
+        check(DIAG, 0.1, k_list=[], grid=81)
+
+
 # --- T8 ------------------------------------------------------------------------
 
 def test_gerschgorin_reduces_to_classical():

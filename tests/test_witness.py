@@ -136,6 +136,13 @@ def test_certificate_oversized_norm_rejected():
     assert not membership_from_perturbation(DIAG, 0.9, oversized, 0.5)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_certificate_overflowing_float64_rejected():
+    # ||E|| is within budget, but A + E - z*I overflows to -inf
+    E = np.diag([-0.9e308, -0.9e308])
+    assert not membership_from_perturbation(DIAG, 1e308, E, 0.95)
+
+
 def test_certificate_round_trip():
     A = random_complex(4, 8)
     eps = 0.3
