@@ -25,6 +25,7 @@ import numpy as np
 from . import jsonio, matrixio, svgplot
 from .errors import CondspecError, GridTooSmallError, ParseError, PreconditionError
 from .numkernel import ComplexMatrix, eigenvalues
+from .report import TheoremReport
 from .spectra import (
     GridSpec,
     KIND_CONDITION,
@@ -47,12 +48,10 @@ class RunConfig:
     matrix: ComplexMatrix
     eps_list: tuple = DEFAULT_EPS
     grid_nodes: int = 161
-    grid: GridSpec | None = None
     kind: str = KIND_CONDITION
     out: Path = Path(".")
     seed: int = 0
     theorems: tuple = ()
-    explicit_theorems: bool = False
     k_max: int = 50
     M: float = 2.0
     n_angles: int = 256
@@ -60,8 +59,6 @@ class RunConfig:
     certificate: Path | None = None
 
     def resolve_grid(self) -> GridSpec:
-        if self.grid is not None:
-            return self.grid
         e_max = max(self.eps_list)
         g_cond = GridSpec.auto(self.matrix, min(e_max, 0.9), n=self.grid_nodes)
         if self.kind == KIND_CONDITION:
@@ -113,7 +110,7 @@ def cmd_verify(config: RunConfig) -> tuple[list, int]:
             n_angles=config.n_angles,
             seed=config.seed,
             samples=config.samples,
-            strict=config.explicit_theorems,
+            strict=bool(config.theorems),
         )
         reports.extend(suite)
         if witness is not None:
@@ -151,8 +148,6 @@ def _load_certificate(config: RunConfig):
 
 
 def _certificate_report(config: RunConfig, w):
-    from .report import TheoremReport
-
     eps = config.eps_list[0]
     ok = membership_from_perturbation(config.matrix, w.z, w.E, eps)
     return TheoremReport("CERT", bool(ok), None, None, 0.0,
@@ -182,11 +177,14 @@ def cmd_plot(field_path, contour_paths, matrix: ComplexMatrix | None,
                 raise ParseError(f"{cpath}: each contour level must be an object with "
                                  "a numeric 'eps' and a 'polylines' list")
             try:
+                eps = float(level["eps"])
                 polys = [np.asarray(p, dtype=np.float64).reshape(-1, 2)
                          for p in level["polylines"]]
+            except OverflowError as exc:
+                raise ParseError(f"{cpath}: a number is beyond the float64 range") from exc
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{cpath}: polylines must be lists of [re, im] pairs") from exc
-            groups.append((kind, float(level["eps"]), polys))
+            groups.append((kind, eps, polys))
     eig = eigenvalues(matrix) if matrix is not None else None
     svg = svgplot.render_svg(groups, eigenvalues=eig, bounds=bounds,
                              width=width, height=height)
@@ -201,16 +199,10 @@ def cmd_gen(args) -> Path:
         values = [matrixio.parse_complex_token(tok, 1, i + 1)
                   for i, tok in enumerate(args.values.split(","))]
     n = args.n if not values else len(values)
-    m = matrixio.generate(args.kind, n, value=_parse_complex_flag(args.value),
+    m = matrixio.generate(args.kind, n, value=matrixio.parse_complex_token(args.value),
                           values=values, angle=args.angle, seed=args.seed)
     matrixio.write_matrix(m, args.out, args.format)
     return Path(args.out)
-
-
-def _parse_complex_flag(text) -> complex:
-    if isinstance(text, (int, float, complex)):
-        return complex(text)
-    return matrixio.parse_complex_token(str(text), 1, 1)
 
 
 def _parse_eps_list(text: str) -> tuple:
@@ -319,8 +311,7 @@ def main(argv=None) -> int:
             config = RunConfig(
                 matrix=matrix, eps_list=args.eps, grid_nodes=args.grid,
                 out=Path(args.out), seed=args.seed, theorems=args.theorems,
-                explicit_theorems=bool(args.theorems), k_max=args.k_max,
-                M=args.M, n_angles=args.angles, samples=args.samples,
+                k_max=args.k_max, M=args.M, n_angles=args.angles, samples=args.samples,
                 certificate=Path(args.certificate) if args.certificate else None)
             _, code = cmd_verify(config)
             return code

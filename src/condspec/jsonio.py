@@ -80,4 +80,8 @@ def dump(obj, fp, indent: int | None = 2) -> None:
 
 
 def loads(text: str):
-    return json.loads(text)
+    """json.loads; nesting too deep for the parser raises ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None

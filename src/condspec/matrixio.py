@@ -8,7 +8,7 @@ bit for bit.
 
 from __future__ import annotations
 
-import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +54,7 @@ def detect_format(source: MatrixSource) -> str:
     text = source.read_text().lstrip()
     if text.startswith("%%MatrixMarket"):
         return FORMAT_MATRIX_MARKET
-    if text[:1] in "{[":
+    if text.startswith(("{", "[")):
         return FORMAT_JSON
     return FORMAT_CSV
 
@@ -67,7 +67,7 @@ def parse_matrix(source, fmt: str | None = None, max_n: int = MAX_DIMENSION) -> 
         src = MatrixSource(fmt, source, None)
     elif isinstance(source, str):
         looks_like_path = "\n" not in source and len(source) < 4096
-        if looks_like_path and Path(source).exists():
+        if looks_like_path and os.path.exists(source):  # False, not OSError, for a long name
             src = MatrixSource(fmt, Path(source), None)
         else:
             src = MatrixSource(fmt, None, source)
@@ -101,20 +101,20 @@ def parse_matrix(source, fmt: str | None = None, max_n: int = MAX_DIMENSION) -> 
 
 def _parse_json(text: str) -> list[list[complex]]:
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+        obj = jsonio.loads(text)
+    except ValueError as exc:  # a JSONDecodeError also knows where
+        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
+                         getattr(exc, "lineno", None), getattr(exc, "colno", None)) from exc
+    rows = obj
     if isinstance(obj, dict):
         if "entries" not in obj:
             raise ParseError("JSON matrix object needs an 'entries' field")
         rows = obj["entries"]
-        n = obj.get("n")
-        if n is not None and n != len(rows):
-            raise ParseError(f"declared n = {n} but {len(rows)} rows present")
-    else:
-        rows = obj
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError("JSON matrix must be a list of rows")
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if n is not None and n != len(rows):
+        raise ParseError(f"declared n = {n} but {len(rows)} rows present")
     out = []
     for i, row in enumerate(rows, start=1):
         vals = []
@@ -125,11 +125,14 @@ def _parse_json(text: str) -> list[list[complex]]:
 
 
 def _json_cell(cell, i, j) -> complex:
-    if isinstance(cell, (int, float)):
-        return complex(cell)
-    if isinstance(cell, list) and len(cell) == 2 \
-            and all(isinstance(x, (int, float)) for x in cell):
-        return complex(cell[0], cell[1])
+    try:
+        if isinstance(cell, (int, float)):
+            return complex(cell)
+        if isinstance(cell, list) and len(cell) == 2 \
+                and all(isinstance(x, (int, float)) for x in cell):
+            return complex(cell[0], cell[1])
+    except OverflowError:
+        raise ParseError(f"row {i}, entry {j}: integer too large for float64") from None
     if isinstance(cell, str):
         return parse_complex_token(cell, i, j)
     raise ParseError(f"row {i}, entry {j}: cannot read {cell!r} as a complex number")
@@ -163,6 +166,11 @@ def _parse_csv(text: str) -> list[list[complex]]:
 
 
 # -- Matrix Market ---------------------------------------------------------
+
+# The entry (j, i) implied by a stored (i, j) = v, i != j, per symmetry.
+_MM_MIRRORS = {"symmetric": lambda v: v, "hermitian": complex.conjugate,
+               "skew-symmetric": lambda v: -v}
+
 
 def _parse_matrix_market(text: str, max_n: int) -> list[list[complex]]:
     lines = text.splitlines()
@@ -208,6 +216,9 @@ def _parse_matrix_market(text: str, max_n: int) -> list[list[complex]]:
         if max(nrow, ncol) > max_n:
             raise ParseError(f"matrix dimension {max(nrow, ncol)} exceeds the configured "
                              f"maximum {max_n}", line=size_lineno)
+        if symmetry != "general" and nrow != ncol:  # the mirror would index past the array
+            raise ParseError(f"a {symmetry} matrix must be square, got {nrow} x {ncol}",
+                             line=size_lineno)
 
     vals_per_entry = 2 if field == "complex" else 1
 
@@ -216,9 +227,7 @@ def _parse_matrix_market(text: str, max_n: int) -> list[list[complex]]:
             raise ParseError("array size line needs 'rows cols'", line=size_lineno)
         nrow, ncol = (to_int(t, size_lineno, 1) for t in sizes)
         check_dims(nrow, ncol)
-        a = np.zeros((nrow, ncol), dtype=np.complex128)
         # array data is column-major; symmetric variants store the lower triangle
-        coords = []
         if symmetry == "general":
             coords = [(i, j) for j in range(ncol) for i in range(nrow)]
         else:
@@ -227,16 +236,8 @@ def _parse_matrix_market(text: str, max_n: int) -> list[list[complex]]:
         if len(data) != len(coords):
             raise ParseError(f"expected {len(coords)} data lines, found {len(data)}",
                              line=size_lineno)
-        for (i, j), (lineno, ln) in zip(coords, data):
-            v = to_value(ln.split(), lineno)
-            a[i, j] = v
-            if i != j:
-                if symmetry == "symmetric":
-                    a[j, i] = v
-                elif symmetry == "hermitian":
-                    a[j, i] = v.conjugate()
-                elif symmetry == "skew-symmetric":
-                    a[j, i] = -v
+        cells = [(i, j, to_value(ln.split(), lineno))
+                 for (i, j), (lineno, ln) in zip(coords, data)]
     else:
         if len(sizes) != 3:
             raise ParseError("coordinate size line needs 'rows cols nnz'", line=size_lineno)
@@ -245,7 +246,7 @@ def _parse_matrix_market(text: str, max_n: int) -> list[list[complex]]:
         data = body[1:]
         if len(data) != nnz:
             raise ParseError(f"declared {nnz} entries, found {len(data)}", line=size_lineno)
-        a = np.zeros((nrow, ncol), dtype=np.complex128)
+        cells = []
         for lineno, ln in data:
             parts = ln.split()
             if len(parts) != 2 + vals_per_entry:
@@ -254,15 +255,13 @@ def _parse_matrix_market(text: str, max_n: int) -> list[list[complex]]:
             i, j = to_int(parts[0], lineno) - 1, to_int(parts[1], lineno) - 1
             if not (0 <= i < nrow and 0 <= j < ncol):
                 raise ParseError(f"index ({i + 1}, {j + 1}) out of range", line=lineno)
-            v = to_value(parts[2:], lineno)
-            a[i, j] = v
-            if i != j:
-                if symmetry == "symmetric":
-                    a[j, i] = v
-                elif symmetry == "hermitian":
-                    a[j, i] = v.conjugate()
-                elif symmetry == "skew-symmetric":
-                    a[j, i] = -v
+            cells.append((i, j, to_value(parts[2:], lineno)))
+    a = np.zeros((nrow, ncol), dtype=np.complex128)
+    mirror = _MM_MIRRORS.get(symmetry)
+    for i, j, v in cells:
+        a[i, j] = v
+        if i != j and mirror:
+            a[j, i] = mirror(v)
     return a.tolist()
 
 
@@ -318,8 +317,6 @@ def generate(kind: str, n: int = 2, *, value: complex = 0.0, values=None,
         if values is None:
             raise ValueError("diag generator needs `values`")
         vals = np.asarray([complex(v) for v in values], dtype=np.complex128)
-        if len(vals) != n:
-            n = len(vals)
         return ComplexMatrix(np.diag(vals))
     if kind == "random":
         rng = np.random.default_rng(seed)

@@ -6,10 +6,21 @@ reciprocal of the smallest one, and condition numbers are ratios of extreme
 singular values.  This norm choice is fixed for the library and is what
 makes condition numbers and near-null witness vectors directly computable
 from an SVD.
+
+Every SVD and eigensolve of the package runs here, with every loaded
+OpenBLAS pinned to one thread (a multi-threaded SVD rounds differently from
+n ~ 64 on), so concurrent calls run one after another.  The one pool is
+shifted_extremes', over chunks of points whose size depends on n alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +85,84 @@ class EigenDecomposition:
     vector_matrix_rank: int
 
 
+def _thread_count() -> int:
+    raw = os.environ.get("CONDSPEC_THREADS", "").strip()
+    if raw:
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"CONDSPEC_THREADS must be an integer >= 1, got {raw!r}") from exc
+        if cap < 1:
+            raise ValueError(f"CONDSPEC_THREADS must be >= 1, got {cap}")
+    else:
+        cap = os.cpu_count() or 1
+    return min(cap, 32)
+
+
+# C entry points of OpenBLAS's thread count: plain OpenBLAS, then the
+# scipy-openblas builds of scipy (32-bit ints) and numpy (64-bit ints).
+_OPENBLAS_NAMES = (("openblas_get_num_threads", "openblas_set_num_threads"),
+                   ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+                   ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"))
+
+# Held from saving the BLAS thread counts to restoring them, so concurrent
+# fields and suites cannot restore each other's pin; they run one after
+# another, and each field already fills every core.  Reentrant, so a pin
+# nested on the owning thread saves and restores the count 1.
+_BLAS_PIN_LOCK = threading.RLock()
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process: numpy and scipy may each bring their own copy.  Empty without
+    /proc or without OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as fp:
+            fields = [line.split(maxsplit=5) for line in fp]
+    except OSError:
+        return ()
+    paths = sorted({f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in f[5].lower()})
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_NAMES:
+            try:
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+            break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Pin every loaded OpenBLAS to one thread, restoring its count on exit.
+    Reentrant on the owning thread; pool workers never enter it."""
+    with _BLAS_PIN_LOCK:
+        controls = _openblas_thread_controls()
+        saved = [get() for get, _ in controls]
+        try:
+            for _, set_ in controls:
+                set_(1)
+            yield
+        finally:
+            for (_, set_), count in zip(controls, saved):
+                set_(count)
+
+
 def _entries(m) -> np.ndarray:
     return as_matrix(m).entries
 
 
+@_single_threaded_blas()
 def singular_values(M) -> np.ndarray:
     """All singular values of M, descending."""
     try:
@@ -86,12 +171,10 @@ def singular_values(M) -> np.ndarray:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
 
 
-def svd(M, vectors: bool = True) -> SVDResult:
-    a = _entries(M)
+@_single_threaded_blas()
+def svd(M) -> SVDResult:
     try:
-        if not vectors:
-            return SVDResult(np.linalg.svd(a, compute_uv=False))
-        u, s, vh = np.linalg.svd(a)
+        u, s, vh = np.linalg.svd(_entries(M))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     return SVDResult(s, left_vectors=u, right_vectors=vh.conj().T)
@@ -121,11 +204,8 @@ def condition_ratio(smin, smax, n: int) -> np.ndarray:
     return np.where(smin <= singularity_threshold(n, smax), np.inf, ratio)
 
 
-def shifted_extremes(A, zs) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_min, sigma_max) of z*I - A for every z in zs, from one
-    batched SVD.  Each z*I - A must be finite, as for a ComplexMatrix."""
-    a = _entries(A)
-    z = np.asarray(zs, dtype=np.complex128).reshape(-1)
+def _extremes(a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_min, sigma_max) of z*I - a for one chunk, from one batched SVD."""
     with np.errstate(invalid="ignore", over="ignore"):
         stack = z[:, None, None] * np.eye(a.shape[0], dtype=np.complex128) - a
     if not np.isfinite(stack).all():
@@ -137,6 +217,31 @@ def shifted_extremes(A, zs) -> tuple[np.ndarray, np.ndarray]:
     return s[:, -1], s[:, 0]
 
 
+@_single_threaded_blas()
+def shifted_extremes(A, zs) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_min, sigma_max) of z*I - A for every z in zs; each z*I - A
+    must be finite.  Chunks of about 2**15 matrix entries fill their slices
+    of the outputs, on a pool of CONDSPEC_THREADS workers when there are
+    several.  No SVD depends on its batch neighbours, so neither do values."""
+    a = _entries(A)
+    z = np.asarray(zs, dtype=np.complex128).reshape(-1)
+    smin, smax = np.empty(z.size), np.empty(z.size)
+    step = min(512, max(16, 2**15 // a.shape[0] ** 2))  # a function of n alone
+    starts = range(0, z.size, step)
+
+    def fill(lo: int):
+        part = slice(lo, lo + step)
+        smin[part], smax[part] = _extremes(a, z[part])
+
+    workers = _thread_count()  # read on every call, so a bad value always raises
+    if len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, starts))
+    else:
+        list(map(fill, starts))
+    return smin, smax
+
+
 def condition_number(S) -> float:
     """sigma_max / sigma_min; +inf when S is numerically singular."""
     m = as_matrix(S)
@@ -144,6 +249,7 @@ def condition_number(S) -> float:
     return float(condition_ratio(s[-1], s[0], m.n))
 
 
+@_single_threaded_blas()
 def eigenvalues(A) -> np.ndarray:
     """All N eigenvalues with multiplicity (unordered multiset)."""
     try:
@@ -152,6 +258,7 @@ def eigenvalues(A) -> np.ndarray:
         raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
+@_single_threaded_blas()
 def eigen_decomposition(A) -> EigenDecomposition:
     m = as_matrix(A)
     try:
@@ -163,6 +270,7 @@ def eigen_decomposition(A) -> EigenDecomposition:
     return EigenDecomposition(w, v, max(rank, 1))
 
 
+@_single_threaded_blas()
 def power_norms(A, k_max: int) -> np.ndarray:
     """Spectral norms of A^0 .. A^k_max, powers built by repeated
     multiplication (no eigendecomposition, honest for defective A).

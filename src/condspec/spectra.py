@@ -12,36 +12,25 @@ share.  Functions that take a kind accept either record or its name.
 Grid computation samples sigma_min, sigma_max and their ratio over a
 rectangle of the complex plane; classification, contour extraction,
 radii, distances and component counts are all derived from that field.
-Per-node evaluations are independent, so the field is computed by a
-thread pool (capped by the CONDSPEC_THREADS environment variable) whose
-workers own fixed whole rows.  That pool is the only parallelism: while it
-runs, and while ||A|| is taken for the bounding radius that sizes auto
-grids, every loaded OpenBLAS is pinned to one thread and then set back.
-BLAS threads nested under the pool would oversubscribe the cores, and a
-multi-threaded SVD rounds differently from n ~ 64 on.  So fields and auto
-grids are bit-identical at any CONDSPEC_THREADS and OPENBLAS_NUM_THREADS;
-on a BLAS without OpenBLAS's thread-count entry points the pin does nothing.
+The field is one numkernel.shifted_extremes call over all nodes, which
+owns the thread pool and the OpenBLAS pin, so fields and auto grids are
+bit-identical at any CONDSPEC_THREADS and OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import itertools
 import operator
-import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
 
 from .errors import GridResolutionError, GridTooSmallError
-from .numkernel import (
+from .numkernel import (  # _thread_count: condbench's environment record reads it here
     ComplexMatrix,
+    _thread_count,
     as_matrix,
     condition_ratio,
     eigenvalues,
@@ -177,6 +166,10 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        spans = (float(self.re_max) - float(self.re_min), float(self.im_max) - float(self.im_min))
+        if not np.isfinite((self.re_min, self.re_max, self.im_min, self.im_max) + spans).all():
+            raise ValueError(f"grid [{self.re_min:g}, {self.re_max:g}] x [{self.im_min:g}, "
+                             f"{self.im_max:g}] spans {spans[0]:g} x {spans[1]:g}, past float64")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("grid rectangle must have positive extent")
         if self.nx < 2 or self.ny < 2:
@@ -249,98 +242,11 @@ class SpectralField:
         return self.grid.nodes()[self.member_mask(eps, kind)]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CONDSPEC_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"CONDSPEC_THREADS must be an integer >= 1, got {raw!r}") from exc
-        if cap < 1:
-            raise ValueError(f"CONDSPEC_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return min(cap, 32)
-
-
-# C entry points of OpenBLAS's thread count: plain OpenBLAS, then the
-# scipy-openblas builds of scipy (32-bit ints) and numpy (64-bit ints).
-_OPENBLAS_NAMES = (("openblas_get_num_threads", "openblas_set_num_threads"),
-                   ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-                   ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"))
-
-# Held from saving the BLAS thread counts to restoring them, so concurrent
-# fields and suites cannot restore each other's pin; they run one after
-# another, and each field already fills every core.  Reentrant, so a pin
-# nested on the owning thread saves and restores the count 1.
-_BLAS_PIN_LOCK = threading.RLock()
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS mapped into this
-    process: numpy and scipy may each bring their own copy.  Empty without
-    /proc or without OpenBLAS."""
-    try:
-        with open("/proc/self/maps") as fp:
-            fields = [line.split(maxsplit=5) for line in fp]
-    except OSError:
-        return ()
-    paths = sorted({f[5].strip() for f in fields
-                    if len(f) == 6 and "openblas" in f[5].lower()})
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_NAMES:
-            try:
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
-            break
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _single_threaded_blas():
-    """Pin every loaded OpenBLAS to one thread, restoring its count on exit.
-    Reentrant on the owning thread; pool workers never enter it."""
-    with _BLAS_PIN_LOCK:
-        controls = _openblas_thread_controls()
-        saved = [get() for get, _ in controls]
-        try:
-            for _, set_ in controls:
-                set_(1)
-            yield
-        finally:
-            for (_, set_), count in zip(controls, saved):
-                set_(count)
-
-
 def compute_field(A, grid: GridSpec) -> SpectralField:
-    """Sample sigma_min/sigma_max/ratio of z*I - A at every grid node.
-
-    Deterministic: node values depend only on (A, grid), never on the
-    number of worker threads (each worker owns fixed whole rows, and BLAS
-    runs single-threaded under the pool).
-    """
+    """Sample sigma_min/sigma_max/ratio of z*I - A at every grid node, in
+    one shifted_extremes call: node values depend only on (A, grid)."""
     m = as_matrix(A)
-    re = grid.re_axis()
-    im = grid.im_axis()
-    smin = np.empty((grid.nx, grid.ny))
-    smax = np.empty((grid.nx, grid.ny))
-
-    def fill_row(ix: int):
-        smin[ix, :], smax[ix, :] = shifted_extremes(m, re[ix] + 1j * im)
-
-    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        list(pool.map(fill_row, range(grid.nx)))
-
+    smin, smax = (v.reshape(grid.nx, grid.ny) for v in shifted_extremes(m, grid.nodes()))
     ratio = condition_ratio(smin, smax, m.n)
     for arr in (smin, smax, ratio):
         arr.setflags(write=False)
@@ -373,10 +279,7 @@ def bounding_region(A, eps, kind: str = KIND_CONDITION) -> float:
     """Radius R of a disk about 0 guaranteed to contain the spectrum:
     (1+eps)/(1-eps)*||A|| for the condition spectrum, ||A||+eps for the
     pseudospectrum."""
-    # Auto grids are sized from this radius, so ||A|| is pinned like the
-    # field: a multi-threaded SVD changes its last bits from n ~ 64 on.
-    with _single_threaded_blas():
-        norm = spectral_norm(A)
+    norm = spectral_norm(A)
     k = spectrum_kind(kind)
     return k.radius(k.eps(eps), norm)
 

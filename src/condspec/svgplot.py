@@ -46,7 +46,7 @@ def _ticks(lo: float, hi: float, count: int = 5):
 
 
 def render_svg(contour_groups, eigenvalues=None, bounds=None,
-               width: int = 640, height: int = 640, title: str = "") -> str:
+               width: int = 640, height: int = 640) -> str:
     """Build the SVG document.
 
     contour_groups: list of (kind, eps, polylines) with polylines as
@@ -77,9 +77,6 @@ def render_svg(contour_groups, eigenvalues=None, bounds=None,
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">')
     out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
-    if title:
-        out.append(f'<text x="{width // 2}" y="20" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="14">{title}</text>')
 
     # Frame and ticks
     x0, y0 = margin, margin

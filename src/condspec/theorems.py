@@ -30,6 +30,7 @@ from .geometry import (
     hull_depths,
 )
 from .numkernel import (
+    _single_threaded_blas,
     as_matrix,
     condition_number,
     condition_ratio,
@@ -45,7 +46,6 @@ from .spectra import (
     CONDITION,
     PSEUDO,
     SpectralField,
-    _single_threaded_blas,
     bounding_region,
     component_count,
     compute_field,  # unused here; condbench's tracer test reads theorems.compute_field
@@ -680,9 +680,9 @@ def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConf
 
     In non-strict mode a precondition violation (for example
     kappa(S)^2*eps >= 1 for T5) records a skipped report; strict mode
-    re-raises it, which the CLI maps to exit code 2.  Every OpenBLAS is
-    pinned to one thread for the whole suite, so reports do not depend on
-    the BLAS thread count; concurrent suites run one after another.
+    re-raises it, which the CLI maps to exit code 2.  numkernel's pin is
+    held for the whole suite, which also covers T5's solve and W(A)'s eigh,
+    so reports do not depend on the BLAS thread count.
     """
     m = as_matrix(A)
     names = list(theorems) if theorems else list(SIGMA_CHECKS)

@@ -253,8 +253,10 @@ def _field_csv_2x2(values):
     ("contours_condition.json", '[{"eps": 0.1}]'),
     ("contours_condition.json", '{"eps": 0.1, "polylines": []}'),
     ("contours_condition.json", '[{"eps": 0.1, "polylines": [{"x": 1}]}]'),
+    ("contours_condition.json", f'[{{"eps": 0.1, "polylines": [[[{10**400}, 1]]]}}]'),
+    ("contours_condition.json", f'[{{"eps": {10**400}, "polylines": []}}]'),
 ], ids=["header-only", "4-columns", "6-columns", "level-not-object", "no-polylines",
-        "not-a-list", "polyline-not-list"])
+        "not-a-list", "polyline-not-list", "point-past-float64", "eps-past-float64"])
 def test_plot_rejects_malformed_inputs_with_exit_2(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -344,3 +346,42 @@ def test_verify_rejects_malformed_certificate_before_the_suite(diag_file, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "certificate" in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["compute-matrix", "verify-certificate", "plot-contours"])
+def test_deeply_nested_json_exits_2(diag_file, tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    out = str(tmp_path / "out")
+    argv = {
+        "compute-matrix": ["compute", "--matrix", str(deep), "--grid", "11", "--out", out],
+        "verify-certificate": ["verify", "--matrix", str(diag_file), "--eps", "0.5", "--grid",
+                               "21", "--theorems", "t1", "--certificate", str(deep),
+                               "--out", out],
+        "plot-contours": ["plot", "--contours", str(deep), "--out", out],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
+def test_matrix_cell_past_float64_exits_2(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(f"[[1, 0], [0, {10**400}]]")
+    assert main(["compute", "--matrix", str(big), "--grid", "11",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 2, entry 2" in err
+
+
+def test_auto_grid_past_float64_exits_2_without_warnings(tmp_path):
+    # ||A|| is finite, but the auto grid's span 2 * 1.1 * (1.1/0.9) * 1e308 is not.
+    matrix = tmp_path / "a.json"
+    assert main(["gen", "--kind", "diag", "--values=-1e308,1", "--out", str(matrix)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-m", "condspec", "compute", "--matrix", str(matrix),
+                          "--eps", "0.1", "--grid", "11", "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 2
+    [line] = out.stderr.splitlines()
+    assert line.startswith("error: grid [-1.34444e+308, 1.34444e+308]") and "spans inf" in line

@@ -1,5 +1,6 @@
-"""The field's one level of parallelism: bytes at any thread setting, and
-the OpenBLAS pin saved, set and restored around every field and suite."""
+"""The evaluator's one level of parallelism: bytes at any thread setting,
+and the OpenBLAS pin saved, set and restored around every numkernel call,
+field and suite."""
 
 import os
 import subprocess
@@ -9,13 +10,13 @@ import threading
 import numpy as np
 import pytest
 
-from condspec import spectra, theorems
+from condspec import numkernel, theorems
 from condspec.matrixio import generate, write_matrix
 from condspec.spectra import GridSpec, compute_field
 
 GRID = GridSpec.square(3.0, 7)
 
-controls = spectra._openblas_thread_controls()
+controls = numkernel._openblas_thread_controls()
 needs_openblas = pytest.mark.skipif(not controls, reason="no OpenBLAS thread-count entry points")
 
 
@@ -73,17 +74,20 @@ def test_field_bytes_independent_of_both_thread_variables():
 
 @needs_openblas
 def test_pin_holds_during_field_and_is_restored(blas_at_two, monkeypatch):
+    # n = 72 cuts the 49 nodes into chunks of 16, which run on the pool.
     seen = []
-    inner = spectra.shifted_extremes
+    inner = numkernel._extremes
 
-    def recording(m, zs):
-        seen.append(_blas_counts())
-        return inner(m, zs)
+    def recording(a, z):
+        seen.append((_blas_counts(), z.copy()))
+        return inner(a, z)
 
-    monkeypatch.setattr(spectra, "shifted_extremes", recording)
-    compute_field(generate("random", 8, seed=1), GRID)
-    assert len(seen) == GRID.nx
-    assert all(counts == [1] * len(controls) for counts in seen)
+    monkeypatch.setattr(numkernel, "_extremes", recording)
+    compute_field(generate("random", 72, seed=11), GRID)
+    assert len(seen) > 1
+    assert all(counts == [1] * len(controls) for counts, _ in seen)
+    covered = np.sort_complex(np.concatenate([z for _, z in seen]))
+    assert np.array_equal(covered, np.sort_complex(GRID.nodes().reshape(-1)))
     assert _blas_counts() == [2] * len(controls)
 
 
@@ -91,7 +95,7 @@ def test_pin_holds_during_field_and_is_restored(blas_at_two, monkeypatch):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_pin_restored_when_field_raises(blas_at_two):
     with pytest.raises(ValueError):
-        compute_field(np.array([[1e308]]), GridSpec.square(1e308, 3))
+        compute_field(np.array([[-1e308]]), GridSpec(0.0, 1e308, 0.0, 1.0, 3, 3))
     assert _blas_counts() == [2] * len(controls)
     assert _pin_lock_free()
 
@@ -101,9 +105,9 @@ def _pin_lock_free() -> bool:
     got = []
 
     def probe():
-        got.append(spectra._BLAS_PIN_LOCK.acquire(blocking=False))
+        got.append(numkernel._BLAS_PIN_LOCK.acquire(blocking=False))
         if got[0]:
-            spectra._BLAS_PIN_LOCK.release()
+            numkernel._BLAS_PIN_LOCK.release()
 
     t = threading.Thread(target=probe)
     t.start()
@@ -148,6 +152,31 @@ def test_verify_report_bytes_independent_of_both_thread_variables(tmp_path):
             reports[(pool, blas)] = out.read_bytes()
     differ = [key for key, report in reports.items() if report != reports[("1", "1")]]
     assert differ == []
+
+
+# Checks called on their own, outside run_suite: every numkernel call pins.
+_STANDALONE_CHECKS = """
+import json
+from condspec import theorems
+from condspec.matrixio import generate
+from condspec.spectra import GridSpec
+A = generate("random", 72, seed=11)
+for name in ("check_t2", "check_t4", "check_t8", "check_t9"):
+    report = getattr(theorems, name)(A, 0.1, grid=GridSpec.square(14.0, 9))
+    print(json.dumps(report.to_dict(), sort_keys=True))
+"""
+
+
+@needs_openblas
+def test_standalone_check_bytes_independent_of_blas_threads():
+    outputs = {}
+    for blas in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=blas)
+        out = subprocess.run([sys.executable, "-c", _STANDALONE_CHECKS], capture_output=True,
+                             text=True, env=env, check=True, timeout=300)
+        outputs[blas] = out.stdout
+    assert len(outputs["1"].splitlines()) == 4
+    assert outputs["1"] == outputs["2"]
 
 
 @needs_openblas

@@ -1,7 +1,10 @@
 """Matrix parsing, emission round-trips, and generators."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from condspec.errors import ParseError
 from condspec.matrixio import (
@@ -9,6 +12,7 @@ from condspec.matrixio import (
     FORMAT_JSON,
     FORMAT_MATRIX_MARKET,
     MatrixSource,
+    detect_format,
     emit_matrix,
     generate,
     parse_matrix,
@@ -70,6 +74,34 @@ def test_matrix_market_hermitian_mirror():
     assert m.entries[0, 1] == 2 - 3j and m.entries[1, 0] == 2 + 3j
 
 
+_LOWER = np.tril(np.arange(1, 10).reshape(3, 3) + 1j * np.arange(9).reshape(3, 3) - 4j)
+_UPPER_FROM_LOWER = {"symmetric": lambda off: off.T, "hermitian": lambda off: off.conj().T,
+                     "skew-symmetric": lambda off: -off.T}
+
+
+@pytest.mark.parametrize("symmetry", sorted(_UPPER_FROM_LOWER))
+@pytest.mark.parametrize("layout", ["array", "coordinate"])
+def test_matrix_market_symmetric_mirrors(layout, symmetry):
+    # The stored lower triangle (diagonal included) is mirrored into the upper one.
+    lower = [(i, j) for j in range(3) for i in range(j, 3)]
+    if layout == "array":
+        data = [f"{_LOWER[i, j].real} {_LOWER[i, j].imag}" for i, j in lower]
+        size = "3 3"
+    else:
+        data = [f"{i + 1} {j + 1} {_LOWER[i, j].real} {_LOWER[i, j].imag}" for i, j in lower]
+        size = f"3 3 {len(data)}"
+    text = "\n".join([f"%%MatrixMarket matrix {layout} complex {symmetry}", size, *data]) + "\n"
+    expected = _LOWER + _UPPER_FROM_LOWER[symmetry](np.tril(_LOWER, -1))
+    assert np.array_equal(parse_matrix(text).entries, expected)
+
+
+@pytest.mark.parametrize("header, size, data", [("array real symmetric", "3 2", "1\n2\n3\n4\n5"),
+                                                ("coordinate real hermitian", "3 2 1", "3 1 1")])
+def test_matrix_market_symmetric_must_be_square(header, size, data):
+    with pytest.raises(ParseError, match="must be square"):
+        parse_matrix(f"%%MatrixMarket matrix {header}\n{size}\n{data}\n")
+
+
 def test_malformed_json_reports_line():
     with pytest.raises(ParseError) as err:
         parse_matrix('[[1, 0],\n [0, oops]]', fmt=FORMAT_JSON)
@@ -122,6 +154,53 @@ def test_nonfinite_rejected():
         parse_matrix("[[Infinity, 0], [0, 1]]", fmt=FORMAT_JSON)
     with pytest.raises(ParseError):  # textual infinities never parse as entries
         parse_matrix('[["inf", "0"], ["0", "1"]]')
+
+
+def test_blank_text_is_csv_with_no_rows():
+    assert detect_format(MatrixSource(text=" \n")) == FORMAT_CSV
+    with pytest.raises(ParseError, match="no rows"):
+        parse_matrix(MatrixSource(text=" \n"))
+
+
+def test_json_cell_beyond_float64_names_the_entry():
+    with pytest.raises(ParseError, match="row 2, entry 1"):
+        parse_matrix(MatrixSource(FORMAT_JSON, None, f"[[1, 0], [[0, {10**400}], 1]]"))
+
+
+def test_long_one_line_text_parsed_inline():
+    # Too long for a file name, so not looked up as one.
+    m = parse_matrix("[[" + " " * 300 + "1]]")
+    assert m.entries[0, 0] == 1
+
+
+# Cells of every JSON type, integers past the float64 range among them.
+_numbers = st.one_of(st.integers(-10**400, 10**400), st.floats())
+_cells = st.one_of(_numbers, st.text(max_size=6), st.lists(_numbers, max_size=3))
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _cells),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["n", "entries", "x"]), inner,
+                                            max_size=3)),
+    max_leaves=12)
+_square_rows = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_cells, min_size=n, max_size=n), min_size=n, max_size=n))
+_csv_tokens = st.one_of(st.sampled_from(["1", "-2.5e3", "1+2i", "3i", "1e999", "nan", "", "i"]),
+                        st.text(max_size=4))
+_csv_texts = st.lists(st.lists(_csv_tokens, min_size=1, max_size=3), max_size=3).map(
+    lambda rows: "\n".join(",".join(row) for row in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_json_values.map(json.dumps), _square_rows.map(json.dumps),
+                 st.fixed_dictionaries({"n": _json_values, "entries": _square_rows}).map(json.dumps),
+                 _csv_texts, st.text()),
+       st.sampled_from([FORMAT_JSON, FORMAT_CSV, None]))
+def test_parse_matrix_raises_only_parse_error(text, fmt):
+    try:
+        m = parse_matrix(MatrixSource(fmt, None, text))
+    except ParseError:
+        return
+    assert np.isfinite(m.entries).all()
 
 
 def test_parse_from_path(tmp_path):

@@ -315,6 +315,20 @@ def test_shifted_extremes_matches_per_point_svd_bitwise(A, points, n_eigs):
     assert np.array_equal(smin, expected[:, 0]) and np.array_equal(smax, expected[:, 1])
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n, count", [(2, 1100), (96, 40)])
+def test_shifted_extremes_chunks_match_per_point_svd_bitwise(monkeypatch, threads, n, count):
+    # 1100 points at n = 2 and 40 at n = 96 each make three chunks, the
+    # last one partial, so points on both sides of each boundary are compared.
+    monkeypatch.setenv("CONDSPEC_THREADS", threads)
+    m = as_matrix(random_complex(n, n))
+    rng = np.random.default_rng(count)
+    zs = rng.uniform(-3, 3, count) + 1j * rng.uniform(-3, 3, count)
+    smin, smax = shifted_extremes(m, zs)
+    expected = np.array([singular_values(m.shifted(z))[[-1, 0]] for z in zs])
+    assert np.array_equal(smin, expected[:, 0]) and np.array_equal(smax, expected[:, 1])
+
+
 def test_shifted_extremes_empty_points():
     smin, smax = shifted_extremes(np.eye(3), np.array([], dtype=np.complex128))
     assert smin.shape == (0,) and smax.shape == (0,)
