@@ -16,22 +16,21 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     """Andrew monotone chain; returns hull vertices in CCW order.
 
     Collinear inputs collapse to the 2-point (or 1-point) degenerate hull.
-    Before the chain runs, each row of equal y keeps only its leftmost and
-    rightmost point: the others lie on the segment between those two, so
-    they are never vertices.
+    Each row of equal y first keeps only its leftmost and rightmost point,
+    found with one lexsort: the others lie on the segment between those
+    two, so they are never vertices.  Only the kept points are deduped and
+    sorted by (x, y) for the chain.
     """
-    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    pts = np.asarray(points, dtype=np.float64)
+    if len(pts) > 2:
+        by_row = np.lexsort((pts[:, 0], pts[:, 1]))
+        y = pts[by_row, 1]
+        row_end = np.append(y[1:] != y[:-1], True)
+        row_start = np.insert(row_end[:-1], 0, True)
+        pts = pts[by_row[row_start | row_end]]
+    pts = np.unique(pts, axis=0)
     if len(pts) <= 2:
         return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    by_row = np.lexsort((pts[:, 0], pts[:, 1]))
-    y = pts[by_row, 1]
-    row_end = np.append(y[1:] != y[:-1], True)
-    row_start = np.insert(row_end[:-1], 0, True)
-    keep = np.zeros(len(pts), dtype=bool)
-    keep[by_row[row_start | row_end]] = True
-    pts = pts[keep]
 
     def half(seq):
         out = []

@@ -99,7 +99,7 @@ def parse_matrix(source, fmt: str | None = None, max_n: int = MAX_DIMENSION) -> 
 
 # -- JSON ------------------------------------------------------------------
 
-def _parse_json(text: str) -> list[list[complex]]:
+def _parse_json(text: str) -> np.ndarray | list[list[complex]]:
     try:
         obj = jsonio.loads(text)
     except ValueError as exc:  # a JSONDecodeError also knows where
@@ -115,12 +115,29 @@ def _parse_json(text: str) -> list[list[complex]]:
     n = obj.get("n") if isinstance(obj, dict) else None
     if n is not None and n != len(rows):
         raise ParseError(f"declared n = {n} but {len(rows)} rows present")
-    out = []
-    for i, row in enumerate(rows, start=1):
-        vals = []
-        for j, cell in enumerate(row, start=1):
-            vals.append(_json_cell(cell, i, j))
-        out.append(vals)
+    fast = _json_numeric_array(rows)
+    return fast if fast is not None else _json_cells(rows)
+
+
+def _json_cells(rows: list) -> list[list[complex]]:
+    """One cell at a time; names the row and entry of the first bad cell."""
+    return [[_json_cell(cell, i, j) for j, cell in enumerate(row, start=1)]
+            for i, row in enumerate(rows, start=1)]
+
+
+def _json_numeric_array(rows: list) -> np.ndarray | None:
+    """The entries in one conversion when every cell is a JSON number, or
+    every cell an [re, im] pair of numbers; None otherwise (the per-cell
+    parse then reports what is wrong).  .real and .imag are set directly:
+    re + 1j*im would turn an imaginary -0.0 into +0.0."""
+    try:
+        a = np.array(rows)
+    except (ValueError, OverflowError):  # ragged, or an integer past float64
+        return None
+    if a.dtype.kind not in "fi" or not (a.ndim == 2 or (a.ndim == 3 and a.shape[2] == 2)):
+        return None
+    out = np.empty(a.shape[:2], dtype=np.complex128)
+    out.real, out.imag = (a[..., 0], a[..., 1]) if a.ndim == 3 else (a, 0.0)
     return out
 
 
@@ -230,8 +247,9 @@ def _parse_matrix_market(text: str, max_n: int) -> list[list[complex]]:
         # array data is column-major; symmetric variants store the lower triangle
         if symmetry == "general":
             coords = [(i, j) for j in range(ncol) for i in range(nrow)]
-        else:
-            coords = [(i, j) for j in range(ncol) for i in range(j, nrow)]
+        else:  # the zero diagonal of a skew-symmetric matrix is not stored
+            below = int(symmetry == "skew-symmetric")
+            coords = [(i, j) for j in range(ncol) for i in range(j + below, nrow)]
         data = body[1:]
         if len(data) != len(coords):
             raise ParseError(f"expected {len(coords)} data lines, found {len(data)}",

@@ -21,7 +21,7 @@ import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +31,35 @@ from .errors import ConvergenceError
 U_MACH = float(np.finfo(np.float64).eps) / 2.0
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _memo(facts: dict, key, make):
+    """facts[key], made by make() on first use.  No lock (a lock held while
+    make() waits for the BLAS pin could deadlock against a thread that holds
+    the pin): threads racing on one key compute the same bits, and
+    setdefault keeps one result."""
+    try:
+        return facts[key]
+    except KeyError:
+        return facts.setdefault(key, make())
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexMatrix:
-    """Immutable square matrix of finite complex numbers."""
+    """Immutable square matrix of finite complex numbers.
+
+    The facts of A that many checks share (singular values, norm,
+    eigenvalues, eigendecomposition, power norms) are computed on first use
+    by this module's functions and kept on the instance, read-only: the
+    instance is shared, so a caller that wrote into one would change every
+    later reader's answer.  A raw array wrapped anew starts with no facts.
+    """
 
     entries: np.ndarray
+    _facts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         a = np.array(self.entries, dtype=np.complex128, copy=True)
@@ -49,6 +73,41 @@ class ComplexMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @property
+    def svals(self) -> np.ndarray:
+        """singular_values(A), descending."""
+        return _memo(self._facts, "svals", lambda: _read_only(singular_values(self)))
+
+    @property
+    def norm(self) -> float:
+        """||A||, the largest singular value."""
+        return float(self.svals[0])
+
+    @property
+    def eigvals(self) -> np.ndarray:
+        """eigenvalues(A)."""
+        return _memo(self._facts, "eigvals", lambda: _read_only(eigenvalues(self)))
+
+    @property
+    def eigen(self) -> EigenDecomposition:
+        """eigen_decomposition(A); its eigenvalues may differ from eigvals'
+        in the last bits (another LAPACK path)."""
+        def make():
+            dec = eigen_decomposition(self)
+            for a in (dec.eigenvalues, dec.right_vectors):
+                _read_only(a)
+            return dec
+        return _memo(self._facts, "eigen", make)
+
+    def power_norms_to(self, k_max: int) -> np.ndarray:
+        """power_norms(A, k_max).  Powers are built one after another, so a
+        shorter list is a prefix of a longer one, bit for bit: the longest
+        computed so far is kept and sliced."""
+        known = self._facts.get("power_norms")
+        if known is None or not 0 <= k_max < len(known):  # k_max < 0 raises there
+            known = self._facts["power_norms"] = _read_only(power_norms(self, k_max))
+        return known[:k_max + 1]
 
     def shifted(self, z: complex) -> np.ndarray:
         """Return z*I - A as a plain array."""
@@ -182,11 +241,11 @@ def svd(M) -> SVDResult:
 
 def spectral_norm(M) -> float:
     """Largest singular value; zero exactly when M = 0."""
-    return float(singular_values(M)[0])
+    return as_matrix(M).norm
 
 
 def smallest_singular_value(M) -> float:
-    return float(singular_values(M)[-1])
+    return float(as_matrix(M).svals[-1])
 
 
 def singularity_threshold(n: int, sigma_max: float) -> float:
@@ -245,8 +304,7 @@ def shifted_extremes(A, zs) -> tuple[np.ndarray, np.ndarray]:
 def condition_number(S) -> float:
     """sigma_max / sigma_min; +inf when S is numerically singular."""
     m = as_matrix(S)
-    s = singular_values(m)
-    return float(condition_ratio(s[-1], s[0], m.n))
+    return float(condition_ratio(m.svals[-1], m.svals[0], m.n))
 
 
 @_single_threaded_blas()

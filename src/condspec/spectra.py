@@ -30,10 +30,11 @@ import numpy as np
 from .errors import GridResolutionError, GridTooSmallError
 from .numkernel import (  # _thread_count: condbench's environment record reads it here
     ComplexMatrix,
+    _memo,
+    _read_only,
     _thread_count,
     as_matrix,
     condition_ratio,
-    eigenvalues,
     shifted_extremes,
     spectral_norm,
 )
@@ -156,7 +157,8 @@ def eps_value(eps, kind: str = KIND_CONDITION) -> float:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular sampling grid over the complex plane."""
+    """Rectangular sampling grid over the complex plane.  Its axes and
+    nodes are built once per instance and are read-only."""
 
     re_min: float
     re_max: float
@@ -164,6 +166,7 @@ class GridSpec:
     im_max: float
     nx: int
     ny: int
+    _facts: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spans = (float(self.re_max) - float(self.re_min), float(self.im_max) - float(self.im_min))
@@ -188,10 +191,12 @@ class GridSpec:
         return cls.square(max(r, 0.5), n)
 
     def re_axis(self) -> np.ndarray:
-        return np.linspace(self.re_min, self.re_max, self.nx)
+        return _memo(self._facts, "re", lambda: _read_only(
+            np.linspace(self.re_min, self.re_max, self.nx)))
 
     def im_axis(self) -> np.ndarray:
-        return np.linspace(self.im_min, self.im_max, self.ny)
+        return _memo(self._facts, "im", lambda: _read_only(
+            np.linspace(self.im_min, self.im_max, self.ny)))
 
     @property
     def dre(self) -> float:
@@ -210,7 +215,8 @@ class GridSpec:
 
     def nodes(self) -> np.ndarray:
         """(nx, ny) complex node array; entry [i, j] = re_i + 1j*im_j."""
-        return self.re_axis()[:, None] + 1j * self.im_axis()[None, :]
+        return _memo(self._facts, "nodes", lambda: _read_only(
+            self.re_axis()[:, None] + 1j * self.im_axis()[None, :]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +226,8 @@ class SpectralField:
     Arrays are (nx, ny), indexed [re, im]; ratio is +inf where z*I - A is
     numerically singular.  The source matrix is kept (when known) so that
     downstream checks can reach eigenvalues and the bounding disk; it is
-    not part of the serialized form.
+    not part of the serialized form.  Member masks and member nodes are
+    built once per (eps, kind) and instance, and are read-only.
     """
 
     grid: GridSpec
@@ -228,6 +235,7 @@ class SpectralField:
     sigma_max: np.ndarray
     ratio: np.ndarray
     matrix: ComplexMatrix | None = dc_field(default=None, repr=False)
+    _facts: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def quantity(self, kind) -> np.ndarray:
         """The kind's compared quantity at every node."""
@@ -236,21 +244,24 @@ class SpectralField:
     def member_mask(self, eps, kind: str = KIND_CONDITION) -> np.ndarray:
         """Membership at every node (condition spectrum by default)."""
         k = spectrum_kind(kind)
-        return k.inside(self.quantity(k), k.eps(eps))
+        e = k.eps(eps)
+        return _memo(self._facts, ("mask", e, k.name),
+                     lambda: _read_only(k.inside(self.quantity(k), e)))
 
     def member_nodes(self, eps, kind: str = KIND_CONDITION) -> np.ndarray:
-        return self.grid.nodes()[self.member_mask(eps, kind)]
+        k = spectrum_kind(kind)
+        e = k.eps(eps)
+        return _memo(self._facts, ("nodes", e, k.name),
+                     lambda: _read_only(self.grid.nodes()[self.member_mask(e, k)]))
 
 
 def compute_field(A, grid: GridSpec) -> SpectralField:
     """Sample sigma_min/sigma_max/ratio of z*I - A at every grid node, in
     one shifted_extremes call: node values depend only on (A, grid)."""
     m = as_matrix(A)
-    smin, smax = (v.reshape(grid.nx, grid.ny) for v in shifted_extremes(m, grid.nodes()))
-    ratio = condition_ratio(smin, smax, m.n)
-    for arr in (smin, smax, ratio):
-        arr.setflags(write=False)
-    return SpectralField(grid, smin, smax, ratio, m)
+    smin, smax = (_read_only(v.reshape(grid.nx, grid.ny))
+                  for v in shifted_extremes(m, grid.nodes()))
+    return SpectralField(grid, smin, smax, _read_only(condition_ratio(smin, smax, m.n)), m)
 
 
 def condition_number_at(A, z: complex) -> float:
@@ -469,7 +480,7 @@ def distance_to_condition_spectrum(A, z: complex, eps, grid) -> float:
     if in_condition_spectrum(A, z, eps):
         return 0.0
     candidates = field.member_nodes(eps)
-    eig = eigenvalues(A)
+    eig = as_matrix(A).eigvals
     cand = np.concatenate([candidates.ravel(), eig])
     return float(np.abs(cand - z).min())
 
@@ -491,7 +502,7 @@ def component_count(field: SpectralField, eps) -> int:
 
     re = field.grid.re_axis()
     im = field.grid.im_axis()
-    eig = eigenvalues(A)
+    eig = A.eigvals
     for lam in eig:
         ix = int(np.argmin(np.abs(re - lam.real)))
         iy = int(np.argmin(np.abs(im - lam.imag)))
@@ -549,9 +560,7 @@ def read_field_csv(fp) -> SpectralField:
     grid = GridSpec(float(re[0]), float(re[-1]), float(im[0]), float(im[-1]), nx, ny)
     order = np.lexsort((rows[:, 1], rows[:, 0]))
     rows = rows[order]
-    smin = rows[:, 2].reshape(nx, ny)
-    smax = rows[:, 3].reshape(nx, ny)
-    ratio = rows[:, 4].reshape(nx, ny)
+    smin, smax, ratio = (_read_only(rows[:, c].reshape(nx, ny)) for c in (2, 3, 4))
     return SpectralField(grid, smin, smax, ratio, None)
 
 

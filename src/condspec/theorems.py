@@ -34,11 +34,6 @@ from .numkernel import (
     as_matrix,
     condition_number,
     condition_ratio,
-    eigen_decomposition,
-    eigenvalues,
-    power_norms,
-    singular_values,
-    spectral_norm,
 )
 from .report import TheoremReport
 from .spectra import (
@@ -138,7 +133,7 @@ def sample_points(field: SpectralField, eps, count: int, seed: int,
 def _zero_membership_report(kind, A, eps) -> TheoremReport:
     e = kind.eps(eps)
     m = as_matrix(A)
-    s = singular_values(m)
+    s = m.svals
     smin, ratio = float(s[-1]), float(condition_ratio(s[-1], s[0], m.n))
     member = in_spectrum(m, 0.0, e, kind)
     if np.isinf(ratio):
@@ -168,8 +163,9 @@ def check_t1e(A, eps) -> TheoremReport:
 
 def _modulus_bound_report(kind, A, eps, grid) -> TheoremReport:
     e = kind.eps(eps)
-    field = field_for(A, grid, e)
-    bound = bounding_region(A, e, kind)
+    m = as_matrix(A)
+    field = field_for(m, grid, e)
+    bound = bounding_region(m, e, kind)
     members = field.member_nodes(e, kind)
     slack = field.grid.cell_diagonal()
     if members.size == 0:
@@ -205,7 +201,7 @@ def check_t3(A, eps, grid=None) -> TheoremReport:
     if count < m.n:
         return TheoremReport("T3σ", True, float(count), float(m.n), 0.0,
                              {"status": f"vacuous: {count} component(s) < N"})
-    dec = eigen_decomposition(m)
+    dec = m.eigen
     passed = dec.vector_matrix_rank == m.n
     return TheoremReport("T3σ", bool(passed), float(count), float(m.n), 0.0,
                          {"vector_matrix_rank": dec.vector_matrix_rank})
@@ -216,13 +212,13 @@ def check_t3(A, eps, grid=None) -> TheoremReport:
 
 def _resolvent_bound_report(kind, A, eps, grid, z_samples, count, seed) -> TheoremReport:
     e = kind.eps(eps)
-    field = field_for(A, grid, e)
+    m = as_matrix(A)
+    field = field_for(m, grid, e)
     if z_samples is None:
         z_samples = sample_points(field, e, count, seed, kind)
-    pad_term = kind.pad(e, lambda: spectral_norm(A))
-    m = as_matrix(A)
+    pad_term = kind.pad(e, lambda: m.norm)
     members = field.member_nodes(e, kind)
-    eig = eigenvalues(m)
+    eig = m.eigvals
     candidates = np.concatenate([members.ravel(), eig])
     diag = field.grid.cell_diagonal()
 
@@ -270,13 +266,13 @@ def _similarity_report(kind, target, A, S, eps, z_samples, count, seed) -> Theor
     if e2 >= kind.eps_limit:  # only the condition level is bounded
         raise PreconditionError(
             f"kappa(S)^2 * eps = {e2:.6g} >= 1: inclusion level is out of range")
+    m = as_matrix(A)
     s = as_matrix(S).entries
-    b = as_matrix(np.linalg.solve(s, as_matrix(A).entries) @ s)
+    b = as_matrix(np.linalg.solve(s, m.entries) @ s)
     if z_samples is None:
-        z_samples = sample_points(field_for(A, 161, e), e, count, seed, kind)
-    z_samples = np.concatenate([np.asarray(z_samples, dtype=np.complex128),
-                                eigenvalues(A)])
-    qa = kind.at(A, z_samples)[1]
+        z_samples = sample_points(field_for(m, 161, e), e, count, seed, kind)
+    z_samples = np.concatenate([np.asarray(z_samples, dtype=np.complex128), m.eigvals])
+    qa = kind.at(m, z_samples)[1]
     keep = kind.inside(qa, e) & (kind.off_level(qa, e) > BOUNDARY_BAND)
     qb = kind.at(b, z_samples[keep])[1]
     checked = int(keep.sum())
@@ -313,13 +309,14 @@ def _growth_report(kind, threshold, start_k, radius, A, eps, config, grid) -> Th
     if start_k == 0 and config.M < 1.0:
         return TheoremReport(label, True, 1.0, config.M, 0.0,
                              {"status": "immediate: ||A^0|| = 1 > M"})
-    field = field_for(A, grid, e)
+    m = as_matrix(A)
+    field = field_for(m, grid, e)
     diag = field.grid.cell_diagonal()
-    lhs = radius(A, e, field) - diag
+    lhs = radius(m, e, field) - diag
     if lhs <= rhs:
         return TheoremReport(label, True, lhs, rhs, diag,
                              {"status": "vacuous: antecedent not certified at grid resolution"})
-    norms = power_norms(A, config.k_max)
+    norms = m.power_norms_to(config.k_max)
     observed = float(np.max(norms[start_k:]))
     details = {"slack": diag, "k_max": config.k_max, "M": config.M, "observed_sup": observed}
     if observed > config.M:
@@ -364,7 +361,8 @@ def _power_bound_report(kind, rule, A, eps, k_list, grid, z_samples, count, seed
     (all members when band is None).  rule = (name, value(k, eps, ||A||),
     limit name, limit(||A||)): k > 0 is admissible while value < limit."""
     e = kind.eps(eps)
-    norm_a = spectral_norm(A)
+    m = as_matrix(A)
+    norm_a = m.norm
     name, value, limit_name, limit = rule
     if k_list is None:
         k_list = [k for k in range(13) if value(k, e, norm_a) < limit(norm_a)]
@@ -380,17 +378,17 @@ def _power_bound_report(kind, rule, A, eps, k_list, grid, z_samples, count, seed
     if norm_a == 0.0 and s == 0.0:
         return TheoremReport(f"T7{kind.suffix}", True, None, 0.0, 0.0,
                              {"status": "vacuous: A = 0, members reduce to {0}"})
-    field = field_for(A, grid, e)
+    field = field_for(m, grid, e)
     if z_samples is None:
         z_samples = sample_points(field, e, count, seed, kind)
     z_samples = np.asarray(z_samples, dtype=np.complex128)
-    q = kind.at(A, z_samples)[1]
+    q = kind.at(m, z_samples)[1]
     keep = kind.inside(q, e)
     if band is not None:
         keep &= kind.off_level(q, e) > band
-    members = np.concatenate([z_samples[keep], eigenvalues(A)])
+    members = np.concatenate([z_samples[keep], m.eigvals])
 
-    norms = power_norms(A, max(k_list))
+    norms = m.power_norms_to(max(k_list))
     worst = np.inf
     pairs = overflowed = 0
     for lam in members:
@@ -445,7 +443,7 @@ def check_t7e(A, eps, k_list=None, grid=None, z_samples=None,
 
 def _gerschgorin_disks(kind, m, e) -> list[Disk]:
     """Disks D(a_jj, r_j + sqrt(N)*pad) with row sums r_j = sum_{k != j} |a_jk|."""
-    pad = kind.pad(e, lambda: spectral_norm(m), np.sqrt(m.n))
+    pad = kind.pad(e, lambda: m.norm, np.sqrt(m.n))
     absA = np.abs(m.entries)
     row = absA.sum(axis=1) - np.diag(absA)
     return [Disk(complex(m.entries[j, j]), float(row[j] + pad)) for j in range(m.n)]
@@ -459,8 +457,9 @@ def gerschgorin_condition_disks(A, eps) -> list[Disk]:
 
 def _disk_cover_report(kind, A, eps, grid) -> TheoremReport:
     e = kind.eps(eps)
-    field = field_for(A, grid, e)
-    disks = _gerschgorin_disks(kind, as_matrix(A), e)
+    m = as_matrix(A)
+    field = field_for(m, grid, e)
+    disks = _gerschgorin_disks(kind, m, e)
     members = field.member_nodes(e, kind)
     slack = field.grid.cell_diagonal()
     if members.size == 0:
@@ -527,17 +526,17 @@ def _sagitta(norm_a: float, n_angles: int) -> float:
 
 def _range_cover_report(kind, A, eps, grid, n_angles, range_polygon) -> TheoremReport:
     e = kind.eps(eps)
-    field = field_for(A, grid, e)
     m = as_matrix(A)
+    field = field_for(m, grid, e)
     members = field.member_nodes(e, kind)
     diag = field.grid.cell_diagonal()
-    norm_a = spectral_norm(m)
+    norm_a = m.norm
     pad = kind.pad(e, lambda: norm_a)
     slack = diag + _sagitta(norm_a, n_angles) + 1e-8 * (1.0 + norm_a)
     if members.size == 0:
         return TheoremReport(f"T9{kind.suffix}", True, 0.0, pad + slack, slack,
                              {"status": "vacuous: no classified members"})
-    poly = (range_polygon or _range_polygon_of(A, n_angles))()
+    poly = (range_polygon or _range_polygon_of(m, n_angles))()
     pts = np.column_stack([members.real, members.imag])
     # Distance to a convex set is convex, so its maximum over a point set
     # is reached at a vertex of that set's hull.  That is exact in exact
@@ -689,7 +688,7 @@ def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConf
     eps_vals = [CONDITION.eps(e) for e in eps_list]
     field = field_for(m, grid, max(eps_vals))
     transient = transient or TransientConfig(M=2.0, k_max=50)
-    s_mat = default_similarity(m.n) if S is None else as_matrix(S).entries
+    s_mat = as_matrix(default_similarity(m.n) if S is None else S)
     rng = np.random.default_rng(seed)
     if alpha is None:
         alpha = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))

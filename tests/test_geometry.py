@@ -38,6 +38,33 @@ def reference_hull(points):
     return pts[:1] if len(hull) < 2 else hull
 
 
+def sorted_hull(points):
+    """convex_hull as it was before the row pass came first: every
+    distinct point, sorted, then the two ends of each row of equal y."""
+    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    if len(pts) <= 2:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    by_row = np.lexsort((pts[:, 0], pts[:, 1]))
+    y = pts[by_row, 1]
+    row_end = np.append(y[1:] != y[:-1], True)
+    row_start = np.insert(row_end[:-1], 0, True)
+    keep = np.zeros(len(pts), dtype=bool)
+    keep[by_row[row_start | row_end]] = True
+    pts = pts[keep]
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
+    return pts[:1] if len(hull) < 2 else hull
+
+
 def _segment_distances(points, a, b):
     d = b - a
     L2 = float(d @ d)
@@ -112,6 +139,45 @@ def test_hull_matches_reference_on_grid_subsets(pts):
 @given(float_points)
 def test_hull_matches_reference_on_float_points(pts):
     assert np.array_equal(convex_hull(pts), reference_hull(pts))
+
+
+def _with_duplicates(draw, pts):
+    picks = draw(st.lists(st.integers(0, len(pts) - 1), max_size=len(pts)))
+    return np.concatenate([pts, pts[picks]]) if picks else pts
+
+
+@st.composite
+def hull_inputs(draw):
+    """Grid subsets, a single row, collinear points and a few values with
+    both signed zeros, each with repeated points."""
+    shape = draw(st.sampled_from(["grid", "row", "collinear", "zeros"]))
+    if shape == "grid":
+        pts = draw(grid_subsets())
+    elif shape == "row":
+        xs = draw(st.lists(finite, min_size=1, max_size=30))
+        pts = np.column_stack([xs, np.full(len(xs), draw(finite))])
+    elif shape == "collinear":
+        p0 = np.array(draw(st.tuples(finite, finite)))
+        d = np.array(draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))), dtype=float)
+        ts = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=30))
+        pts = p0 + np.outer(ts, d) * 0.5
+    else:
+        values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+        pts = np.array(draw(st.lists(st.tuples(values, values), min_size=1, max_size=40)))
+    pts = _with_duplicates(draw, pts)
+    return pts[draw(st.permutations(range(len(pts))))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_inputs())
+def test_hull_matches_sorted_hull(pts):
+    # Same vertices in the same order.  Where -0.0 and 0.0 meet, either
+    # representative of the two equal points may survive, so the bits are
+    # compared only where no coordinate is -0.0.
+    new, old = convex_hull(pts), sorted_hull(pts)
+    assert new.shape == old.shape and np.array_equal(new, old)
+    if not np.signbit(pts[pts == 0.0]).any():
+        assert new.tobytes() == old.tobytes()
 
 
 def _range_polygon(A):

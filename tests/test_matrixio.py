@@ -1,11 +1,13 @@
 """Matrix parsing, emission round-trips, and generators."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from condspec import matrixio
 from condspec.errors import ParseError
 from condspec.matrixio import (
     FORMAT_CSV,
@@ -83,7 +85,9 @@ _UPPER_FROM_LOWER = {"symmetric": lambda off: off.T, "hermitian": lambda off: of
 @pytest.mark.parametrize("layout", ["array", "coordinate"])
 def test_matrix_market_symmetric_mirrors(layout, symmetry):
     # The stored lower triangle (diagonal included) is mirrored into the upper one.
-    lower = [(i, j) for j in range(3) for i in range(j, 3)]
+    # A skew-symmetric array stores the strictly lower triangle: its diagonal is 0.
+    skew_array = layout == "array" and symmetry == "skew-symmetric"
+    lower = [(i, j) for j in range(3) for i in range(j + skew_array, 3)]
     if layout == "array":
         data = [f"{_LOWER[i, j].real} {_LOWER[i, j].imag}" for i, j in lower]
         size = "3 3"
@@ -91,8 +95,19 @@ def test_matrix_market_symmetric_mirrors(layout, symmetry):
         data = [f"{i + 1} {j + 1} {_LOWER[i, j].real} {_LOWER[i, j].imag}" for i, j in lower]
         size = f"3 3 {len(data)}"
     text = "\n".join([f"%%MatrixMarket matrix {layout} complex {symmetry}", size, *data]) + "\n"
-    expected = _LOWER + _UPPER_FROM_LOWER[symmetry](np.tril(_LOWER, -1))
+    stored = np.tril(_LOWER, -skew_array)
+    expected = stored + _UPPER_FROM_LOWER[symmetry](np.tril(_LOWER, -1))
     assert np.array_equal(parse_matrix(text).entries, expected)
+
+
+def test_matrix_market_skew_symmetric_array_stores_strictly_lower():
+    header = "%%MatrixMarket matrix array real skew-symmetric\n3 3\n"
+    m = parse_matrix(header + "1\n2\n3\n")  # (2,1), (3,1), (3,2), column-major
+    assert np.array_equal(m.entries.real, [[0, -1, -2], [1, 0, -3], [2, 3, 0]])
+    # The lower triangle with its diagonal, 6 lines, is not this layout.
+    with pytest.raises(ParseError, match="expected 3 data lines, found 6") as err:
+        parse_matrix(header + "0\n1\n2\n0\n3\n0\n")
+    assert err.value.line == 2
 
 
 @pytest.mark.parametrize("header, size, data", [("array real symmetric", "3 2", "1\n2\n3\n4\n5"),
@@ -201,6 +216,43 @@ def test_parse_matrix_raises_only_parse_error(text, fmt):
     except ParseError:
         return
     assert np.isfinite(m.entries).all()
+
+
+_real_cells = st.one_of(st.floats(), st.integers(-2**70, 2**70), st.booleans(),
+                       st.sampled_from([0.0, -0.0, 10**400]))
+_numeric_rows = st.tuples(st.integers(1, 4), st.integers(1, 4), st.booleans()).flatmap(
+    lambda shape: st.lists(st.lists(
+        st.lists(_real_cells, min_size=2, max_size=2) if shape[2] else _real_cells,
+        min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]))
+
+
+def _json_entries(text):
+    """The bytes of each parsed row (rows may differ in length), or the error."""
+    try:
+        return [np.array(row, dtype=np.complex128).tobytes() for row in matrixio._parse_json(text)]
+    except ParseError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_numeric_rows.map(json.dumps), _square_rows.map(json.dumps),
+                 _json_values.map(json.dumps)))
+def test_json_array_parse_matches_per_cell_parse(text):
+    # All-numeric entries take one array conversion; the per-cell parse is
+    # the reference: the same shape and bits (-0.0 included), or ParseError.
+    fast = _json_entries(text)
+    with mock.patch.object(matrixio, "_json_numeric_array", lambda rows: None):
+        slow = _json_entries(text)
+    if isinstance(slow, ParseError):
+        assert isinstance(fast, ParseError) and str(fast) == str(slow)
+    else:
+        assert fast == slow
+
+
+def test_json_pairs_keep_negative_zero():
+    m = parse_matrix("[[[-0.0, -0.0], [1, 2]], [[3, -0.0], [0.0, 0]]]", fmt=FORMAT_JSON)
+    assert np.signbit(m.entries.real).tolist() == [[True, False], [False, False]]
+    assert np.signbit(m.entries.imag).tolist() == [[True, False], [True, False]]
 
 
 def test_parse_from_path(tmp_path):

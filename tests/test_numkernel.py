@@ -267,6 +267,48 @@ def test_power_norms_rejects_negative_kmax():
         power_norms(np.eye(2), -1)
 
 
+# --- facts cached on a ComplexMatrix ------------------------------------------------
+
+@pytest.mark.parametrize("A", [random_complex(4, 7), generate("jordan", 5, value=0.9).entries,
+                               np.array([[1e200, 1.0], [0.0, 1e200]])],
+                         ids=["random4", "J5(0.9)", "overflowing"])
+def test_power_norm_prefix_is_bitwise(A):
+    # Powers are built one after another, so every shorter list is a prefix
+    # of a longer one, overflow to +inf included; the cache relies on it.
+    full = power_norms(A, 50)
+    for k in (0, 1, 2, 7, 12, 50):
+        assert power_norms(A, k).tobytes() == full[:k + 1].tobytes()
+    m = as_matrix(A)
+    m.power_norms_to(12)
+    assert m.power_norms_to(50).tobytes() == full.tobytes()
+    assert m.power_norms_to(7).tobytes() == full[:8].tobytes()
+    with pytest.raises(ValueError):
+        m.power_norms_to(-1)
+
+
+def test_cached_facts_equal_the_functions_bitwise():
+    A = random_complex(5, 3)
+    m = ComplexMatrix(A)
+    assert m.svals.tobytes() == singular_values(A).tobytes()
+    assert m.norm == spectral_norm(A)
+    assert m.eigvals.tobytes() == eigenvalues(A).tobytes()
+    dec = eigen_decomposition(A)
+    assert m.eigen.eigenvalues.tobytes() == dec.eigenvalues.tobytes()
+    assert m.eigen.right_vectors.tobytes() == dec.right_vectors.tobytes()
+    assert m.eigen.vector_matrix_rank == dec.vector_matrix_rank
+    assert m.eigvals is m.eigvals and m.eigen is m.eigen  # computed once
+
+
+def test_cached_facts_are_read_only():
+    m = ComplexMatrix(random_complex(3, 1))
+    facts = [m.svals, m.eigvals, m.eigen.eigenvalues, m.eigen.right_vectors,
+             m.power_norms_to(4)]
+    for a in facts:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 # --- property tests ----------------------------------------------------------------
 
 finite = st.floats(-3, 3, allow_nan=False, allow_infinity=False, width=64)

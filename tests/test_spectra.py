@@ -306,6 +306,46 @@ def test_field_csv_round_trip():
     assert np.array_equal(back.ratio, field.ratio)
 
 
+def _assert_read_only(*arrays):
+    for a in arrays:
+        assert not a.flags.writeable and a.size
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+
+
+def test_field_csv_read_arrays_are_read_only():
+    buf = io.StringIO()
+    write_field_csv(compute_field(DIAG, GridSpec(-2, 2, -1, 1, 5, 3)), buf)
+    back = read_field_csv(io.StringIO(buf.getvalue()))
+    _assert_read_only(back.sigma_min, back.sigma_max, back.ratio)
+
+
+def test_grid_axes_and_nodes_cached_read_only():
+    grid = GridSpec(-2, 2, -1, 1, 5, 3)
+    assert grid.nodes() is grid.nodes() and grid.re_axis() is grid.re_axis()
+    assert np.array_equal(grid.re_axis(), np.linspace(-2, 2, 5))
+    expected = np.linspace(-2, 2, 5)[:, None] + 1j * np.linspace(-1, 1, 3)[None, :]
+    assert grid.nodes().tobytes() == expected.tobytes()
+    _assert_read_only(grid.re_axis(), grid.im_axis(), grid.nodes())
+    assert grid == GridSpec(-2, 2, -1, 1, 5, 3)  # the cache is not part of the value
+
+
+@pytest.mark.parametrize("kind", ["condition", "pseudo"])
+def test_member_sets_cached_per_eps_and_kind(kind):
+    field = compute_field(random_complex(3, 4), GridSpec(-4, 4, -4, 4, 41, 41))
+    for eps in (0.2, 0.5):
+        mask = field.member_mask(eps, kind)
+        assert mask is field.member_mask(eps, kind)
+        q = field.sigma_min if kind == "pseudo" else field.ratio
+        fresh = q <= eps if kind == "pseudo" else q >= 1.0 / eps
+        assert np.array_equal(mask, fresh)
+        nodes = field.member_nodes(eps, kind)
+        assert nodes is field.member_nodes(eps, kind)
+        assert nodes.tobytes() == field.grid.nodes()[fresh].tobytes()
+        _assert_read_only(mask, nodes)
+    assert not np.array_equal(field.member_mask(0.2, kind), field.member_mask(0.5, kind))
+
+
 def test_field_csv_writes_infinities():
     field = compute_field(DIAG, GridSpec(-2, 2, -2, 2, 5, 5))
     buf = io.StringIO()

@@ -460,3 +460,28 @@ def test_suite_degenerate_1x1():
     assert all(r.passed for r in reports)
     t3 = [r for r in reports if r.theorem_id == "T3σ"]
     assert t3 and all(r.lhs == 1.0 for r in t3)
+
+
+def test_suite_on_shared_matrices_matches_fresh_runs():
+    # A ComplexMatrix and a SpectralField keep the facts of earlier runs
+    # (norm, eigenvalues, power norms, member sets).  Running A, then B,
+    # then A again on the same instances must write the reports of runs on
+    # freshly wrapped copies, to the bit.
+    from condspec import jsonio
+    from condspec.numkernel import ComplexMatrix
+
+    eps = (0.05, 0.2, 0.4)
+
+    def suite(M, field):
+        return jsonio.dumps([r.to_dict() for r in run_suite(M, eps, grid=field, samples=12,
+                                                            seed=3)])
+
+    def fresh(M):
+        a = np.array(M.entries)
+        return suite(a, compute_field(a, GridSpec.auto(a, 0.4, n=61)))
+
+    A = generate("jordan", 4, value=0.9)
+    B = ComplexMatrix(random_complex(3, 21))
+    fields = {id(M): compute_field(M, GridSpec.auto(M, 0.4, n=61)) for M in (A, B)}
+    runs = [suite(M, fields[id(M)]) for M in (A, B, A)]
+    assert runs == [fresh(A), fresh(B), fresh(A)]
