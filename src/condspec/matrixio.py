@@ -273,7 +273,11 @@ def _parse_matrix_market(text: str, max_n: int) -> list[list[complex]]:
             i, j = to_int(parts[0], lineno) - 1, to_int(parts[1], lineno) - 1
             if not (0 <= i < nrow and 0 <= j < ncol):
                 raise ParseError(f"index ({i + 1}, {j + 1}) out of range", line=lineno)
-            cells.append((i, j, to_value(parts[2:], lineno)))
+            v = to_value(parts[2:], lineno)
+            if i == j and v and symmetry == "skew-symmetric":
+                raise ParseError(f"diagonal entry ({i + 1}, {j + 1}) of a skew-symmetric "
+                                 f"matrix must be 0, got {' '.join(parts[2:])}", line=lineno)
+            cells.append((i, j, v))
     a = np.zeros((nrow, ncol), dtype=np.complex128)
     mirror = _MM_MIRRORS.get(symmetry)
     for i, j, v in cells:

@@ -194,9 +194,24 @@ class GridSpec:
         return _memo(self._facts, "re", lambda: _read_only(
             np.linspace(self.re_min, self.re_max, self.nx)))
 
+    @property
+    def mirrored(self) -> bool:
+        """Whether the im range is symmetric about the real axis; the im
+        axis is then mirror-exact: im[::-1] == -im, bit for bit."""
+        return self.im_min == -self.im_max
+
     def im_axis(self) -> np.ndarray:
-        return _memo(self._facts, "im", lambda: _read_only(
-            np.linspace(self.im_min, self.im_max, self.ny)))
+        """np.linspace(im_min, im_max, ny), except on a mirrored range.
+        There the upper half is taken from np.linspace(0.0, im_max, ...)
+        (every other of its ny nodes, ending at im_max) and negated for the
+        lower half: an odd ny puts +0.0 on the real axis, an even ny keeps
+        the same spacing with no node there."""
+        def make():
+            if not self.mirrored:
+                return np.linspace(self.im_min, self.im_max, self.ny)
+            upper = np.linspace(0.0, self.im_max, self.ny)[1 - self.ny % 2::2]
+            return np.concatenate([-upper[self.ny % 2:][::-1], upper])
+        return _memo(self._facts, "im", lambda: _read_only(make()))
 
     @property
     def dre(self) -> float:
@@ -226,8 +241,8 @@ class SpectralField:
     Arrays are (nx, ny), indexed [re, im]; ratio is +inf where z*I - A is
     numerically singular.  The source matrix is kept (when known) so that
     downstream checks can reach eigenvalues and the bounding disk; it is
-    not part of the serialized form.  Member masks and member nodes are
-    built once per (eps, kind) and instance, and are read-only.
+    not part of the serialized form.  Member masks, member nodes and band
+    nodes are built once per (eps, kind) and instance, and are read-only.
     """
 
     grid: GridSpec
@@ -254,13 +269,35 @@ class SpectralField:
         return _memo(self._facts, ("nodes", e, k.name),
                      lambda: _read_only(self.grid.nodes()[self.member_mask(e, k)]))
 
+    def band_nodes(self, eps, kind: str = KIND_CONDITION) -> np.ndarray:
+        """Nodes whose quantity lies within a factor 2 of the membership
+        level, in grid order."""
+        k = spectrum_kind(kind)
+        e = k.eps(eps)
+
+        def make():
+            q = self.quantity(k)
+            return _read_only(self.grid.nodes()[(q >= k.level(e, 0.5)) & (q <= k.level(e, 2.0))])
+        return _memo(self._facts, ("band", e, k.name), make)
+
 
 def compute_field(A, grid: GridSpec) -> SpectralField:
     """Sample sigma_min/sigma_max/ratio of z*I - A at every grid node, in
-    one shifted_extremes call: node values depend only on (A, grid)."""
+    one shifted_extremes call: node values depend only on (A, grid).
+
+    For a real A, conj(z)*I - A is the complex conjugate of z*I - A and has
+    the same singular values; with LAPACK's sign-symmetric complex
+    arithmetic they are the same bits.  So on a mirrored grid only the
+    columns with im >= 0 are computed, and each column below the real axis
+    is a copy of its mirror column."""
     m = as_matrix(A)
-    smin, smax = (_read_only(v.reshape(grid.nx, grid.ny))
-                  for v in shifted_extremes(m, grid.nodes()))
+    half = grid.ny // 2 if grid.mirrored and not m.entries.imag.any() else 0
+    smin, smax = (v.reshape(grid.nx, grid.ny - half)
+                  for v in shifted_extremes(m, grid.nodes()[:, half:]))
+    if half:  # field column j is computed column max(j, ny - 1 - j) - half
+        j = np.arange(grid.ny)
+        smin, smax = (v[:, np.maximum(j, j[::-1]) - half] for v in (smin, smax))
+    smin, smax = _read_only(smin), _read_only(smax)
     return SpectralField(grid, smin, smax, _read_only(condition_ratio(smin, smax, m.n)), m)
 
 

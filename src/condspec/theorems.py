@@ -107,8 +107,7 @@ def sample_points(field: SpectralField, eps, count: int, seed: int,
     over the bounding disk.  Deterministic for a fixed seed."""
     kind = spectrum_kind(kind)
     e = kind.eps(eps)
-    vals = field.quantity(kind)
-    band_nodes = field.grid.nodes()[(vals >= kind.level(e, 0.5)) & (vals <= kind.level(e, 2.0))]
+    band_nodes = field.band_nodes(e, kind)
 
     n_uniform = max(1, count // 4)
     n_band = max(0, count - n_uniform)

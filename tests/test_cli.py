@@ -385,3 +385,41 @@ def test_auto_grid_past_float64_exits_2_without_warnings(tmp_path):
     assert out.returncode == 2
     [line] = out.stderr.splitlines()
     assert line.startswith("error: grid [-1.34444e+308, 1.34444e+308]") and "spans inf" in line
+
+
+def _command_sequence(matrix, base):
+    def out(name):
+        return str(base / name)
+    return [
+        ["compute", "--matrix", str(matrix), "--kind", "both", "--grid", "21", "--out", out("x")],
+        ["compute", "--matrix", str(matrix), "--eps", "0.3", "--grid", "15", "--out", out("y")],
+        ["plot", "--contours", out("x/contours_condition.json"),
+         "--contours", out("x/contours_pseudo.json"), "--width", "320", "--out", out("p1.svg")],
+        ["plot", "--contours", out("y/contours_condition.json"), "--out", out("p2.svg")],
+        ["verify", "--matrix", str(matrix), "--eps", "0.2", "--grid", "21", "--samples", "8",
+         "--out", out("r1.json")],
+        ["verify", "--matrix", str(matrix), "--grid", "15", "--seed", "3", "--out", out("r2.json")],
+    ]
+
+
+def _outputs(base):
+    return {p.relative_to(base).as_posix(): p.read_bytes()
+            for p in sorted(base.rglob("*")) if p.is_file()}
+
+
+def test_main_calls_in_one_process_match_fresh_processes(diag_file, tmp_path, capsys):
+    # main builds its parser once; a flag of one call must not leak into the next.
+    inproc, fresh = tmp_path / "inproc", tmp_path / "fresh"
+    stdout_in = []
+    for argv in _command_sequence(diag_file, inproc):
+        assert main(argv) == 0
+        stdout_in.append(capsys.readouterr().out.replace(str(inproc), "<base>"))
+    stdout_fresh = []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv in _command_sequence(diag_file, fresh):
+        out = subprocess.run([sys.executable, "-m", "condspec", *argv], capture_output=True,
+                             text=True, env=env, check=True, timeout=120)
+        stdout_fresh.append(out.stdout.replace(str(fresh), "<base>"))
+    assert stdout_in == stdout_fresh
+    assert len(_outputs(inproc)) == 9
+    assert _outputs(inproc) == _outputs(fresh)

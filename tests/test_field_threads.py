@@ -206,3 +206,46 @@ def test_concurrent_fields_keep_bytes_and_restore_pin(blas_at_two):
     assert errors == []
     assert all(r == expected for r in results)
     assert _blas_counts() == [2] * len(controls)
+
+
+# The half field of a real A against one full shifted_extremes over every
+# node.  -0.0 imaginary parts are set through .imag: r + 1j*imag loses them.
+_HALF_FIELDS = """
+import hashlib
+import numpy as np
+from condspec.matrixio import generate
+from condspec.numkernel import shifted_extremes
+from condspec.spectra import GridSpec, compute_field
+rng = np.random.default_rng(5)
+for n in (2, 3, 8, 33, 64, 96, 128):
+    gauss = rng.standard_normal((n, n))
+    signed = np.empty((n, n), dtype=complex)
+    signed.real, signed.imag = rng.standard_normal((n, n)), -0.0
+    mats = {"J(0)": generate("jordan", n).entries, "J(0.9)": generate("jordan", n, value=0.9).entries,
+            "diag": np.diag(np.linspace(-1.0, 1.0, n)), "zero": np.zeros((n, n)),
+            "identity": np.eye(n), "gauss": gauss, "signed": signed}
+    for name, A in mats.items():
+        r = 1.2 * np.abs(np.linalg.eigvals(A)).max() + 0.5
+        for ny in ((7, 8) if n >= 64 else (7, 8, 40, 41)):
+            grid = GridSpec(-r, r, -r, r, 3 if n >= 64 else 9, ny)
+            f = compute_field(A, grid)
+            full = shifted_extremes(A, grid.nodes())
+            same = all(a.tobytes() == b.tobytes() for a, b in zip((f.sigma_min, f.sigma_max), full))
+            digest = hashlib.sha256(f.sigma_min.tobytes() + f.sigma_max.tobytes()).hexdigest()
+            print(n, name, ny, same, digest)
+"""
+
+
+@needs_openblas
+def test_half_field_of_real_matrix_equals_full_computation_bitwise():
+    # Mirror columns are copies; conj(z)I - A and zI - A give the same bits
+    # with this LAPACK's sign-symmetric complex arithmetic.
+    outputs = {}
+    for pool in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), CONDSPEC_THREADS=pool)
+        out = subprocess.run([sys.executable, "-c", _HALF_FIELDS], capture_output=True,
+                             text=True, env=env, check=True, timeout=300)
+        outputs[pool] = out.stdout.splitlines()
+    assert len(outputs["1"]) == 4 * 7 * 4 + 3 * 7 * 2  # (n, matrix, ny) cases
+    assert [line for line in outputs["1"] if " True " not in line] == []
+    assert outputs["1"] == outputs["2"]

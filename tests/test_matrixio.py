@@ -85,9 +85,9 @@ _UPPER_FROM_LOWER = {"symmetric": lambda off: off.T, "hermitian": lambda off: of
 @pytest.mark.parametrize("layout", ["array", "coordinate"])
 def test_matrix_market_symmetric_mirrors(layout, symmetry):
     # The stored lower triangle (diagonal included) is mirrored into the upper one.
-    # A skew-symmetric array stores the strictly lower triangle: its diagonal is 0.
-    skew_array = layout == "array" and symmetry == "skew-symmetric"
-    lower = [(i, j) for j in range(3) for i in range(j + skew_array, 3)]
+    # A skew-symmetric file stores the strictly lower triangle: its diagonal is 0.
+    skew = symmetry == "skew-symmetric"
+    lower = [(i, j) for j in range(3) for i in range(j + skew, 3)]
     if layout == "array":
         data = [f"{_LOWER[i, j].real} {_LOWER[i, j].imag}" for i, j in lower]
         size = "3 3"
@@ -95,7 +95,7 @@ def test_matrix_market_symmetric_mirrors(layout, symmetry):
         data = [f"{i + 1} {j + 1} {_LOWER[i, j].real} {_LOWER[i, j].imag}" for i, j in lower]
         size = f"3 3 {len(data)}"
     text = "\n".join([f"%%MatrixMarket matrix {layout} complex {symmetry}", size, *data]) + "\n"
-    stored = np.tril(_LOWER, -skew_array)
+    stored = np.tril(_LOWER, -skew)
     expected = stored + _UPPER_FROM_LOWER[symmetry](np.tril(_LOWER, -1))
     assert np.array_equal(parse_matrix(text).entries, expected)
 
@@ -108,6 +108,16 @@ def test_matrix_market_skew_symmetric_array_stores_strictly_lower():
     with pytest.raises(ParseError, match="expected 3 data lines, found 6") as err:
         parse_matrix(header + "0\n1\n2\n0\n3\n0\n")
     assert err.value.line == 2
+
+
+def test_matrix_market_skew_symmetric_coordinate_rejects_nonzero_diagonal():
+    header = "%%MatrixMarket matrix coordinate complex skew-symmetric\n% comment\n3 3 3\n"
+    m = parse_matrix(header + "2 1 1 0\n3 3 0 -0\n3 2 0 2\n")  # an explicit zero diagonal entry
+    assert np.array_equal(m.entries, [[0, -1, 0], [1, 0, -2j], [0, 2j, 0]])
+    for diagonal in ("3 3 0 1e-300", "3 3 -0.5 0"):
+        with pytest.raises(ParseError, match=r"diagonal entry \(3, 3\) of a skew-symmetric") as err:
+            parse_matrix(header + f"2 1 1 0\n{diagonal}\n3 2 0 2\n")
+        assert err.value.line == 5
 
 
 @pytest.mark.parametrize("header, size, data", [("array real symmetric", "3 2", "1\n2\n3\n4\n5"),

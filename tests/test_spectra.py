@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from condspec import spectra
 from condspec.errors import GridTooSmallError
 from condspec.matrixio import generate
 from condspec.numkernel import eigenvalues
@@ -450,3 +451,87 @@ def test_field_grid_keeps_only_the_axes_in_memory(tmp_path):
             tracemalloc.stop()
     assert grid == GridSpec.square(1.0, n)
     assert peak < 1_000_000
+
+
+# --- mirror-exact im axis and the half field ---------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-300, 1e300), st.integers(2, 600))
+def test_mirrored_im_axis_is_mirror_exact(radius, ny):
+    grid = GridSpec(-1.0, 2.0, -radius, radius, 2, ny)
+    im = grid.im_axis()
+    assert grid.mirrored and len(im) == ny
+    assert np.array_equal(im[::-1], -im)
+    nonzero = im != 0.0  # +0.0 negates to -0.0
+    assert im[::-1][nonzero].tobytes() == (-im)[nonzero].tobytes()
+    assert (np.diff(im) > 0.0).all()
+    assert im[0] == -radius and im[-1] == radius
+    if ny % 2:
+        center = im[ny // 2]
+        assert center == 0.0 and not np.signbit(center)
+    else:
+        assert not (im == 0.0).any()
+    assert np.abs(im - np.linspace(-radius, radius, ny)).max() <= 4 * np.spacing(radius)
+
+
+@pytest.mark.parametrize("im_min, im_max", [(-1.0, 1.5), (-0.0, 1.0), (-2.0, -0.5), (-2.7, 2.7000000000000006)])
+def test_unmirrored_im_axis_is_linspace(im_min, im_max):
+    grid = GridSpec(-1.0, 1.0, im_min, im_max, 2, 161)
+    assert not grid.mirrored
+    assert grid.im_axis().tobytes() == np.linspace(im_min, im_max, 161).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 1e3), st.integers(2, 80))
+def test_field_grid_rebuilds_mirrored_axis_bits(radius, n):
+    grid = GridSpec.square(radius, n)
+    zeros = np.zeros((n, n))
+    text = field_csv(SpectralField(grid, zeros, zeros, zeros))
+    back = read_field_grid(io.StringIO(text))
+    assert back == grid
+    assert back.im_axis().tobytes() == grid.im_axis().tobytes()
+    assert read_field_csv(io.StringIO(text)).grid.im_axis().tobytes() == grid.im_axis().tobytes()
+
+
+def _signed_zero_imag(a):
+    out = np.empty(a.shape, dtype=complex)
+    out.real, out.imag = a, -0.0
+    return out
+
+
+@pytest.mark.parametrize("A, grid, columns", [
+    (DIAG, GridSpec.square(2.0, 7), 4),                             # real: im >= 0 only
+    (DIAG, GridSpec.square(2.0, 8), 4),
+    (_signed_zero_imag(DIAG), GridSpec.square(2.0, 9), 5),
+    (DIAG, GridSpec(-2.0, 2.0, -1.0, 1.5, 5, 7), 7),                # not mirrored: every node
+    (DIAG + 1e-300j, GridSpec.square(2.0, 7), 7),                   # complex: every node
+    (random_complex(3, 9), GridSpec.square(2.0, 8), 8),
+])
+def test_half_field_only_for_real_matrix_on_mirrored_grid(monkeypatch, A, grid, columns):
+    calls = []
+    inner = spectra.shifted_extremes
+
+    def recording(m, zs):
+        calls.append(np.array(zs))
+        return inner(m, zs)
+
+    monkeypatch.setattr(spectra, "shifted_extremes", recording)
+    field = compute_field(A, grid)
+    assert len(calls) == 1
+    assert calls[0].tobytes() == grid.nodes()[:, grid.ny - columns:].tobytes()
+    smin, smax = inner(A, grid.nodes())
+    assert field.sigma_min.tobytes() == smin.tobytes()
+    assert field.sigma_max.tobytes() == smax.tobytes()
+    _assert_read_only(field.sigma_min, field.sigma_max, field.ratio)
+
+
+@pytest.mark.parametrize("kind", ["condition", "pseudo"])
+def test_band_nodes_cached_per_eps_and_kind(kind):
+    field = compute_field(random_complex(3, 4), GridSpec(-4, 4, -4, 4, 41, 41))
+    for eps in (0.2, 0.5):
+        band = field.band_nodes(eps, kind)
+        assert band is field.band_nodes(eps, kind)
+        q = field.sigma_min if kind == "pseudo" else field.ratio
+        lo, hi = (0.5 * eps, 2.0 * eps) if kind == "pseudo" else (0.5 / eps, 2.0 / eps)
+        assert band.size and band.tobytes() == field.grid.nodes()[(q >= lo) & (q <= hi)].tobytes()
+        _assert_read_only(band)

@@ -1,10 +1,11 @@
 """Theorem reports against a committed fixture, compared exactly.
 
 tests/data/suite_reports.json holds the `to_dict()` output of every case
-below as written by the σ/ε check bodies before they were merged into one
-body per pair.  The merge must keep every bit, so each case is compared for
-equality after a JSON round trip (17 significant digits, exact for
-float64).
+below.  It was written by the σ/ε check bodies before they were merged into
+one body per pair, and written again when mirrored grids got their
+mirror-exact im axis (each moved value is named in CHANGES.md).  Each case
+is compared for equality after a JSON round trip (17 significant digits,
+exact for float64).
 
 Regenerate (only when a report is meant to change, naming each changed
 value in CHANGES.md):
