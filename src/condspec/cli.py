@@ -32,8 +32,8 @@ from .spectra import (
     KIND_CONDITION,
     KIND_PSEUDO,
     compute_field,
-    eps_value,
     extract_contours,
+    spectrum_kind,
     write_field_csv,
 )
 from .theorems import SIGMA_CHECKS, TransientConfig, run_suite
@@ -74,7 +74,7 @@ def cmd_compute(config: RunConfig) -> list[Path]:
     kinds = [config.kind] if config.kind != "both" else [KIND_CONDITION, KIND_PSEUDO]
     for e in config.eps_list:
         for k in kinds:
-            eps_value(e, k)
+            spectrum_kind(k).eps(e)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     field = compute_field(config.matrix, config.resolve_grid())
@@ -216,6 +216,12 @@ def _parse_eps_list(text: str) -> tuple:
     return eps
 
 
+def _parse_count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_theorems(text: str) -> tuple:
     if text.strip().lower() == "all":
         return ()
@@ -255,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--k-max", type=int, default=50)
     p_ver.add_argument("--M", type=float, default=2.0)
     p_ver.add_argument("--angles", type=int, default=256)
-    p_ver.add_argument("--samples", type=int, default=48)
+    p_ver.add_argument("--samples", type=_parse_count, default=48)
     p_ver.add_argument("--certificate", default=None,
                        help="witness JSON to validate as a membership certificate")
     p_ver.add_argument("--out", default="report.json")

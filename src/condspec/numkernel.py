@@ -7,9 +7,10 @@ singular values.  This norm choice is fixed for the library and is what
 makes condition numbers and near-null witness vectors directly computable
 from an SVD.
 
-Every SVD and eigensolve of the package runs here, with every loaded
-OpenBLAS pinned to one thread (a multi-threaded SVD rounds differently from
-n ~ 64 on), so concurrent calls run one after another.  The one pool is
+Every SVD and eigensolve runs with every loaded OpenBLAS pinned to one
+thread (a multi-threaded SVD rounds differently from n ~ 64 on), so
+concurrent calls run one after another: here, or in theorems' W(A) sweep
+and T5 transform, which take this module's pin.  The one pool is
 shifted_extremes', over chunks of points whose size depends on n alone.
 """
 
@@ -52,9 +53,9 @@ class ComplexMatrix:
     """Immutable square matrix of finite complex numbers.
 
     The facts of A that many checks share (singular values, norm,
-    eigenvalues, eigendecomposition, power norms) are computed on first use
-    by this module's functions and kept on the instance, read-only: the
-    instance is shared, so a caller that wrote into one would change every
+    eigenvalues, eigendecomposition, power norms; theorems adds the W(A)
+    polygon) are computed on first use and kept on the instance, read-only:
+    the instance is shared, so a caller writing into one would change every
     later reader's answer.  A raw array wrapped anew starts with no facts.
     """
 

@@ -150,11 +150,6 @@ def spectrum_kind(kind) -> SpectrumKind:
         raise ValueError(f"unknown spectrum kind {kind!r}") from None
 
 
-def eps_value(eps, kind: str = KIND_CONDITION) -> float:
-    """Validate an Epsilon/float for the given spectrum kind."""
-    return spectrum_kind(kind).eps(eps)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular sampling grid over the complex plane.  Its axes and
@@ -597,6 +592,12 @@ def read_field_csv(fp) -> SpectralField:
     grid = GridSpec(float(re[0]), float(re[-1]), float(im[0]), float(im[-1]), nx, ny)
     order = np.lexsort((rows[:, 1], rows[:, 0]))
     rows = rows[order]
+    bad = np.flatnonzero((rows[:, 0] != np.repeat(re, ny)) | (rows[:, 1] != np.tile(im, nx)))
+    if bad.size:  # some node is repeated, so another one is missing
+        i = bad[0]
+        raise ValueError(f"field CSV data row {order[i] + 1} (re {rows[i, 0]:.17g}, im "
+                         f"{rows[i, 1]:.17g}) is where node (re {re[i // ny]:.17g}, im "
+                         f"{im[i % ny]:.17g}) belongs")
     smin, smax, ratio = (_read_only(rows[:, c].reshape(nx, ny)) for c in (2, 3, 4))
     return SpectralField(grid, smin, smax, ratio, None)
 

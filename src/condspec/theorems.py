@@ -1,5 +1,5 @@
-"""Executable theorem checks for condition spectra, with pseudospectrum
-companions.
+"""Executable theorem checks for condition spectra, each with its
+pseudospectrum companion.
 
 Each check evaluates one inequality/implication numerically over grid
 classifications and sampled points, records the two compared quantities
@@ -8,7 +8,7 @@ TheoremReport.  Checks whose hypotheses cannot be certified at grid
 resolution pass vacuously and say so in the report details.
 
 Identifiers use the sigma suffix for condition-spectrum statements and
-the epsilon suffix for the pseudospectrum companions run under the
+the epsilon suffix for each pseudospectrum companion, run under the
 resolvent-norm >= 1/eps convention.  As in the paper, each companion has
 the format of its condition-spectrum statement, so each pair runs one body
 that takes a spectra.SpectrumKind (CONDITION or PSEUDO); what belongs to
@@ -17,7 +17,6 @@ one theorem alone (T5's level, T6's threshold, T7's k) comes from its check_tN/t
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,8 @@ from .geometry import (
     hull_depths,
 )
 from .numkernel import (
+    _memo,
+    _read_only,
     _single_threaded_blas,
     as_matrix,
     condition_number,
@@ -44,7 +45,6 @@ from .spectra import (
     bounding_region,
     component_count,
     compute_field,  # unused here; condbench's tracer test reads theorems.compute_field
-    condition_spectral_radius,
     field_for,
     in_spectrum,
     member_radius,
@@ -267,7 +267,8 @@ def _similarity_report(kind, target, A, S, eps, z_samples, count, seed) -> Theor
             f"kappa(S)^2 * eps = {e2:.6g} >= 1: inclusion level is out of range")
     m = as_matrix(A)
     s = as_matrix(S).entries
-    b = as_matrix(np.linalg.solve(s, m.entries) @ s)
+    with _single_threaded_blas():
+        b = as_matrix(np.linalg.solve(s, m.entries) @ s)
     if z_samples is None:
         z_samples = sample_points(field_for(m, 161, e), e, count, seed, kind)
     z_samples = np.concatenate([np.asarray(z_samples, dtype=np.complex128), m.eigvals])
@@ -298,10 +299,11 @@ def check_t5e(A, S, eps, z_samples=None, count: int = 64, seed: int = 0) -> Theo
 # ---------------------------------------------------------------------------
 # T6: spectral radius of the spectrum forces transient power growth
 
-def _growth_report(kind, threshold, start_k, radius, A, eps, config, grid) -> TheoremReport:
+def _growth_report(kind, threshold, start_k, A, eps, config, grid) -> TheoremReport:
     """A spectral radius above threshold(M, eps), certified from below
-    (radius(A, eps, field) minus one grid diagonal), forces
-    sup_{k >= start_k} ||A^k|| > M."""
+    (max |z| over the member nodes minus one grid diagonal), forces
+    sup_{k >= start_k} ||A^k|| > M.  Member nodes lie in the spectrum, so
+    on any grid their max |z| bounds its radius from below."""
     e = kind.eps(eps)
     rhs = threshold(config.M, e)
     label = f"T6{kind.suffix}"
@@ -311,7 +313,7 @@ def _growth_report(kind, threshold, start_k, radius, A, eps, config, grid) -> Th
     m = as_matrix(A)
     field = field_for(m, grid, e)
     diag = field.grid.cell_diagonal()
-    lhs = radius(m, e, field) - diag
+    lhs = member_radius(field, e, kind) - diag
     if lhs <= rhs:
         return TheoremReport(label, True, lhs, rhs, diag,
                              {"status": "vacuous: antecedent not certified at grid resolution"})
@@ -337,28 +339,24 @@ def _condition_growth_threshold(M, e) -> float:
 
 def check_t6(A, eps, config: TransientConfig, grid=None) -> TheoremReport:
     """Condition-spectral radius above (1+M^2 eps)/(1-M eps) forces
-    sup_k ||A^k|| > M.  Needs M < 1/eps strictly; the antecedent is
-    certified from below (radius minus one grid diagonal)."""
-    return _growth_report(CONDITION, _condition_growth_threshold, 0,
-                          condition_spectral_radius, A, eps, config, grid)
+    sup_k ||A^k|| > M.  Needs M < 1/eps strictly."""
+    return _growth_report(CONDITION, _condition_growth_threshold, 0, A, eps, config, grid)
 
 
 def check_t6e(A, eps, config: TransientConfig, grid=None) -> TheoremReport:
     """Companion: pseudospectral radius above 1 + M*eps forces
     sup_{k>0} ||A^k|| > M."""
-    return _growth_report(PSEUDO, lambda M, e: 1.0 + M * e, 1,
-                          lambda A, e, field: member_radius(field, e, PSEUDO),
-                          A, eps, config, grid)
+    return _growth_report(PSEUDO, lambda M, e: 1.0 + M * e, 1, A, eps, config, grid)
 
 
 # ---------------------------------------------------------------------------
 # T7: power-norm lower bounds from members
 
-def _power_bound_report(kind, rule, A, eps, k_list, grid, z_samples, count, seed,
-                        band=BOUNDARY_BAND) -> TheoremReport:
-    """T7 with s the kind's pad, for members lam outside the boundary band
-    (all members when band is None).  rule = (name, value(k, eps, ||A||),
-    limit name, limit(||A||)): k > 0 is admissible while value < limit."""
+def _power_bound_report(kind, rule, A, eps, k_list, grid, z_samples, count,
+                        seed) -> TheoremReport:
+    """T7 with s the kind's pad, for members lam outside the boundary band.
+    rule = (name, value(k, eps, ||A||), limit name, limit(||A||)): k > 0 is
+    admissible while value < limit."""
     e = kind.eps(eps)
     m = as_matrix(A)
     norm_a = m.norm
@@ -382,9 +380,7 @@ def _power_bound_report(kind, rule, A, eps, k_list, grid, z_samples, count, seed
         z_samples = sample_points(field, e, count, seed, kind)
     z_samples = np.asarray(z_samples, dtype=np.complex128)
     q = kind.at(m, z_samples)[1]
-    keep = kind.inside(q, e)
-    if band is not None:
-        keep &= kind.off_level(q, e) > band
+    keep = kind.inside(q, e) & (kind.off_level(q, e) > BOUNDARY_BAND)
     members = np.concatenate([z_samples[keep], m.eigvals])
 
     norms = m.power_norms_to(max(k_list))
@@ -433,8 +429,7 @@ def check_t7e(A, eps, k_list=None, grid=None, z_samples=None,
               count: int = 48, seed: int = 0) -> TheoremReport:
     """Companion with s replaced by eps; k admissible while k*eps < ||A||."""
     rule = ("k*eps", lambda k, e, norm: k * e, "||A||", lambda norm: norm)
-    return _power_bound_report(PSEUDO, rule, A, eps, k_list, grid, z_samples, count, seed,
-                               band=None)
+    return _power_bound_report(PSEUDO, rule, A, eps, k_list, grid, z_samples, count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +488,7 @@ def check_t8e(A, eps, grid=None) -> TheoremReport:
 _EIGH_STACK_ENTRIES = 2 ** 20
 
 
+@_single_threaded_blas()
 def numerical_range_boundary(A, n_angles: int = 256) -> NumericalRangeBoundary:
     """Boundary of W(A) by support angles: for each theta the top
     eigenvector v of the Hermitian part of e^{i theta} A contributes the
@@ -523,7 +519,7 @@ def _sagitta(norm_a: float, n_angles: int) -> float:
     return norm_a * (np.pi / n_angles) ** 2 / 2.0
 
 
-def _range_cover_report(kind, A, eps, grid, n_angles, range_polygon) -> TheoremReport:
+def _range_cover_report(kind, A, eps, grid, n_angles) -> TheoremReport:
     e = kind.eps(eps)
     m = as_matrix(A)
     field = field_for(m, grid, e)
@@ -535,7 +531,8 @@ def _range_cover_report(kind, A, eps, grid, n_angles, range_polygon) -> TheoremR
     if members.size == 0:
         return TheoremReport(f"T9{kind.suffix}", True, 0.0, pad + slack, slack,
                              {"status": "vacuous: no classified members"})
-    poly = (range_polygon or _range_polygon_of(m, n_angles))()
+    poly = _memo(m._facts, ("W", n_angles),  # a fact of m: once per suite, never if vacuous
+                 lambda: _read_only(numerical_range_boundary(m, n_angles).polygon()))
     pts = np.column_stack([members.real, members.imag])
     # Distance to a convex set is convex, so its maximum over a point set
     # is reached at a vertex of that set's hull.  That is exact in exact
@@ -561,23 +558,16 @@ def _range_cover_report(kind, A, eps, grid, n_angles, range_polygon) -> TheoremR
                                               "eroded_worst_distance": eroded_worst})
 
 
-def _range_polygon_of(A, n_angles: int):
-    """Zero-argument callable computing the W(A) polygon on first use only,
-    so a suite computes it once per matrix and a vacuous check never."""
-    return functools.cache(lambda: numerical_range_boundary(A, n_angles).polygon())
-
-
-def check_t9(A, eps, grid=None, n_angles: int = 256, range_polygon=None) -> TheoremReport:
+def check_t9(A, eps, grid=None, n_angles: int = 256) -> TheoremReport:
     """Members lie within 2eps/(1-eps)*||A|| of the numerical range, and
     the eps1-eroded hull of the members sits inside it (both with grid,
-    polygon and floating slack).  `range_polygon`, a zero-argument
-    callable returning the W(A) polygon, lets checks share one W(A)."""
-    return _range_cover_report(CONDITION, A, eps, grid, n_angles, range_polygon)
+    polygon and floating slack)."""
+    return _range_cover_report(CONDITION, A, eps, grid, n_angles)
 
 
-def check_t9e(A, eps, grid=None, n_angles: int = 256, range_polygon=None) -> TheoremReport:
+def check_t9e(A, eps, grid=None, n_angles: int = 256) -> TheoremReport:
     """Companion: pseudospectrum members within eps of the numerical range."""
-    return _range_cover_report(PSEUDO, A, eps, grid, n_angles, range_polygon)
+    return _range_cover_report(PSEUDO, A, eps, grid, n_angles)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +646,7 @@ _SUITE_ARGS = {
     "t1": ("A", "eps"), "t2": ("A", "eps", "grid"), "t3": ("A", "eps", "grid"),
     "t4": ("A", "eps", "grid", "count", "seed"), "t5": ("A", "S", "eps", "z_samples"),
     "t6": ("A", "eps", "config", "grid"), "t7": ("A", "eps", "grid", "count", "seed"),
-    "t8": ("A", "eps", "grid"), "t9": ("A", "eps", "grid", "n_angles", "range_polygon"),
+    "t8": ("A", "eps", "grid"), "t9": ("A", "eps", "grid", "n_angles"),
     "t10": ("A", "alpha", "beta", "eps", "seed"),
 }
 SIGMA_CHECKS = tuple(_SUITE_ARGS)
@@ -672,15 +662,14 @@ def default_similarity(n: int) -> np.ndarray:
 @_single_threaded_blas()
 def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConfig | None = None,
               n_angles: int = 256, seed: int = 0, S=None, alpha=None, beta=None,
-              samples: int = 48, companions: bool = True,
-              strict: bool = False) -> list[TheoremReport]:
+              samples: int = 48, strict: bool = False) -> list[TheoremReport]:
     """Run the selected checks for each eps over one shared field.
 
     In non-strict mode a precondition violation (for example
     kappa(S)^2*eps >= 1 for T5) records a skipped report; strict mode
     re-raises it, which the CLI maps to exit code 2.  numkernel's pin is
-    held for the whole suite, which also covers T5's solve and W(A)'s eigh,
-    so reports do not depend on the BLAS thread count.
+    held for the whole suite, so reports do not depend on the BLAS thread
+    count.
     """
     m = as_matrix(A)
     names = list(theorems) if theorems else list(SIGMA_CHECKS)
@@ -699,14 +688,13 @@ def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConf
         raise ValueError(f"unknown theorem selector(s): {unknown}")
 
     shared = dict(A=m, grid=field, config=transient, n_angles=n_angles, S=s_mat,
-                  alpha=alpha, beta=beta, count=samples,
-                  range_polygon=_range_polygon_of(m, n_angles))
+                  alpha=alpha, beta=beta, count=samples)
     reports: list[TheoremReport] = []
     for i_eps, e in enumerate(eps_vals):
         for i_t, name in enumerate(names):
             args = dict(shared, eps=e, seed=seed + 1009 * i_eps + 31 * i_t)
             runs = [(name, CONDITION)]
-            if companions and name in COMPANIONS:
+            if name in COMPANIONS:
                 runs.append((COMPANIONS[name], PSEUDO))
             for check_name, kind in runs:
                 try:

@@ -29,7 +29,7 @@ from .numkernel import (
     svd,
 )
 from .report import TheoremReport
-from .spectra import BOUNDARY_BAND, eps_value, in_condition_spectrum
+from .spectra import BOUNDARY_BAND, CONDITION, in_condition_spectrum
 
 # Eigen-membership tolerance used by certificates: sigma_min((A+E) - z).
 _CERT_EIG_TOL = 1e-8
@@ -107,7 +107,7 @@ def witness_vector(A, z: complex, eps) -> np.ndarray:
     """Unit u with ||(z - A)u|| <= eps*||z - A||: the right singular vector
     of the smallest singular value of z*I - A.  At an eigenvalue this is a
     normalized eigenvector and the residual is zero."""
-    e = eps_value(eps)
+    e = CONDITION.eps(eps)
     m = as_matrix(A)
     if not in_condition_spectrum(m, z, e):
         raise NotAMemberError(f"z = {z} is not in the {e}-condition spectrum")
@@ -122,7 +122,7 @@ def witness_perturbation(A, z: complex, eps) -> Witness:
     spectral norm, giving E = -eps_hat * v u*.  When z is (numerically) an
     exact eigenvalue the residual is below the rank threshold and E = 0.
     """
-    e = eps_value(eps)
+    e = CONDITION.eps(eps)
     m = as_matrix(A)
     if not in_condition_spectrum(m, z, e):
         raise NotAMemberError(f"z = {z} is not in the {e}-condition spectrum")
@@ -146,7 +146,7 @@ def membership_from_perturbation(A, z: complex, E, eps) -> bool:
     """Validate a third-party certificate: accept iff ||E|| <= eps*||z - A||
     (1e-12 relative slack) and z is an eigenvalue of A + E.  Acceptance
     guarantees condition-spectrum membership of z."""
-    e = eps_value(eps)
+    e = CONDITION.eps(eps)
     m = as_matrix(A)
     pert = as_matrix(E)
     shifted, shifted_sum = m.shifted(z), (m.entries + pert.entries) - z * np.eye(m.n)
@@ -165,7 +165,7 @@ def check_equivalence(A, z: complex, eps) -> TheoremReport:
     flagged boundary-indeterminate: the routes differ there only by
     rounding, so they are excluded from hard agreement.
     """
-    e = eps_value(eps)
+    e = CONDITION.eps(eps)
     m = as_matrix(A)
     u, smin, smax = _smallest_right_singular_vector(m.shifted(z))
 
@@ -178,7 +178,7 @@ def check_equivalence(A, z: complex, eps) -> TheoremReport:
     w = _build_witness(m, z)
     route_certificate = membership_from_perturbation(m, z, w.E, e)
 
-    boundary = np.isfinite(ratio) and abs(ratio * e - 1.0) <= BOUNDARY_BAND
+    boundary = np.isfinite(ratio) and CONDITION.off_level(ratio, e) <= BOUNDARY_BAND
     agree = route_ratio == route_vector == route_certificate
     return TheoremReport(
         theorem_id="EQ",

@@ -139,6 +139,17 @@ def test_malformed_matrix_exits_2(tmp_path):
                  "--out", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize("samples", ["-5", "0", "2.5"])
+def test_verify_rejects_samples_below_one_at_parse_time(diag_file, tmp_path, capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--matrix", str(diag_file), "--samples", samples,
+              "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --samples:" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def _cli_import_output(module):
     """stdout of a fresh `import condspec.cli` that then prints whether
     `module` is loaded; anything but exactly "False" fails the caller."""
@@ -249,13 +260,14 @@ def _field_csv_2x2(values):
     ("field.csv", "re,im,sigma_min,sigma_max,ratio\n"),
     ("field.csv", _field_csv_2x2("1,1")),
     ("field.csv", _field_csv_2x2("1,1,1,1")),
+    ("field.csv", "re,im,sigma_min,sigma_max,ratio\n0,0,1,1,1\n0,0,1,1,1\n1,0,1,1,1\n1,1,1,1,1\n"),
     ("contours_condition.json", '[[{"x": 1}]]'),
     ("contours_condition.json", '[{"eps": 0.1}]'),
     ("contours_condition.json", '{"eps": 0.1, "polylines": []}'),
     ("contours_condition.json", '[{"eps": 0.1, "polylines": [{"x": 1}]}]'),
     ("contours_condition.json", f'[{{"eps": 0.1, "polylines": [[[{10**400}, 1]]]}}]'),
     ("contours_condition.json", f'[{{"eps": {10**400}, "polylines": []}}]'),
-], ids=["header-only", "4-columns", "6-columns", "level-not-object", "no-polylines",
+], ids=["header-only", "4-columns", "6-columns", "duplicated-node", "level-not-object", "no-polylines",
         "not-a-list", "polyline-not-list", "point-past-float64", "eps-past-float64"])
 def test_plot_rejects_malformed_inputs_with_exit_2(tmp_path, capsys, name, text):
     path = tmp_path / name

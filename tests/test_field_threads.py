@@ -127,8 +127,7 @@ def test_suite_runs_pinned_and_restores(blas_at_two, monkeypatch):
         return inner(**kwargs)
 
     monkeypatch.setattr(theorems, "check_t1", recording)
-    theorems.run_suite(generate("random", 4, seed=1), [0.1], theorems=["t1"], grid=7,
-                       companions=False)
+    theorems.run_suite(generate("random", 4, seed=1), [0.1], theorems=["t1"], grid=7)
     assert seen == [[1] * len(controls)]
     assert _blas_counts() == [2] * len(controls)
     assert _pin_lock_free()
@@ -176,6 +175,33 @@ def test_standalone_check_bytes_independent_of_blas_threads():
                              text=True, env=env, check=True, timeout=300)
         outputs[blas] = out.stdout
     assert len(outputs["1"].splitlines()) == 4
+    assert outputs["1"] == outputs["2"]
+
+
+# At n = 128 a multi-threaded OpenBLAS rounds W(A)'s batched eigh and T5's
+# solve and product differently (at n = 72 it does not); both take the pin.
+_RANGE_AND_T5 = """
+import hashlib, json
+import numpy as np
+from condspec import theorems
+from condspec.matrixio import generate
+A = generate("random", 128, seed=11)
+print(hashlib.sha256(theorems.numerical_range_boundary(A).boundary_points.tobytes()).hexdigest())
+S = np.eye(128) + 0.02 * np.random.default_rng(3).standard_normal((128, 128))
+report = theorems.check_t5(A, S, 0.01, z_samples=A.eigvals[:8] + 0.05)
+print(json.dumps(report.to_dict(), sort_keys=True))
+"""
+
+
+@needs_openblas
+def test_range_boundary_and_t5_bytes_independent_of_blas_threads():
+    outputs = {}
+    for blas in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=blas)
+        out = subprocess.run([sys.executable, "-c", _RANGE_AND_T5], capture_output=True,
+                             text=True, env=env, check=True, timeout=300)
+        outputs[blas] = out.stdout
+    assert len(outputs["1"].splitlines()) == 2
     assert outputs["1"] == outputs["2"]
 
 

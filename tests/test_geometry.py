@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from condspec.geometry import convex_hull, distance_to_polygon, hull_depths
 from condspec.matrixio import generate
-from condspec.numkernel import as_matrix, spectral_norm
+from condspec.numkernel import _single_threaded_blas, as_matrix, spectral_norm
 from condspec.spectra import KIND_CONDITION, KIND_PSEUDO, GridSpec, compute_field
 from condspec.theorems import check_t9, check_t9e, numerical_range_boundary
 
@@ -101,8 +101,10 @@ def reference_distance(points, poly):
     return dmin
 
 
+@_single_threaded_blas()
 def reference_range(A, n_angles):
-    """One Hermitian eigensolve per support angle."""
+    """One Hermitian eigensolve per support angle, under the BLAS pin that
+    numerical_range_boundary runs under (unpinned, n = 65 rounds otherwise)."""
     m = as_matrix(A)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     points = np.empty(n_angles, dtype=np.complex128)

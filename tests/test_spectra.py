@@ -22,11 +22,11 @@ from condspec.spectra import (
     condition_number_at,
     condition_spectral_radius,
     distance_to_condition_spectrum,
-    eps_value,
     in_condition_spectrum,
     in_pseudospectrum,
     read_field_csv,
     read_field_grid,
+    spectrum_kind,
     write_field_csv,
 )
 
@@ -48,9 +48,9 @@ def test_epsilon_validation():
         Epsilon(-0.1)
     # condition range excludes 1, pseudospectrum admits any positive value
     with pytest.raises(ValueError):
-        eps_value(1.5, "condition")
-    assert eps_value(1.5, "pseudo") == 1.5
-    assert eps_value(Epsilon(0.25)) == 0.25
+        spectrum_kind("condition").eps(1.5)
+    assert spectrum_kind("pseudo").eps(1.5) == 1.5
+    assert spectrum_kind("condition").eps(Epsilon(0.25)) == 0.25
 
 
 def test_gridspec_validation():
@@ -433,6 +433,18 @@ def test_field_grid_leaves_value_tokens_unparsed_in_compute_order():
     assert read_field_grid(io.StringIO(text)) == GridSpec(0.0, 2.0, -1.0, 1.0, 3, 2)
     with pytest.raises(ValueError):
         read_field_csv(io.StringIO(text))
+
+
+_DUPLICATED_NODE = "re,im,sigma_min,sigma_max,ratio\n" + "".join(
+    f"{re},{im},1,1,1\n" for re, im in ((0, 0), (0, 0), (1, 0), (1, 1)))
+
+
+@pytest.mark.parametrize("reader", [read_field_csv, read_field_grid])
+def test_field_csv_with_a_duplicated_node_is_rejected(reader):
+    # Two re and two im values over four rows, but node (0, 1) is missing.
+    with pytest.raises(ValueError, match=r"data row 2 \(re 0, im 0\) is where node "
+                                         r"\(re 0, im 1\) belongs"):
+        reader(io.StringIO(_DUPLICATED_NODE))
 
 
 def test_field_grid_keeps_only_the_axes_in_memory(tmp_path):

@@ -6,8 +6,9 @@ import pytest
 from condspec.errors import PreconditionError
 from condspec.geometry import convex_hull, distance_to_polygon
 from condspec.matrixio import generate
-from condspec.numkernel import eigenvalues, spectral_norm
-from condspec.spectra import GridSpec, compute_field
+from condspec import theorems
+from condspec.numkernel import U_MACH, as_matrix, eigenvalues, spectral_norm
+from condspec.spectra import CONDITION, PSEUDO, GridSpec, bounding_region, compute_field
 from condspec.theorems import (
     Disk,
     TransientConfig,
@@ -194,6 +195,15 @@ def test_t6_precondition_strict():
         check_t6(DIAG, 0.5, TransientConfig(M=2.0, k_max=5))  # M = 1/eps exactly
 
 
+def test_t6_needs_no_grid_covering_the_bounding_disk():
+    # D(0, (1.05/0.95)*||A||) has radius 5.7; the members on [-2, 2]^2 still
+    # bound the radius from below, which is all the antecedent needs.
+    A = np.array([[0.9, 5.0], [0.0, 0.9]])
+    r = check_t6(A, 0.05, TransientConfig(2, 50), grid=GridSpec(-2, 2, -2, 2, 41, 41))
+    assert r.passed and r.details["status"] == "growth observed"
+    assert r.rhs < r.lhs <= bounding_region(A, 0.05)
+
+
 def test_t6e_growth_observed():
     A = np.array([[0.9, 5.0], [0.0, 0.9]])
     r = check_t6e(A, 0.05, TransientConfig(M=2.0, k_max=50), grid=201)
@@ -246,6 +256,13 @@ def test_t7_inadmissible_k():
         check_t7(DIAG, 0.2, k_list=[3], grid=81)  # 7*0.2 = 1.4 >= 1
 
 
+def test_t7e_leaves_out_members_on_the_level():
+    # sigma_min(1.25 - diag(1, -1)) = 0.25 exactly: the sample sits in the
+    # boundary band and only the two eigenvalues are members, as in T7σ.
+    r = check_t7e(DIAG, 0.25, k_list=[1], grid=21, z_samples=[1.25])
+    assert r.passed and r.details["members"] == 2
+
+
 def test_t7e_inadmissible_k():
     with pytest.raises(PreconditionError, match=r"k = 4 inadmissible: k\*eps = 1\.2 >= \|\|A\|\|"):
         check_t7e(DIAG, 0.3, k_list=[0, 4], grid=81)  # 4*0.3 >= ||A|| = 1
@@ -264,6 +281,31 @@ def test_t7_empty_k_list_rejected_as_empty(check):
 
 
 # --- T8 ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", [CONDITION, PSEUDO], ids=["condition", "pseudo"])
+def test_eps_to_zero_limit_of_pad_radius_and_disks(kind):
+    # At eps = 2^-k the pad goes to 0, the bounding radius to ||A|| and
+    # T8's disks to the plain Gerschgorin disks; at eps = 0 itself the
+    # validator names the error.
+    m = as_matrix(random_complex(4, 62))
+    absA = np.abs(m.entries)
+    rows = absA.sum(axis=1) - np.diag(absA)
+    pads = []
+    for k in range(1, 61):
+        e = 2.0 ** -k
+        pads.append(kind.pad(e, lambda: m.norm))
+        assert 0.0 < pads[-1] <= 4.0 * e * m.norm
+        assert 0.0 <= kind.radius(e, m.norm) - m.norm <= pads[-1] + 4.0 * U_MACH * m.norm
+        radii = [d.radius for d in theorems._gerschgorin_disks(kind, m, e)]
+        assert np.array_equal(radii, rows + 2.0 * pads[-1])  # sqrt(N) = 2: exact
+    assert pads == sorted(pads, reverse=True) and len(set(pads)) == len(pads)
+    # Below half an ulp of ||A|| and of every row sum, the limit is exact.
+    assert kind.radius(2.0 ** -60, m.norm) == m.norm
+    assert np.array_equal([d.radius for d in theorems._gerschgorin_disks(kind, m, 2.0 ** -60)],
+                          rows)
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        kind.eps(0.0)
+
 
 def test_gerschgorin_reduces_to_classical():
     A = random_complex(3, 60)
