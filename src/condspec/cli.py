@@ -216,10 +216,18 @@ def _parse_eps_list(text: str) -> tuple:
     return eps
 
 
-def _parse_count(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+def _bounded_int(low: int, high: int | None = None):
+    """argparse type: an integer from low to high (no upper bound if None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text!r}")
+        return value
+    return parse
 
 
 def _parse_theorems(text: str) -> tuple:
@@ -245,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=None, help="override matrix format detection")
         p.add_argument("--eps", type=_parse_eps_list, default=DEFAULT_EPS,
                        help="comma-separated eps values (default 0.1,0.2,0.3)")
-        p.add_argument("--grid", type=int, default=161, help="grid nodes per axis")
+        p.add_argument("--grid", type=_bounded_int(2, matrixio.MAX_GRID_NODES), default=161,
+                       help=f"grid nodes per axis, 2 to {matrixio.MAX_GRID_NODES}")
         p.add_argument("--seed", type=int, default=0)
 
     p_comp = sub.add_parser("compute", help="write the field CSV and contour JSON")
@@ -261,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--k-max", type=int, default=50)
     p_ver.add_argument("--M", type=float, default=2.0)
     p_ver.add_argument("--angles", type=int, default=256)
-    p_ver.add_argument("--samples", type=_parse_count, default=48)
+    p_ver.add_argument("--samples", type=_bounded_int(1), default=48)
     p_ver.add_argument("--certificate", default=None,
                        help="witness JSON to validate as a membership certificate")
     p_ver.add_argument("--out", default="report.json")
@@ -273,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--matrix", default=None, help="matrix file for eigenvalue markers")
     p_plot.add_argument("--format", default=None)
     p_plot.add_argument("--out", default="condspec.svg")
-    p_plot.add_argument("--width", type=int, default=640)
-    p_plot.add_argument("--height", type=int, default=640)
+    p_plot.add_argument("--width", type=_bounded_int(svgplot.MIN_SIZE), default=640)
+    p_plot.add_argument("--height", type=_bounded_int(svgplot.MIN_SIZE), default=640)
 
     p_gen = sub.add_parser("gen", help="generate an example matrix")
     p_gen.add_argument("--kind", choices=["jordan", "diag", "random", "rotation"],

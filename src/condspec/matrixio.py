@@ -18,7 +18,10 @@ from . import jsonio
 from .errors import ParseError
 from .numkernel import ComplexMatrix, as_matrix
 
+# Largest matrix dimension parse_matrix accepts, and the most grid nodes per
+# axis the CLI accepts (a 4096^2 grid's node array alone takes 256 MiB).
 MAX_DIMENSION = 512
+MAX_GRID_NODES = 4096
 
 FORMAT_MATRIX_MARKET = "matrix-market"
 FORMAT_JSON = "json"

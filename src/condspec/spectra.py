@@ -540,18 +540,55 @@ def component_count(field: SpectralField, eps) -> int:
         iy = int(np.argmin(np.abs(im - lam.imag)))
         mask[ix, iy] = True
 
-    from scipy import ndimage  # deferred: it dominates the import time of the CLI
+    labels, count = _label(mask)
+    # A component is reached when one of its nodes is not farther than a
+    # grid diagonal from the nearest eigenvalue.
+    far = np.abs(field.grid.nodes()[mask] - eig[:, None]).min(axis=0) > field.grid.cell_diagonal()
+    reached = np.zeros(count + 1, bool)
+    reached[labels[mask][~far]] = True
+    missed = np.flatnonzero(~reached[1:])
+    if missed.size:
+        raise GridResolutionError(
+            f"component {missed[0] + 1} of {count} contains no eigenvalue within one "
+            f"grid diagonal; refine the grid")
+    return count
 
-    labels, count = ndimage.label(mask)
-    nodes = field.grid.nodes()
-    diag = field.grid.cell_diagonal()
-    for c in range(1, count + 1):
-        comp_nodes = nodes[labels == c]
-        if np.abs(comp_nodes[None, :] - eig[:, None]).min() > diag:
-            raise GridResolutionError(
-                f"component {c} of {count} contains no eigenvalue within one "
-                f"grid diagonal; refine the grid")
-    return int(count)
+
+def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected components of a 2-D boolean mask: (labels, count), with
+    int32 labels 1..count numbered in raster order of each component's
+    first node and 0 off the mask.
+
+    The runs of True along each row are joined to the overlapping runs of
+    the next row by a union-find whose root is the lowest run index, so
+    ranking the roots numbers the components in raster order."""
+    width = mask.shape[1] + 1
+    # Run boundaries alternate start, stop in raster order; a boundary's key
+    # is row * width + column, the stop exclusive.
+    start, stop = np.flatnonzero(np.diff(mask, axis=1, prepend=False, append=False)).reshape(-1, 2).T
+    # The runs a of the row above run b that overlap it are lo[b] <= a < hi[b].
+    lo = np.searchsorted(stop, start - width, side="right")
+    hi = np.searchsorted(start, stop - width, side="left")
+    pairs = hi - lo
+    above = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs - lo, pairs)
+    below = np.repeat(np.arange(start.size), pairs)
+    parent = list(range(start.size))
+
+    def root(r):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    for a, b in zip(above.tolist(), below.tolist()):
+        ra, rb = root(a), root(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    roots = np.array(parent, dtype=np.intp)
+    while (roots[roots] != roots).any():
+        roots = roots[roots]
+    is_root = roots == np.arange(roots.size)
+    labels = np.zeros(mask.shape, np.int32)
+    labels[mask] = np.repeat(np.cumsum(is_root, dtype=np.int32)[roots], stop - start)
+    return labels, int(is_root.sum())
 
 
 # ---------------------------------------------------------------------------

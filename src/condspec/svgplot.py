@@ -10,6 +10,11 @@ import numpy as np
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#17becf")
 
+# Pixels between the image edge and the plot frame; a side shorter than
+# MIN_SIZE leaves the frame no interior.
+MARGIN = 48
+MIN_SIZE = 2 * MARGIN + 1
+
 
 def _fmt(x: float) -> str:
     return "%.4f" % x
@@ -70,8 +75,7 @@ def render_svg(contour_groups, eigenvalues=None, bounds=None,
         pad = 0.1 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-6)
         bounds = (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
 
-    margin = 48
-    m = _Mapper(bounds, width, height, margin)
+    m = _Mapper(bounds, width, height, MARGIN)
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -79,8 +83,8 @@ def render_svg(contour_groups, eigenvalues=None, bounds=None,
     out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
 
     # Frame and ticks
-    x0, y0 = margin, margin
-    x1, y1 = width - margin, height - margin
+    x0, y0 = MARGIN, MARGIN
+    x1, y1 = width - MARGIN, height - MARGIN
     out.append(f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" '
                f'fill="none" stroke="#333333" stroke-width="1"/>')
     for t in _ticks(bounds[0], bounds[1]):

@@ -150,6 +150,65 @@ def test_verify_rejects_samples_below_one_at_parse_time(diag_file, tmp_path, cap
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["plot", "--contours", "c.json", "--width", "0"],
+    ["plot", "--contours", "c.json", "--width", "-5", "--height", "10"],
+    ["plot", "--contours", "c.json", "--height", "96"],
+    ["compute", "--matrix", "A.json", "--grid", "1"],
+    ["compute", "--matrix", "A.json", "--grid", "100000"],
+    ["compute", "--matrix", "A.json", "--grid", "x"],
+    ["verify", "--matrix", "A.json", "--grid", "1"],
+    ["verify", "--matrix", "A.json", "--grid", "100000"],
+    ["verify", "--matrix", "A.json", "--grid", "x"],
+], ids=["plot-width-0", "plot-width-negative", "plot-height-inside-margins", "compute-grid-1",
+        "compute-grid-100000", "compute-grid-not-integer", "verify-grid-1",
+        "verify-grid-100000", "verify-grid-not-integer"])
+def test_rejects_out_of_range_sizes_at_parse_time(tmp_path, capsys, argv):
+    # Rejected before any file is read or any array allocated.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    flag = next(a for a in argv if a in ("--width", "--height", "--grid"))
+    assert f"argument {flag}:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_plot_accepts_the_smallest_frame(diag_field_csv, tmp_path):
+    _, contours = diag_field_csv
+    svg = tmp_path / "small.svg"
+    assert main(["plot", "--contours", str(contours), "--width", "97", "--height", "97",
+                 "--out", str(svg)]) == 0
+    frame = [e for e in ET.parse(svg).getroot().iter(f"{SVG_NS}rect") if e.get("fill") == "none"]
+    assert [(e.get("width"), e.get("height")) for e in frame] == [("1", "1")]
+
+
+def test_compute_verify_and_plot_leave_scipy_unloaded(diag_file, tmp_path):
+    # One interpreter runs every command that computes, T3's component
+    # count included, then lists the scipy modules it holds.
+    script = f"""
+import json, sys
+from condspec.cli import main
+base, matrix = {str(tmp_path)!r}, {str(diag_file)!r}
+assert main(["compute", "--matrix", matrix, "--eps", "0.2", "--kind", "both",
+             "--grid", "41", "--out", base + "/c"]) == 0
+assert main(["verify", "--matrix", matrix, "--eps", "0.2", "--theorems", "all",
+             "--grid", "41", "--samples", "8", "--out", base + "/r.json"]) == 0
+assert main(["plot", "--field", base + "/c/field.csv", "--contours",
+             base + "/c/contours_condition.json", "--matrix", matrix,
+             "--out", base + "/p.svg"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert jsonio.loads(out.stdout.splitlines()[-1]) == []
+    [t3] = [e for e in jsonio.loads((tmp_path / "r.json").read_text())
+            if e["theorem_id"] == "T3σ"]
+    assert t3["passed"] and t3["lhs"] == 2.0
+
+
 def _cli_import_output(module):
     """stdout of a fresh `import condspec.cli` that then prints whether
     `module` is loaded; anything but exactly "False" fails the caller."""

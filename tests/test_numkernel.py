@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from condspec.errors import ConvergenceError
 from condspec.numkernel import (
+    U_MACH,
     ComplexMatrix,
     as_matrix,
     condition_number,
+    condition_ratio,
     eigen_decomposition,
     eigenvalues,
     power_norms,
@@ -355,6 +357,42 @@ def test_shifted_extremes_matches_per_point_svd_bitwise(A, points, n_eigs):
     smin, smax = shifted_extremes(m, zs)
     expected = np.array([singular_values(m.shifted(z))[[-1, 0]] for z in zs]).reshape(-1, 2)
     assert np.array_equal(smin, expected[:, 0]) and np.array_equal(smax, expected[:, 1])
+
+
+@st.composite
+def gaussian_cases(draw, max_n=8):
+    """A complex Gaussian matrix with n from 1 to max_n, and points: four
+    uniform ones plus its eigenvalues, where the singularity rule is decided."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    zs = np.concatenate([rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4), eigenvalues(A)])
+    return A, zs
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussian_cases(), st.sampled_from([-40, 40]))
+def test_shifted_extremes_scale_exactly_by_powers_of_two(case, k):
+    # 2**k (zI - A) is exact in floating point and LAPACK's SVD scales with it.
+    A, zs = case
+    s = 2.0 ** k
+    smin, smax = shifted_extremes(A, zs)
+    smin_s, smax_s = shifted_extremes(s * A, s * zs)
+    assert np.array_equal(smin_s, s * smin) and np.array_equal(smax_s, s * smax)
+    n = A.shape[0]
+    assert np.array_equal(condition_ratio(smin_s, smax_s, n), condition_ratio(smin, smax, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussian_cases())
+def test_shifted_extremes_of_the_conjugate_transpose(case):
+    # conj(z) I - A* is the conjugate transpose of zI - A: the same singular
+    # values in exact arithmetic, a different rounding path in LAPACK.
+    A, zs = case
+    smin, smax = shifted_extremes(A, zs)
+    smin_h, smax_h = shifted_extremes(A.conj().T, zs.conj())
+    tol = 4 * A.shape[0] * U_MACH * smax
+    assert (np.abs(smin_h - smin) <= tol).all() and (np.abs(smax_h - smax) <= tol).all()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from condspec import spectra
-from condspec.errors import GridTooSmallError
+from condspec.errors import GridResolutionError, GridTooSmallError
 from condspec.matrixio import generate
-from condspec.numkernel import eigenvalues
+from condspec.numkernel import as_matrix, eigenvalues
 from condspec.spectra import (
     Epsilon,
     GridSpec,
@@ -288,6 +289,71 @@ def test_components_hausdorff_convergence():
 
     h = [one_sided_hausdorff(e) for e in (0.3, 0.1, 0.03)]
     assert h[0] >= h[1] >= h[2]
+
+
+def test_component_without_eigenvalue_is_named_in_raster_order():
+    # A blob at 0, between the eigenvalue components of diag(1, -1), is
+    # component 2 of 3 when numbered in raster order (re index outer).
+    grid = GridSpec.square(2.0, 41)
+    ratio = np.ones((41, 41))
+    ratio[[10, 30], 20] = np.inf
+    ratio[19:22, 19:22] = np.inf
+    field = SpectralField(grid, np.ones_like(ratio), np.ones_like(ratio), ratio,
+                          as_matrix(DIAG))
+    with pytest.raises(GridResolutionError, match=r"^component 2 of 3 contains no eigenvalue"):
+        component_count(field, 0.2)
+
+
+# --- the component labeler, against scipy.ndimage.label ------------------------------
+
+def assert_labels_match_ndimage(mask):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    expected, expected_count = ndimage.label(mask)
+    labels, count = spectra._label(mask)
+    assert count == expected_count
+    assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=29)))
+def test_labeler_matches_ndimage(mask):
+    assert_labels_match_ndimage(mask)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.floats(0.3, 0.7), st.integers(0, 2**32 - 1))
+def test_labeler_matches_ndimage_on_dense_masks(nx, ny, density, seed):
+    # Half-full masks join and split many runs between rows.
+    assert_labels_match_ndimage(np.random.default_rng(seed).random((nx, ny)) < density)
+
+
+def _rings(n):
+    i = np.abs(np.arange(n) - n // 2)
+    return np.maximum(i[:, None], i[None, :]) % 3 == 0
+
+
+def _spiral(n):
+    """One square spiral, one node wide, with one-node gaps: ring k is
+    opened below its top-left corner and led into ring k + 2."""
+    mask = np.zeros((n, n), bool)
+    for k in range(0, n // 2, 2):
+        lo, hi = k, n - 1 - k
+        mask[lo, lo:hi + 1] = mask[hi, lo:hi + 1] = True
+        mask[lo:hi + 1, lo] = mask[lo:hi + 1, hi] = True
+        if hi - lo > 4:
+            mask[lo + 1, lo] = False
+            mask[lo + 2, lo + 1] = True
+    return mask
+
+
+@pytest.mark.parametrize("mask", [
+    np.ones((1, 9), bool), np.ones((9, 1), bool), np.array([[1, 0, 1, 1, 0, 1]], bool),
+    np.array([[1, 0, 1, 1, 0, 1]], bool).T, np.zeros((7, 5), bool), np.ones((6, 8), bool),
+    np.indices((161, 161)).sum(axis=0) % 2 == 0, _rings(41), _spiral(41), ~_spiral(40),
+], ids=["row", "column", "row-runs", "column-runs", "all-false", "all-true", "checkerboard-161",
+        "nested-rings", "spiral", "spiral-complement"])
+def test_labeler_matches_ndimage_on_fixed_masks(mask):
+    assert_labels_match_ndimage(mask)
 
 
 # --- CSV serialization ----------------------------------------------------------------
