@@ -33,6 +33,7 @@ from .spectra import (
     KIND_PSEUDO,
     compute_field,
     extract_contours,
+    read_field_grid,
     spectrum_kind,
     write_field_csv,
 )
@@ -96,29 +97,23 @@ def cmd_compute(config: RunConfig) -> list[Path]:
     return written
 
 
-def cmd_verify(config: RunConfig) -> tuple[list, int]:
+def cmd_verify(config: RunConfig) -> int:
     """Run the selected checks, write the report JSON, return exit code.
     A certificate is loaded before the suite runs, so a malformed one
     fails fast; its membership is checked after the suite."""
-    reports = []
-    try:
-        witness = None if config.certificate is None else _load_certificate(config)
-        suite = run_suite(
-            config.matrix, config.eps_list,
-            theorems=config.theorems or None,
-            grid=config.resolve_grid(),
-            transient=TransientConfig(M=config.M, k_max=config.k_max),
-            n_angles=config.n_angles,
-            seed=config.seed,
-            samples=config.samples,
-            strict=bool(config.theorems),
-        )
-        reports.extend(suite)
-        if witness is not None:
-            reports.append(_certificate_report(config, witness))
-    except (PreconditionError, GridTooSmallError, ValueError) as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return reports, 2
+    witness = None if config.certificate is None else _load_certificate(config)
+    reports = run_suite(
+        config.matrix, config.eps_list,
+        theorems=config.theorems or None,
+        grid=config.resolve_grid(),
+        transient=TransientConfig(M=config.M, k_max=config.k_max),
+        n_angles=config.n_angles,
+        seed=config.seed,
+        samples=config.samples,
+        strict=bool(config.theorems),
+    )
+    if witness is not None:
+        reports.append(_certificate_report(config, witness))
     out = Path(config.out)
     if out.suffix != ".json":
         out = out / "report.json"
@@ -133,7 +128,7 @@ def cmd_verify(config: RunConfig) -> tuple[list, int]:
     passed = [r for r in reports if r.passed and not r.skipped]
     print(f"{len(passed)} passed ({sum(r.vacuous for r in passed)} vacuous), "
           f"{len(failed)} failed, {len(reports) - len(passed) - len(failed)} skipped")
-    return reports, (1 if failed else 0)
+    return 1 if failed else 0
 
 
 def _load_certificate(config: RunConfig):
@@ -161,7 +156,6 @@ def cmd_plot(field_path, contour_paths, matrix: ComplexMatrix | None,
     """Render contour JSON (plus optional eigenvalue markers) to SVG."""
     bounds = None
     if field_path is not None:
-        from .spectra import read_field_grid
         with open(field_path) as fp:
             grid = read_field_grid(fp)
         bounds = (grid.re_min, grid.re_max, grid.im_min, grid.im_max)
@@ -267,9 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_ver)
     p_ver.add_argument("--theorems", type=_parse_theorems, default=(),
                        help="'all' (default) or comma-separated t1..t10")
-    p_ver.add_argument("--k-max", type=int, default=50)
+    p_ver.add_argument("--k-max", type=_bounded_int(1, matrixio.MAX_K_MAX), default=50,
+                       help=f"T6 power horizon, 1 to {matrixio.MAX_K_MAX}")
     p_ver.add_argument("--M", type=float, default=2.0)
-    p_ver.add_argument("--angles", type=int, default=256)
+    p_ver.add_argument("--angles", type=_bounded_int(8, matrixio.MAX_ANGLES), default=256,
+                       help=f"T9 support angles, 8 to {matrixio.MAX_ANGLES}")
     p_ver.add_argument("--samples", type=_bounded_int(1), default=48)
     p_ver.add_argument("--certificate", default=None,
                        help="witness JSON to validate as a membership certificate")
@@ -288,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate an example matrix")
     p_gen.add_argument("--kind", choices=["jordan", "diag", "random", "rotation"],
                        required=True)
-    p_gen.add_argument("--n", type=int, default=2)
+    p_gen.add_argument("--n", type=_bounded_int(1, matrixio.MAX_DIMENSION), default=2,
+                       help=f"dimension, 1 to {matrixio.MAX_DIMENSION}")
     p_gen.add_argument("--value", default="0", help="jordan eigenvalue, e.g. 0.9 or 1+2i")
     p_gen.add_argument("--values", default=None, help="diag entries, e.g. 1,-1")
     p_gen.add_argument("--angle", type=float, default=0.5)
@@ -332,8 +329,7 @@ def main(argv=None) -> int:
                 out=Path(args.out), seed=args.seed, theorems=args.theorems,
                 k_max=args.k_max, M=args.M, n_angles=args.angles, samples=args.samples,
                 certificate=Path(args.certificate) if args.certificate else None)
-            _, code = cmd_verify(config)
-            return code
+            return cmd_verify(config)
     except (ParseError, PreconditionError, GridTooSmallError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -71,14 +71,6 @@ def dedupe_ring(points: np.ndarray, tol: float) -> np.ndarray:
     return p[keep]
 
 
-# Points per block in distance_to_polygon: bounds its (edges x points)
-# temporaries for callers that pass many points, such as tests measuring
-# whole member sets; T9 passes hull vertices, far fewer than one block.
-# Each point's distance is computed on its own, so the block size changes
-# no value.
-_DISTANCE_BLOCK = 1024
-
-
 def distance_to_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to a convex polygon (as a set:
     zero inside).  Degenerate polygons (segment/point) are handled as the
@@ -98,18 +90,14 @@ def distance_to_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     area = polygon_signed_area(poly) if len(poly) >= 3 else 0.0
     ccw = poly if area > 0 else poly[::-1]
     ccw_d = np.roll(ccw, -1, axis=0) - ccw
-    out = np.empty(len(pts))
-    for lo in range(0, len(pts), _DISTANCE_BLOCK):
-        blk = pts[lo:lo + _DISTANCE_BLOCK]
-        t = np.clip(((blk - a[:, None, :]) @ d[:, :, None])[:, :, 0] / L2, 0.0, 1.0)
-        proj = a[:, None, :] + t[:, :, None] * d[:, None, :]
-        dist = np.hypot(blk[:, 0] - proj[:, :, 0], blk[:, 1] - proj[:, :, 1]).min(axis=0)
-        if abs(area) > 0.0:
-            cr = (ccw_d[:, None, 0] * (blk[:, 1] - ccw[:, None, 1])
-                  - ccw_d[:, None, 1] * (blk[:, 0] - ccw[:, None, 0]))
-            dist = np.where((cr >= 0.0).all(axis=0), 0.0, dist)
-        out[lo:lo + len(blk)] = dist
-    return out
+    t = np.clip(((pts - a[:, None, :]) @ d[:, :, None])[:, :, 0] / L2, 0.0, 1.0)
+    proj = a[:, None, :] + t[:, :, None] * d[:, None, :]
+    dist = np.hypot(pts[:, 0] - proj[:, :, 0], pts[:, 1] - proj[:, :, 1]).min(axis=0)
+    if abs(area) > 0.0:
+        cr = (ccw_d[:, None, 0] * (pts[:, 1] - ccw[:, None, 1])
+              - ccw_d[:, None, 1] * (pts[:, 0] - ccw[:, None, 0]))
+        dist = np.where((cr >= 0.0).all(axis=0), 0.0, dist)
+    return dist
 
 
 def hull_depths(points: np.ndarray, hull: np.ndarray) -> np.ndarray:

@@ -222,21 +222,27 @@ def _entries(m) -> np.ndarray:
     return as_matrix(m).entries
 
 
+@contextlib.contextmanager
+def _lapack_failure(what: str):
+    """Raise a LAPACK LinAlgError inside as ConvergenceError("<what>: ...").
+    Like _single_threaded_blas(), usable as a decorator."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{what}: {exc}") from exc
+
+
 @_single_threaded_blas()
+@_lapack_failure("SVD did not converge")
 def singular_values(M) -> np.ndarray:
     """All singular values of M, descending."""
-    try:
-        return np.linalg.svd(_entries(M), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    return np.linalg.svd(_entries(M), compute_uv=False)
 
 
 @_single_threaded_blas()
+@_lapack_failure("SVD did not converge")
 def svd(M) -> SVDResult:
-    try:
-        u, s, vh = np.linalg.svd(_entries(M))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    u, s, vh = np.linalg.svd(_entries(M))
     return SVDResult(s, left_vectors=u, right_vectors=vh.conj().T)
 
 
@@ -270,10 +276,8 @@ def _extremes(a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         stack = z[:, None, None] * np.eye(a.shape[0], dtype=np.complex128) - a
     if not np.isfinite(stack).all():
         raise ValueError("shifted matrix entries must be finite (no NaN/Inf)")
-    try:
+    with _lapack_failure("SVD did not converge"):
         s = np.linalg.svd(stack, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     return s[:, -1], s[:, 0]
 
 
@@ -309,21 +313,17 @@ def condition_number(S) -> float:
 
 
 @_single_threaded_blas()
+@_lapack_failure("eigenvalue iteration did not converge")
 def eigenvalues(A) -> np.ndarray:
     """All N eigenvalues with multiplicity (unordered multiset)."""
-    try:
-        return np.linalg.eigvals(_entries(A))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+    return np.linalg.eigvals(_entries(A))
 
 
 @_single_threaded_blas()
 def eigen_decomposition(A) -> EigenDecomposition:
     m = as_matrix(A)
-    try:
+    with _lapack_failure("eigenvalue iteration did not converge"):
         w, v = np.linalg.eig(m.entries)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
     sv = np.linalg.svd(v, compute_uv=False)
     rank = int(np.count_nonzero(sv > singularity_threshold(m.n, float(sv[0]))))
     return EigenDecomposition(w, v, max(rank, 1))

@@ -475,11 +475,15 @@ def _require_covering(A, eps, grid: GridSpec):
 
 
 def field_for(A, grid, eps) -> SpectralField:
-    """`grid` itself when it is a SpectralField, else the field of A on a
-    GridSpec, or on an auto grid of `grid` nodes per axis (None: the
-    default count).  Auto grids are sized by the condition-spectrum bound
-    at min(eps, 0.9)."""
+    """`grid` itself when it is a SpectralField of A (or of no known
+    matrix, as read from CSV), else the field of A on a GridSpec, or on an
+    auto grid of `grid` nodes per axis (None: the default count).  Auto
+    grids are sized by the condition-spectrum bound at min(eps, 0.9)."""
     if isinstance(grid, SpectralField):
+        source = grid.matrix
+        if source is not None and source is not A and not np.array_equal(
+                source.entries, as_matrix(A).entries):
+            raise ValueError("the given field was computed from another matrix")
         return grid
     if grid is None or isinstance(grid, int):
         n = DEFAULT_GRID_NODES if grid is None else grid

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GridResolutionError, PreconditionError
+from .errors import GridResolutionError, PreconditionError
 from .geometry import (
     convex_hull,
     dedupe_ring,
@@ -29,6 +29,7 @@ from .geometry import (
     hull_depths,
 )
 from .numkernel import (
+    _lapack_failure,
     _memo,
     _read_only,
     _single_threaded_blas,
@@ -503,10 +504,8 @@ def numerical_range_boundary(A, n_angles: int = 256) -> NumericalRangeBoundary:
     for lo in range(0, n_angles, step):
         rotated = phases[lo:lo + step, None, None] * m.entries
         herm = 0.5 * (rotated + rotated.conj().transpose(0, 2, 1))
-        try:
+        with _lapack_failure("Hermitian eigensolve failed"):
             _, vecs = np.linalg.eigh(herm)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"Hermitian eigensolve failed: {exc}") from exc
         # v stays a strided column view, as in a per-angle solve: a
         # contiguous copy takes another matmul kernel and other last bits.
         points += [v.conj() @ m.entries @ v for v in vecs[:, :, -1]]
@@ -661,8 +660,8 @@ def default_similarity(n: int) -> np.ndarray:
 
 @_single_threaded_blas()
 def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConfig | None = None,
-              n_angles: int = 256, seed: int = 0, S=None, alpha=None, beta=None,
-              samples: int = 48, strict: bool = False) -> list[TheoremReport]:
+              n_angles: int = 256, seed: int = 0, samples: int = 48,
+              strict: bool = False) -> list[TheoremReport]:
     """Run the selected checks for each eps over one shared field.
 
     In non-strict mode a precondition violation (for example
@@ -676,19 +675,16 @@ def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConf
     eps_vals = [CONDITION.eps(e) for e in eps_list]
     field = field_for(m, grid, max(eps_vals))
     transient = transient or TransientConfig(M=2.0, k_max=50)
-    s_mat = as_matrix(default_similarity(m.n) if S is None else S)
     rng = np.random.default_rng(seed)
-    if alpha is None:
-        alpha = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    if beta is None:
-        beta = complex(rng.uniform(0.5, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    alpha = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    beta = complex(rng.uniform(0.5, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
 
     unknown = [n for n in names if n not in SIGMA_CHECKS]
     if unknown:
         raise ValueError(f"unknown theorem selector(s): {unknown}")
 
-    shared = dict(A=m, grid=field, config=transient, n_angles=n_angles, S=s_mat,
-                  alpha=alpha, beta=beta, count=samples)
+    shared = dict(A=m, grid=field, config=transient, n_angles=n_angles,
+                  S=as_matrix(default_similarity(m.n)), alpha=alpha, beta=beta, count=samples)
     reports: list[TheoremReport] = []
     for i_eps, e in enumerate(eps_vals):
         for i_t, name in enumerate(names):

@@ -107,12 +107,7 @@ def witness_vector(A, z: complex, eps) -> np.ndarray:
     """Unit u with ||(z - A)u|| <= eps*||z - A||: the right singular vector
     of the smallest singular value of z*I - A.  At an eigenvalue this is a
     normalized eigenvector and the residual is zero."""
-    e = CONDITION.eps(eps)
-    m = as_matrix(A)
-    if not in_condition_spectrum(m, z, e):
-        raise NotAMemberError(f"z = {z} is not in the {e}-condition spectrum")
-    vec, _, _ = _smallest_right_singular_vector(m.shifted(z))
-    return vec
+    return witness_perturbation(A, z, eps).u
 
 
 def witness_perturbation(A, z: complex, eps) -> Witness:
@@ -126,11 +121,12 @@ def witness_perturbation(A, z: complex, eps) -> Witness:
     m = as_matrix(A)
     if not in_condition_spectrum(m, z, e):
         raise NotAMemberError(f"z = {z} is not in the {e}-condition spectrum")
-    return _build_witness(m, z)
+    u, _, smax = _smallest_right_singular_vector(m.shifted(z))
+    return _build_witness(m, z, u, smax)
 
 
-def _build_witness(m: ComplexMatrix, z: complex) -> Witness:
-    u, smin, smax = _smallest_right_singular_vector(m.shifted(z))
+def _build_witness(m: ComplexMatrix, z: complex, u: np.ndarray, smax: float) -> Witness:
+    """The witness of z from u and smax as _smallest_right_singular_vector gives them."""
     residual = m.entries @ u - z * u
     eps_hat = float(np.linalg.norm(residual))
     if eps_hat <= singularity_threshold(m.n, smax):
@@ -175,7 +171,7 @@ def check_equivalence(A, z: complex, eps) -> TheoremReport:
     residual = float(np.linalg.norm(m.entries @ u - z * u))
     route_vector = residual <= e * smax
 
-    w = _build_witness(m, z)
+    w = _build_witness(m, z, u, smax)
     route_certificate = membership_from_perturbation(m, z, w.E, e)
 
     boundary = np.isfinite(ratio) and CONDITION.off_level(ratio, e) <= BOUNDARY_BAND

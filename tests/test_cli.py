@@ -80,11 +80,15 @@ def test_verify_exit_zero(diag_file, tmp_path):
     assert {e["theorem_id"] for e in entries} >= {"T1σ", "T10ε"}
 
 
-def test_verify_explicit_t5_precondition_exits_2(diag_file, tmp_path):
+def test_verify_explicit_t5_precondition_exits_2(diag_file, tmp_path, capsys):
+    # kappa(S)^2 * eps = 4 * 0.4 >= 1: main's one exit-2 handler reports it.
     code = main(["verify", "--matrix", str(diag_file), "--eps", "0.4",
                  "--theorems", "t5", "--grid", "81",
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kappa(S)^2 * eps = 1.6 >= 1") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_explicit_selection_runs_only_named(diag_file, tmp_path):
@@ -160,9 +164,21 @@ def test_verify_rejects_samples_below_one_at_parse_time(diag_file, tmp_path, cap
     ["verify", "--matrix", "A.json", "--grid", "1"],
     ["verify", "--matrix", "A.json", "--grid", "100000"],
     ["verify", "--matrix", "A.json", "--grid", "x"],
+    ["verify", "--matrix", "A.json", "--angles", "7"],
+    ["verify", "--matrix", "A.json", "--angles", "65537"],
+    ["verify", "--matrix", "A.json", "--angles", str(10**12)],
+    ["verify", "--matrix", "A.json", "--k-max", "0"],
+    ["verify", "--matrix", "A.json", "--k-max", "100001"],
+    ["verify", "--matrix", "A.json", "--k-max", str(10**12)],
+    ["gen", "--kind", "random", "--n", "0"],
+    ["gen", "--kind", "random", "--n", "513"],
+    ["gen", "--kind", "random", "--n", "100000"],
 ], ids=["plot-width-0", "plot-width-negative", "plot-height-inside-margins", "compute-grid-1",
         "compute-grid-100000", "compute-grid-not-integer", "verify-grid-1",
-        "verify-grid-100000", "verify-grid-not-integer"])
+        "verify-grid-100000", "verify-grid-not-integer", "verify-angles-7",
+        "verify-angles-65537", "verify-angles-10**12", "verify-k-max-0",
+        "verify-k-max-100001", "verify-k-max-10**12", "gen-n-0", "gen-n-513",
+        "gen-n-100000"])
 def test_rejects_out_of_range_sizes_at_parse_time(tmp_path, capsys, argv):
     # Rejected before any file is read or any array allocated.
     out = tmp_path / "out"
@@ -170,7 +186,8 @@ def test_rejects_out_of_range_sizes_at_parse_time(tmp_path, capsys, argv):
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    flag = next(a for a in argv if a in ("--width", "--height", "--grid"))
+    flag = next(a for a in argv
+                if a in ("--width", "--height", "--grid", "--angles", "--k-max", "--n"))
     assert f"argument {flag}:" in err and "Traceback" not in err
     assert not out.exists()
 

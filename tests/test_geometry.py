@@ -199,7 +199,7 @@ POLYGONS = {
 def test_distance_matches_per_edge_loop(name):
     poly = POLYGONS[name]
     rng = np.random.default_rng(11)
-    # 2500 points cross the kernel's point-block boundaries
+    # 2500 points in one call: the kernel takes them in one pass, each point on its own
     pts = rng.uniform(-2.5, 2.5, size=(2500, 2))
     assert np.array_equal(distance_to_polygon(pts, poly), reference_distance(pts, poly))
     assert np.array_equal(distance_to_polygon(poly, poly), reference_distance(poly, poly))

@@ -26,6 +26,7 @@ from condspec.numkernel import (
     svd,
 )
 from condspec.matrixio import generate
+from condspec.theorems import numerical_range_boundary
 
 
 def random_complex(n, seed):
@@ -422,3 +423,37 @@ def test_shifted_extremes_rejects_nonfinite_points(bad):
 
 def test_convergence_error_type_exists():
     assert issubclass(ConvergenceError, Exception)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussian_cases(), st.integers(0, 2**32 - 1))
+def test_shifted_extremes_under_permutation_similarity(case, seed):
+    # P A P^T only reorders entries, so zI - P A P^T = P (zI - A) P^T exactly;
+    # LAPACK sees a reordered matrix and may round differently.
+    A, zs = case
+    p = np.random.default_rng(seed).permutation(A.shape[0])
+    smin, smax = shifted_extremes(A, zs)
+    smin_p, smax_p = shifted_extremes(A[p][:, p], zs)
+    tol = 4 * A.shape[0] * U_MACH * smax
+    assert (np.abs(smin_p - smin) <= tol).all() and (np.abs(smax_p - smax) <= tol).all()
+
+
+def _failing_lapack(*args, **kwargs):
+    raise np.linalg.LinAlgError("no convergence")
+
+
+@pytest.mark.parametrize("routine, call, message", [
+    ("svd", lambda: singular_values(np.eye(2)), "SVD did not converge"),
+    ("svd", lambda: svd(np.eye(2)), "SVD did not converge"),
+    ("svd", lambda: shifted_extremes(np.eye(2), [0.5]), "SVD did not converge"),
+    ("eigvals", lambda: eigenvalues(np.eye(2)), "eigenvalue iteration did not converge"),
+    ("eig", lambda: eigen_decomposition(np.eye(2)), "eigenvalue iteration did not converge"),
+    ("eigh", lambda: numerical_range_boundary(np.eye(2), 8), "Hermitian eigensolve failed"),
+], ids=["singular_values", "svd", "shifted_extremes", "eigenvalues", "eigen_decomposition",
+        "numerical_range_boundary"])
+def test_lapack_failure_raises_convergence_error(monkeypatch, routine, call, message):
+    monkeypatch.setattr(np.linalg, routine, _failing_lapack)
+    with pytest.raises(ConvergenceError) as exc:
+        call()
+    assert str(exc.value) == f"{message}: no convergence"
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)

@@ -1,5 +1,7 @@
 """Per-theorem checks: worked examples, limit reductions, preconditions."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,15 @@ from condspec.geometry import convex_hull, distance_to_polygon
 from condspec.matrixio import generate
 from condspec import theorems
 from condspec.numkernel import U_MACH, as_matrix, eigenvalues, spectral_norm
-from condspec.spectra import CONDITION, PSEUDO, GridSpec, bounding_region, compute_field
+from condspec.spectra import (
+    CONDITION,
+    PSEUDO,
+    GridSpec,
+    bounding_region,
+    compute_field,
+    read_field_csv,
+    write_field_csv,
+)
 from condspec.theorems import (
     Disk,
     TransientConfig,
@@ -527,3 +537,21 @@ def test_suite_on_shared_matrices_matches_fresh_runs():
     fields = {id(M): compute_field(M, GridSpec.auto(M, 0.4, n=61)) for M in (A, B)}
     runs = [suite(M, fields[id(M)]) for M in (A, B, A)]
     assert runs == [fresh(A), fresh(B), fresh(A)]
+
+
+
+def test_a_field_must_belong_to_the_checked_matrix():
+    # diag(3, -3)'s field has members where diag(0.1, -0.1)'s bound excludes them.
+    A, B = np.diag([0.1, -0.1]), np.diag([3.0, -3.0])
+    field = compute_field(B, GridSpec.square(5, 81))
+    for run in (lambda: check_t2(A, 0.1, grid=field), lambda: check_t8(A, 0.1, grid=field),
+                lambda: run_suite(A, [0.1], grid=field)):
+        with pytest.raises(ValueError, match="another matrix"):
+            run()
+    assert check_t2(B.copy(), 0.1, grid=field).passed  # an equal copy is the same matrix
+    # A field read from CSV knows no matrix and is taken as given.
+    text = io.StringIO()
+    write_field_csv(field, text)
+    read = read_field_csv(io.StringIO(text.getvalue()))
+    assert read.matrix is None
+    assert check_t2(B, 0.1, grid=read).to_dict() == check_t2(B, 0.1, grid=field).to_dict()
