@@ -224,6 +224,15 @@ def _bounded_int(low: int, high: int | None = None):
     return parse
 
 
+def _value_list(text: str) -> str:
+    """argparse type for gen --values: at most MAX_DIMENSION entries."""
+    count = text.count(",") + 1
+    if count > matrixio.MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(
+            f"must list at most {matrixio.MAX_DIMENSION} values, got {count}")
+    return text
+
+
 def _parse_theorems(text: str) -> tuple:
     if text.strip().lower() == "all":
         return ()
@@ -287,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=_bounded_int(1, matrixio.MAX_DIMENSION), default=2,
                        help=f"dimension, 1 to {matrixio.MAX_DIMENSION}")
     p_gen.add_argument("--value", default="0", help="jordan eigenvalue, e.g. 0.9 or 1+2i")
-    p_gen.add_argument("--values", default=None, help="diag entries, e.g. 1,-1")
+    p_gen.add_argument("--values", type=_value_list, default=None,
+                       help=f"diag entries, e.g. 1,-1; at most {matrixio.MAX_DIMENSION}")
     p_gen.add_argument("--angle", type=float, default=0.5)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--format", default=None, choices=["json", "csv", "matrix-market"])

@@ -270,10 +270,23 @@ def condition_ratio(smin, smax, n: int) -> np.ndarray:
     return np.where(smin <= singularity_threshold(n, smax), np.inf, ratio)
 
 
-def _extremes(a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_min, sigma_max) of z*I - a for one chunk, from one batched SVD."""
+def _chunk_size(n: int) -> int:
+    """Points per shifted_extremes chunk at dimension n: about 2**15 matrix
+    entries and at most 512 points, but always k points with k*n > 500.
+    numpy's gufunc loop releases the GIL only past that size
+    (NPY_BEGIN_THREADS_THRESHOLDED), so a smaller batched SVD would hold
+    the GIL and the pool's workers would take turns."""
+    return max(min(512, 2**15 // n**2), 500 // n + 1)
+
+
+def _extremes(a: np.ndarray, z: np.ndarray, eye: np.ndarray,
+              buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_min, sigma_max) of z*I - a for one chunk, from one batched SVD.
+    z*I - a is built in buf[:z.size], overwriting it."""
+    stack = buf[:z.size]
     with np.errstate(invalid="ignore", over="ignore"):
-        stack = z[:, None, None] * np.eye(a.shape[0], dtype=np.complex128) - a
+        np.multiply(z[:, None, None], eye, out=stack)
+        np.subtract(stack, a, out=stack)
     if not np.isfinite(stack).all():
         raise ValueError("shifted matrix entries must be finite (no NaN/Inf)")
     with _lapack_failure("SVD did not converge"):
@@ -284,18 +297,26 @@ def _extremes(a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @_single_threaded_blas()
 def shifted_extremes(A, zs) -> tuple[np.ndarray, np.ndarray]:
     """(sigma_min, sigma_max) of z*I - A for every z in zs; each z*I - A
-    must be finite.  Chunks of about 2**15 matrix entries fill their slices
-    of the outputs, on a pool of CONDSPEC_THREADS workers when there are
-    several.  No SVD depends on its batch neighbours, so neither do values."""
+    must be finite.  Chunks of _chunk_size(n) points fill their slices of
+    the outputs, on a pool of CONDSPEC_THREADS workers when there are
+    several; each worker builds its chunks in one reused buffer.  No SVD
+    depends on its batch neighbours, so neither do values."""
     a = _entries(A)
+    n = a.shape[0]
     z = np.asarray(zs, dtype=np.complex128).reshape(-1)
     smin, smax = np.empty(z.size), np.empty(z.size)
-    step = min(512, max(16, 2**15 // a.shape[0] ** 2))  # a function of n alone
+    step = _chunk_size(n)  # a function of n alone
     starts = range(0, z.size, step)
+    eye = np.eye(n, dtype=np.complex128)
+    buffers = {}  # one per worker, by thread id
 
     def fill(lo: int):
+        worker = threading.get_ident()
+        buf = buffers.get(worker)
+        if buf is None:
+            buf = buffers[worker] = np.empty((min(step, z.size), n, n), dtype=np.complex128)
         part = slice(lo, lo + step)
-        smin[part], smax[part] = _extremes(a, z[part])
+        smin[part], smax[part] = _extremes(a, z[part], eye, buf)
 
     workers = _thread_count()  # read on every call, so a bad value always raises
     if len(starts) > 1:
@@ -324,12 +345,14 @@ def eigen_decomposition(A) -> EigenDecomposition:
     m = as_matrix(A)
     with _lapack_failure("eigenvalue iteration did not converge"):
         w, v = np.linalg.eig(m.entries)
-    sv = np.linalg.svd(v, compute_uv=False)
+    with _lapack_failure("SVD did not converge"):
+        sv = np.linalg.svd(v, compute_uv=False)
     rank = int(np.count_nonzero(sv > singularity_threshold(m.n, float(sv[0]))))
     return EigenDecomposition(w, v, max(rank, 1))
 
 
 @_single_threaded_blas()
+@_lapack_failure("SVD did not converge")
 def power_norms(A, k_max: int) -> np.ndarray:
     """Spectral norms of A^0 .. A^k_max, powers built by repeated
     multiplication (no eigendecomposition, honest for defective A).

@@ -74,13 +74,13 @@ def test_field_bytes_independent_of_both_thread_variables():
 
 @needs_openblas
 def test_pin_holds_during_field_and_is_restored(blas_at_two, monkeypatch):
-    # n = 72 cuts the 49 nodes into chunks of 16, which run on the pool.
+    # n = 72 cuts the 49 nodes into chunks of 7, which run on the pool.
     seen = []
     inner = numkernel._extremes
 
-    def recording(a, z):
+    def recording(a, z, *args):
         seen.append((_blas_counts(), z.copy()))
-        return inner(a, z)
+        return inner(a, z, *args)
 
     monkeypatch.setattr(numkernel, "_extremes", recording)
     compute_field(generate("random", 72, seed=11), GRID)

@@ -3,6 +3,8 @@ the derived cases (characteristic-polynomial bisection for the norm,
 Faddeev-LeVerrier + Durand-Kerner for eigenvalues, Gram-matrix
 eigensolve for power norms)."""
 
+import sys
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -13,6 +15,7 @@ from condspec.errors import ConvergenceError
 from condspec.numkernel import (
     U_MACH,
     ComplexMatrix,
+    _chunk_size,
     as_matrix,
     condition_number,
     condition_ratio,
@@ -26,6 +29,7 @@ from condspec.numkernel import (
     svd,
 )
 from condspec.matrixio import generate
+from condspec.spectra import GridSpec, compute_field
 from condspec.theorems import numerical_range_boundary
 
 
@@ -397,10 +401,15 @@ def test_shifted_extremes_of_the_conjugate_transpose(case):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("n, count", [(2, 1100), (96, 40)])
+@pytest.mark.parametrize("n, count", [(2, 1100), (96, 40), (128, 11)])
 def test_shifted_extremes_chunks_match_per_point_svd_bitwise(monkeypatch, threads, n, count):
-    # 1100 points at n = 2 and 40 at n = 96 each make three chunks, the
-    # last one partial, so points on both sides of each boundary are compared.
+    # 1100 points at n = 2 make chunks of 512, 512 and 76; 40 at n = 96 make
+    # six of 6 and one of 4; 11 at n = 128 make 4, 4 and 3.  Each case spans
+    # at least three chunks, the last one partial, so points on both sides of
+    # each boundary are compared and a worker's reused buffer is only partly
+    # overwritten.
+    step = _chunk_size(n)
+    assert count > 2 * step and count % step
     monkeypatch.setenv("CONDSPEC_THREADS", threads)
     m = as_matrix(random_complex(n, n))
     rng = np.random.default_rng(count)
@@ -408,6 +417,57 @@ def test_shifted_extremes_chunks_match_per_point_svd_bitwise(monkeypatch, thread
     smin, smax = shifted_extremes(m, zs)
     expected = np.array([singular_values(m.shifted(z))[[-1, 0]] for z in zs])
     assert np.array_equal(smin, expected[:, 0]) and np.array_equal(smax, expected[:, 1])
+
+
+def test_workers_build_chunks_in_their_own_buffers(monkeypatch):
+    # 8 workers on any core count, switching threads every microsecond: a
+    # buffer shared between workers would let one chunk's z*I - A overwrite
+    # another's while its SVD runs.
+    m = as_matrix(random_complex(40, 5))
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
+    monkeypatch.setenv("CONDSPEC_THREADS", "1")
+    expected = shifted_extremes(m, zs)
+    monkeypatch.setenv("CONDSPEC_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = shifted_extremes(m, zs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+def test_chunk_size_releases_the_gil_and_bounds_memory():
+    # numpy releases the GIL in a batched SVD of k n x n matrices only when
+    # k*n > 500; past that, a chunk holds at most 512 points and 2**15
+    # entries, or the fewest points that still clear the threshold.
+    for n in range(1, 513):
+        k = _chunk_size(n)
+        assert k * n > 500 and k <= 512
+        assert k * n * n <= 2**15 or (k - 1) * n <= 500
+        if n <= 45:
+            assert k == min(512, max(16, 2**15 // n**2))
+
+
+def test_field_memory_is_bounded_per_worker(monkeypatch):
+    # n = 128 on a 9 x 9 grid: 21 chunks of at most 4 points on 2 workers,
+    # each building z*I - A in one 1 MiB buffer, so about 2.4 MiB in all;
+    # a fresh stack per chunk would add 1 MiB or more for every chunk in flight.
+    monkeypatch.setenv("CONDSPEC_THREADS", "2")
+    A = generate("random", 128, seed=3)
+    grid = GridSpec.square(3.0, 9)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        compute_field(A, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_shifted_extremes_empty_points():
@@ -448,9 +508,11 @@ def _failing_lapack(*args, **kwargs):
     ("svd", lambda: shifted_extremes(np.eye(2), [0.5]), "SVD did not converge"),
     ("eigvals", lambda: eigenvalues(np.eye(2)), "eigenvalue iteration did not converge"),
     ("eig", lambda: eigen_decomposition(np.eye(2)), "eigenvalue iteration did not converge"),
+    ("svd", lambda: eigen_decomposition(np.eye(2)), "SVD did not converge"),
+    ("svd", lambda: power_norms(2 * np.eye(2), 3), "SVD did not converge"),
     ("eigh", lambda: numerical_range_boundary(np.eye(2), 8), "Hermitian eigensolve failed"),
 ], ids=["singular_values", "svd", "shifted_extremes", "eigenvalues", "eigen_decomposition",
-        "numerical_range_boundary"])
+        "eigen_decomposition-vectors", "power_norms", "numerical_range_boundary"])
 def test_lapack_failure_raises_convergence_error(monkeypatch, routine, call, message):
     monkeypatch.setattr(np.linalg, routine, _failing_lapack)
     with pytest.raises(ConvergenceError) as exc:
