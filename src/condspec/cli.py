@@ -31,6 +31,7 @@ from .spectra import (
     GridSpec,
     KIND_CONDITION,
     KIND_PSEUDO,
+    auto_grid,
     compute_field,
     extract_contours,
     read_field_grid,
@@ -61,13 +62,7 @@ class RunConfig:
     certificate: Path | None = None
 
     def resolve_grid(self) -> GridSpec:
-        e_max = max(self.eps_list)
-        g_cond = GridSpec.auto(self.matrix, min(e_max, 0.9), n=self.grid_nodes)
-        if self.kind == KIND_CONDITION:
-            return g_cond
-        g_pseudo = GridSpec.auto(self.matrix, e_max, n=self.grid_nodes, kind=KIND_PSEUDO)
-        radius = max(g_cond.re_max, g_pseudo.re_max)
-        return GridSpec.square(radius, self.grid_nodes)
+        return auto_grid(self.matrix, max(self.eps_list), self.grid_nodes, self.kind)
 
 
 def cmd_compute(config: RunConfig) -> list[Path]:
@@ -258,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated eps values (default 0.1,0.2,0.3)")
         p.add_argument("--grid", type=_bounded_int(2, matrixio.MAX_GRID_NODES), default=161,
                        help=f"grid nodes per axis, 2 to {matrixio.MAX_GRID_NODES}")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of verify's sampled points; compute draws nothing")
 
     p_comp = sub.add_parser("compute", help="write the field CSV and contour JSON")
     add_common(p_comp)
@@ -275,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--M", type=float, default=2.0)
     p_ver.add_argument("--angles", type=_bounded_int(8, matrixio.MAX_ANGLES), default=256,
                        help=f"T9 support angles, 8 to {matrixio.MAX_ANGLES}")
-    p_ver.add_argument("--samples", type=_bounded_int(1), default=48)
+    p_ver.add_argument("--samples", type=_bounded_int(1, matrixio.MAX_SAMPLES), default=48,
+                       help=f"points per sampled check, 1 to {matrixio.MAX_SAMPLES}")
     p_ver.add_argument("--certificate", default=None,
                        help="witness JSON to validate as a membership certificate")
     p_ver.add_argument("--out", default="report.json")

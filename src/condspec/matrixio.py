@@ -20,10 +20,12 @@ from .numkernel import ComplexMatrix, as_matrix
 
 # Largest matrix dimension parse_matrix accepts, and the most grid nodes per
 # axis the CLI accepts (a 4096^2 grid's node array alone takes 256 MiB).
-# verify's W(A) support angles and T6 power horizon are capped likewise.
+# verify's W(A) support angles, sampled points per check and T6 power
+# horizon are capped likewise.
 MAX_DIMENSION = 512
 MAX_GRID_NODES = 4096
 MAX_ANGLES = 65536
+MAX_SAMPLES = 65536
 MAX_K_MAX = 100_000
 
 FORMAT_MATRIX_MARKET = "matrix-market"

@@ -51,6 +51,9 @@ GRID_MARGIN = 1.1
 # out: membership there is decided by rounding.
 BOUNDARY_BAND = 1e-9
 
+# Relative slack for comparisons that are exact in exact arithmetic.
+FLOAT_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class Epsilon:
@@ -318,6 +321,16 @@ def in_pseudospectrum(A, z: complex, eps) -> bool:
     return in_spectrum(A, z, eps, PSEUDO)
 
 
+def auto_grid(A, eps_max, n: int = DEFAULT_GRID_NODES, kind: str = KIND_CONDITION) -> GridSpec:
+    """The auto grid of a run up to eps_max: the square over the condition
+    spectrum's bounding disk at min(eps_max, 0.9) (that radius grows without
+    bound as eps -> 1) and, for any other kind, the pseudospectrum's at eps_max."""
+    radii = [GridSpec.auto(A, min(float(eps_max), 0.9), n).re_max]
+    if kind != KIND_CONDITION:
+        radii.append(GridSpec.auto(A, eps_max, n, KIND_PSEUDO).re_max)
+    return GridSpec.square(max(radii), n)
+
+
 def bounding_region(A, eps, kind: str = KIND_CONDITION) -> float:
     """Radius R of a disk about 0 guaranteed to contain the spectrum:
     (1+eps)/(1-eps)*||A|| for the condition spectrum, ||A||+eps for the
@@ -477,8 +490,7 @@ def _require_covering(A, eps, grid: GridSpec):
 def field_for(A, grid, eps) -> SpectralField:
     """`grid` itself when it is a SpectralField of A (or of no known
     matrix, as read from CSV), else the field of A on a GridSpec, or on an
-    auto grid of `grid` nodes per axis (None: the default count).  Auto
-    grids are sized by the condition-spectrum bound at min(eps, 0.9)."""
+    auto_grid of `grid` nodes per axis (None: the default count)."""
     if isinstance(grid, SpectralField):
         source = grid.matrix
         if source is not None and source is not A and not np.array_equal(
@@ -486,8 +498,7 @@ def field_for(A, grid, eps) -> SpectralField:
             raise ValueError("the given field was computed from another matrix")
         return grid
     if grid is None or isinstance(grid, int):
-        n = DEFAULT_GRID_NODES if grid is None else grid
-        grid = GridSpec.auto(A, min(float(eps), 0.9), n=n)
+        grid = auto_grid(A, eps, DEFAULT_GRID_NODES if grid is None else grid)
     return compute_field(A, grid)
 
 
@@ -506,19 +517,23 @@ def condition_spectral_radius(A, eps, grid) -> float:
     return member_radius(field, eps)
 
 
+def member_distances(A, field: SpectralField, eps, zs, kind: str = KIND_CONDITION) -> np.ndarray:
+    """min |c - z| for each z in zs over the candidates c: the member nodes
+    of field, then the eigenvalues of A.  Eigenvalues are members at every
+    eps, so the distance stays meaningful when no node classifies."""
+    candidates = np.concatenate([field.member_nodes(eps, kind).ravel(), as_matrix(A).eigvals])
+    return np.array([np.abs(candidates - z).min() for z in np.asarray(zs, np.complex128)],
+                    dtype=np.float64)
+
+
 def distance_to_condition_spectrum(A, z: complex, eps, grid) -> float:
     """Distance from z to the classified member set, accurate to one grid
-    diagonal.  Eigenvalues (always members) are included as candidates, so
-    the result stays meaningful when eps is too small for any node to
-    classify."""
+    diagonal."""
     field = field_for(A, grid, eps)
     _require_covering(A, eps, field.grid)
-    if in_condition_spectrum(A, z, eps):
+    if in_spectrum(A, z, eps):
         return 0.0
-    candidates = field.member_nodes(eps)
-    eig = as_matrix(A).eigvals
-    cand = np.concatenate([candidates.ravel(), eig])
-    return float(np.abs(cand - z).min())
+    return float(member_distances(A, field, eps, [z])[0])
 
 
 def component_count(field: SpectralField, eps) -> int:

@@ -29,7 +29,7 @@ from .numkernel import (
     svd,
 )
 from .report import TheoremReport
-from .spectra import BOUNDARY_BAND, CONDITION, in_condition_spectrum
+from .spectra import BOUNDARY_BAND, CONDITION, FLOAT_SLACK, in_spectrum
 
 # Eigen-membership tolerance used by certificates: sigma_min((A+E) - z).
 _CERT_EIG_TOL = 1e-8
@@ -119,7 +119,7 @@ def witness_perturbation(A, z: complex, eps) -> Witness:
     """
     e = CONDITION.eps(eps)
     m = as_matrix(A)
-    if not in_condition_spectrum(m, z, e):
+    if not in_spectrum(m, z, e):
         raise NotAMemberError(f"z = {z} is not in the {e}-condition spectrum")
     u, _, smax = _smallest_right_singular_vector(m.shifted(z))
     return _build_witness(m, z, u, smax)
@@ -140,7 +140,7 @@ def _build_witness(m: ComplexMatrix, z: complex, u: np.ndarray, smax: float) -> 
 
 def membership_from_perturbation(A, z: complex, E, eps) -> bool:
     """Validate a third-party certificate: accept iff ||E|| <= eps*||z - A||
-    (1e-12 relative slack) and z is an eigenvalue of A + E.  Acceptance
+    (FLOAT_SLACK relative slack) and z is an eigenvalue of A + E.  Acceptance
     guarantees condition-spectrum membership of z."""
     e = CONDITION.eps(eps)
     m = as_matrix(A)
@@ -148,7 +148,7 @@ def membership_from_perturbation(A, z: complex, E, eps) -> bool:
     shifted, shifted_sum = m.shifted(z), (m.entries + pert.entries) - z * np.eye(m.n)
     if not (np.isfinite(shifted).all() and np.isfinite(shifted_sum).all()):
         return False  # z*I - A or A + E - z*I overflows float64: not checkable
-    if spectral_norm(pert) > e * float(singular_values(shifted)[0]) * (1.0 + 1e-12):
+    if spectral_norm(pert) > e * float(singular_values(shifted)[0]) * (1.0 + FLOAT_SLACK):
         return False
     smin = float(singular_values(shifted_sum)[-1])
     return smin <= _CERT_EIG_TOL * (1.0 + spectral_norm(m))

@@ -170,6 +170,7 @@ def test_verify_rejects_samples_below_one_at_parse_time(diag_file, tmp_path, cap
     ["verify", "--matrix", "A.json", "--k-max", "0"],
     ["verify", "--matrix", "A.json", "--k-max", "100001"],
     ["verify", "--matrix", "A.json", "--k-max", str(10**12)],
+    ["verify", "--matrix", "A.json", "--samples", "65537"],
     ["gen", "--kind", "random", "--n", "0"],
     ["gen", "--kind", "random", "--n", "513"],
     ["gen", "--kind", "random", "--n", "100000"],
@@ -178,7 +179,7 @@ def test_verify_rejects_samples_below_one_at_parse_time(diag_file, tmp_path, cap
         "compute-grid-100000", "compute-grid-not-integer", "verify-grid-1",
         "verify-grid-100000", "verify-grid-not-integer", "verify-angles-7",
         "verify-angles-65537", "verify-angles-10**12", "verify-k-max-0",
-        "verify-k-max-100001", "verify-k-max-10**12", "gen-n-0", "gen-n-513",
+        "verify-k-max-100001", "verify-k-max-10**12", "verify-samples-65537", "gen-n-0", "gen-n-513",
         "gen-n-100000", "gen-values-513"])
 def test_rejects_out_of_range_sizes_at_parse_time(tmp_path, capsys, argv):
     # Rejected before any file is read or any array allocated.
@@ -188,7 +189,8 @@ def test_rejects_out_of_range_sizes_at_parse_time(tmp_path, capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     flag = next(a for a in argv
-                if a in ("--width", "--height", "--grid", "--angles", "--k-max", "--n", "--values"))
+                if a in ("--width", "--height", "--grid", "--angles", "--k-max", "--samples", "--n",
+                         "--values"))
     assert f"argument {flag}:" in err and "Traceback" not in err
     assert not out.exists()
 

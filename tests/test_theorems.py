@@ -485,14 +485,33 @@ def test_suite_calls_companions_by_module_name(monkeypatch):
 
     calls = []
 
-    def fake_t5e(A, S, eps, z_samples=None, count=64, seed=0):
-        calls.append((eps, len(z_samples)))
+    def fake_t5e(A, S, eps, grid=161, z_samples=None, count=64, seed=0):
+        calls.append((eps, count))
         return TheoremReport("T5ε", True, None, None, 0.0, {"status": "patched"})
 
     monkeypatch.setattr(theorems, "check_t5e", fake_t5e)
     reports = run_suite(DIAG, [0.1], grid=61, samples=8, theorems=["t5"])
     assert [r.theorem_id for r in reports] == ["T5σ", "T5ε"]
     assert reports[1].details == {"status": "patched"} and calls == [(0.1, 8)]
+
+
+@pytest.mark.parametrize("A", [DIAG, generate("jordan", 4, value=0.9).entries,
+                               generate("random", 3, seed=8).entries], ids=["diag", "J4(0.9)", "random3"])
+def test_suite_samples_through_each_check(A):
+    # run_suite draws no points itself: each sampled check draws its own
+    # from the suite's field, with the suite's count and per-theorem seed.
+    eps, grid, samples, seed = 0.2, 61, 12, 7
+    names = ["t4", "t5", "t7"]
+    suite = run_suite(A, [eps], grid=grid, samples=samples, seed=seed, theorems=names)
+    field = theorems.field_for(A, grid, eps)
+    S = theorems.default_similarity(A.shape[0])
+    direct = []
+    for i_t, name in enumerate(names):
+        for suffix in ("", "e"):
+            check = getattr(theorems, f"check_{name}{suffix}")
+            args = (A, S, eps) if name == "t5" else (A, eps)
+            direct.append(check(*args, grid=field, count=samples, seed=seed + 31 * i_t))
+    assert [r.to_dict() for r in suite] == [r.to_dict() for r in direct]
 
 
 def test_suite_rejects_unknown_selector():
