@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated eps values (default 0.1,0.2,0.3)")
         p.add_argument("--grid", type=_bounded_int(2, matrixio.MAX_GRID_NODES), default=161,
                        help=f"grid nodes per axis, 2 to {matrixio.MAX_GRID_NODES}")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_bounded_int(0), default=0,
                        help="seed of verify's sampled points; compute draws nothing")
 
     p_comp = sub.add_parser("compute", help="write the field CSV and contour JSON")
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--values", type=_value_list, default=None,
                        help=f"diag entries, e.g. 1,-1; at most {matrixio.MAX_DIMENSION}")
     p_gen.add_argument("--angle", type=float, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_bounded_int(0), default=0)
     p_gen.add_argument("--format", default=None, choices=["json", "csv", "matrix-market"])
     p_gen.add_argument("--out", required=True)
     return parser

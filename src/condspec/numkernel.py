@@ -7,11 +7,11 @@ singular values.  This norm choice is fixed for the library and is what
 makes condition numbers and near-null witness vectors directly computable
 from an SVD.
 
-Every SVD and eigensolve runs with every loaded OpenBLAS pinned to one
-thread (a multi-threaded SVD rounds differently from n ~ 64 on), so
-concurrent calls run one after another: here, or in theorems' W(A) sweep
-and T5 transform, which take this module's pin.  The one pool is
-shifted_extremes', over chunks of points whose size depends on n alone.
+This module is the only one that calls LAPACK.  Every call runs with
+every loaded OpenBLAS pinned to one thread (a multi-threaded SVD rounds
+differently from n ~ 64 on), so concurrent calls run one after another.
+The batched calls, sigma(zI - A) at many z and the W(A) sweep at many
+angles, share one pool over chunks of points whose size depends on n alone.
 """
 
 from __future__ import annotations
@@ -166,8 +166,8 @@ _OPENBLAS_NAMES = (("openblas_get_num_threads", "openblas_set_num_threads"),
                    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"))
 
 # Held from saving the BLAS thread counts to restoring them, so concurrent
-# fields and suites cannot restore each other's pin; they run one after
-# another, and each field already fills every core.  Reentrant, so a pin
+# calls cannot restore each other's pin; they run one after another, and
+# each batched call already fills every core.  Reentrant, so a pin
 # nested on the owning thread saves and restores the count 1.
 _BLAS_PIN_LOCK = threading.RLock()
 
@@ -203,9 +203,11 @@ def _openblas_thread_controls() -> tuple:
 
 
 @contextlib.contextmanager
-def _single_threaded_blas():
-    """Pin every loaded OpenBLAS to one thread, restoring its count on exit.
-    Reentrant on the owning thread; pool workers never enter it."""
+def _lapack(what: str):
+    """Pin every loaded OpenBLAS to one thread, restoring its count on exit,
+    and raise a LinAlgError inside as ConvergenceError("<what>: ...").
+    Usable as a decorator; reentrant on the owning thread.  Pool workers
+    never enter it: their errors reach it through pool.map."""
     with _BLAS_PIN_LOCK:
         controls = _openblas_thread_controls()
         saved = [get() for get, _ in controls]
@@ -213,6 +215,8 @@ def _single_threaded_blas():
             for _, set_ in controls:
                 set_(1)
             yield
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"{what}: {exc}") from exc
         finally:
             for (_, set_), count in zip(controls, saved):
                 set_(count)
@@ -222,25 +226,13 @@ def _entries(m) -> np.ndarray:
     return as_matrix(m).entries
 
 
-@contextlib.contextmanager
-def _lapack_failure(what: str):
-    """Raise a LAPACK LinAlgError inside as ConvergenceError("<what>: ...").
-    Like _single_threaded_blas(), usable as a decorator."""
-    try:
-        yield
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"{what}: {exc}") from exc
-
-
-@_single_threaded_blas()
-@_lapack_failure("SVD did not converge")
+@_lapack("SVD did not converge")
 def singular_values(M) -> np.ndarray:
     """All singular values of M, descending."""
     return np.linalg.svd(_entries(M), compute_uv=False)
 
 
-@_single_threaded_blas()
-@_lapack_failure("SVD did not converge")
+@_lapack("SVD did not converge")
 def svd(M) -> SVDResult:
     u, s, vh = np.linalg.svd(_entries(M))
     return SVDResult(s, left_vectors=u, right_vectors=vh.conj().T)
@@ -271,12 +263,26 @@ def condition_ratio(smin, smax, n: int) -> np.ndarray:
 
 
 def _chunk_size(n: int) -> int:
-    """Points per shifted_extremes chunk at dimension n: about 2**15 matrix
-    entries and at most 512 points, but always k points with k*n > 500.
-    numpy's gufunc loop releases the GIL only past that size
-    (NPY_BEGIN_THREADS_THRESHOLDED), so a smaller batched SVD would hold
-    the GIL and the pool's workers would take turns."""
+    """Points per chunk of a batched LAPACK call at dimension n: about 2**15
+    matrix entries and at most 512 points, but always k points with
+    k*n > 500.  numpy's gufunc loop releases the GIL only past that size
+    (NPY_BEGIN_THREADS_THRESHOLDED), so a smaller batch would hold the GIL
+    and the pool's workers would take turns."""
     return max(min(512, 2**15 // n**2), 500 // n + 1)
+
+
+def _run_chunks(count: int, n: int, fill) -> None:
+    """fill(lo) for each chunk of _chunk_size(n) points (a function of n
+    alone) from lo, on a pool of CONDSPEC_THREADS workers when there are
+    several.  Each point is solved on its own, so no value depends on its
+    chunk or worker."""
+    starts = range(0, count, _chunk_size(n))
+    workers = _thread_count()  # read on every call, so a bad value always raises
+    if len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, starts))
+    else:
+        list(map(fill, starts))
 
 
 def _extremes(a: np.ndarray, z: np.ndarray, eye: np.ndarray,
@@ -289,24 +295,20 @@ def _extremes(a: np.ndarray, z: np.ndarray, eye: np.ndarray,
         np.subtract(stack, a, out=stack)
     if not np.isfinite(stack).all():
         raise ValueError("shifted matrix entries must be finite (no NaN/Inf)")
-    with _lapack_failure("SVD did not converge"):
-        s = np.linalg.svd(stack, compute_uv=False)
+    s = np.linalg.svd(stack, compute_uv=False)
     return s[:, -1], s[:, 0]
 
 
-@_single_threaded_blas()
+@_lapack("SVD did not converge")
 def shifted_extremes(A, zs) -> tuple[np.ndarray, np.ndarray]:
     """(sigma_min, sigma_max) of z*I - A for every z in zs; each z*I - A
-    must be finite.  Chunks of _chunk_size(n) points fill their slices of
-    the outputs, on a pool of CONDSPEC_THREADS workers when there are
-    several; each worker builds its chunks in one reused buffer.  No SVD
-    depends on its batch neighbours, so neither do values."""
+    must be finite.  Chunks fill their slices of the outputs, each worker
+    building its chunks in one reused buffer."""
     a = _entries(A)
     n = a.shape[0]
     z = np.asarray(zs, dtype=np.complex128).reshape(-1)
     smin, smax = np.empty(z.size), np.empty(z.size)
-    step = _chunk_size(n)  # a function of n alone
-    starts = range(0, z.size, step)
+    step = _chunk_size(n)
     eye = np.eye(n, dtype=np.complex128)
     buffers = {}  # one per worker, by thread id
 
@@ -318,13 +320,38 @@ def shifted_extremes(A, zs) -> tuple[np.ndarray, np.ndarray]:
         part = slice(lo, lo + step)
         smin[part], smax[part] = _extremes(a, z[part], eye, buf)
 
-    workers = _thread_count()  # read on every call, so a bad value always raises
-    if len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        list(map(fill, starts))
+    _run_chunks(z.size, n, fill)
     return smin, smax
+
+
+@_lapack("Hermitian eigensolve failed")
+def numerical_range_points(A, thetas) -> np.ndarray:
+    """For each theta, the Rayleigh point v* A v of the top eigenvector v of
+    the Hermitian part of e^{i theta} A: a boundary point of W(A).  Chunked
+    and pooled as in shifted_extremes."""
+    a = _entries(A)
+    phases = np.exp(1j * np.asarray(thetas, dtype=np.float64))
+    points = np.empty(phases.size, dtype=np.complex128)
+    step = _chunk_size(a.shape[0])
+
+    def fill(lo: int):
+        rotated = phases[lo:lo + step, None, None] * a
+        _, vecs = np.linalg.eigh(0.5 * (rotated + rotated.conj().transpose(0, 2, 1)))
+        # v stays a strided column view, as in a per-angle solve: a
+        # contiguous copy takes another matmul kernel and other last bits.
+        points[lo:lo + step] = [v.conj() @ a @ v for v in vecs[:, :, -1]]
+
+    _run_chunks(phases.size, a.shape[0], fill)
+    return points
+
+
+@_lapack("similarity solve failed")
+def similarity_transform(S, A) -> ComplexMatrix:
+    """S^{-1} A S, by one solve and one product."""
+    s, a = _entries(S), _entries(A)
+    if s.shape != a.shape:
+        raise ValueError("S is %d x %d, A is %d x %d" % (*s.shape, *a.shape))
+    return as_matrix(np.linalg.solve(s, a) @ s)
 
 
 def condition_number(S) -> float:
@@ -333,26 +360,23 @@ def condition_number(S) -> float:
     return float(condition_ratio(m.svals[-1], m.svals[0], m.n))
 
 
-@_single_threaded_blas()
-@_lapack_failure("eigenvalue iteration did not converge")
+@_lapack("eigenvalue iteration did not converge")
 def eigenvalues(A) -> np.ndarray:
     """All N eigenvalues with multiplicity (unordered multiset)."""
     return np.linalg.eigvals(_entries(A))
 
 
-@_single_threaded_blas()
+@_lapack("eigenvalue iteration did not converge")
 def eigen_decomposition(A) -> EigenDecomposition:
     m = as_matrix(A)
-    with _lapack_failure("eigenvalue iteration did not converge"):
-        w, v = np.linalg.eig(m.entries)
-    with _lapack_failure("SVD did not converge"):
+    w, v = np.linalg.eig(m.entries)
+    with _lapack("SVD did not converge"):
         sv = np.linalg.svd(v, compute_uv=False)
     rank = int(np.count_nonzero(sv > singularity_threshold(m.n, float(sv[0]))))
     return EigenDecomposition(w, v, max(rank, 1))
 
 
-@_single_threaded_blas()
-@_lapack_failure("SVD did not converge")
+@_lapack("SVD did not converge")
 def power_norms(A, k_max: int) -> np.ndarray:
     """Spectral norms of A^0 .. A^k_max, powers built by repeated
     multiplication (no eigendecomposition, honest for defective A).

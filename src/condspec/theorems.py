@@ -29,13 +29,13 @@ from .geometry import (
     hull_depths,
 )
 from .numkernel import (
-    _lapack_failure,
     _memo,
     _read_only,
-    _single_threaded_blas,
     as_matrix,
     condition_number,
     condition_ratio,
+    numerical_range_points,
+    similarity_transform,
 )
 from .report import TheoremReport
 from .spectra import (
@@ -269,9 +269,7 @@ def _similarity_report(kind, target, A, S, eps, grid, z_samples, count, seed) ->
         raise PreconditionError(
             f"kappa(S)^2 * eps = {e2:.6g} >= 1: inclusion level is out of range")
     m = as_matrix(A)
-    s = as_matrix(S).entries
-    with _single_threaded_blas():
-        b = as_matrix(np.linalg.solve(s, m.entries) @ s)
+    b = similarity_transform(S, m)
     z_samples = np.concatenate([_points(m, grid, e, z_samples, count, seed, kind), m.eigvals])
     qa = kind.at(m, z_samples)[1]
     keep = kind.inside(qa, e) & (kind.off_level(qa, e) > BOUNDARY_BAND)
@@ -479,34 +477,13 @@ def check_t8e(A, eps, grid=None) -> TheoremReport:
 # ---------------------------------------------------------------------------
 # T9: numerical range vs the spectrum
 
-# Matrix entries per batched Hermitian eigensolve in
-# numerical_range_boundary: all 256 default angles in one call up to
-# n = 64, bounded memory beyond.  Each angle is solved on its own, so the
-# batch size changes no value.
-_EIGH_STACK_ENTRIES = 2 ** 20
-
-
-@_single_threaded_blas()
 def numerical_range_boundary(A, n_angles: int = 256) -> NumericalRangeBoundary:
-    """Boundary of W(A) by support angles: for each theta the top
-    eigenvector v of the Hermitian part of e^{i theta} A contributes the
-    Rayleigh point v* A v."""
+    """Boundary of W(A) by n_angles equally spaced support angles
+    (numkernel.numerical_range_points)."""
     if n_angles < 8:
         raise ValueError("n_angles must be >= 8")
-    m = as_matrix(A)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    phases = np.exp(1j * thetas)
-    step = max(1, _EIGH_STACK_ENTRIES // m.n ** 2)
-    points = []
-    for lo in range(0, n_angles, step):
-        rotated = phases[lo:lo + step, None, None] * m.entries
-        herm = 0.5 * (rotated + rotated.conj().transpose(0, 2, 1))
-        with _lapack_failure("Hermitian eigensolve failed"):
-            _, vecs = np.linalg.eigh(herm)
-        # v stays a strided column view, as in a per-angle solve: a
-        # contiguous copy takes another matmul kernel and other last bits.
-        points += [v.conj() @ m.entries @ v for v in vecs[:, :, -1]]
-    return NumericalRangeBoundary(np.array(points), thetas)
+    return NumericalRangeBoundary(numerical_range_points(A, thetas), thetas)
 
 
 def _sagitta(norm_a: float, n_angles: int) -> float:
@@ -644,7 +621,6 @@ def default_similarity(n: int) -> np.ndarray:
     return s
 
 
-@_single_threaded_blas()
 def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConfig | None = None,
               n_angles: int = 256, seed: int = 0, samples: int = 48,
               strict: bool = False) -> list[TheoremReport]:
@@ -652,9 +628,9 @@ def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConf
 
     In non-strict mode a precondition violation (for example
     kappa(S)^2*eps >= 1 for T5) records a skipped report; strict mode
-    re-raises it, which the CLI maps to exit code 2.  numkernel's pin is
-    held for the whole suite, so reports do not depend on the BLAS thread
-    count.
+    re-raises it, which the CLI maps to exit code 2.  Every LAPACK call
+    runs in numkernel under its BLAS pin, so reports do not depend on the
+    BLAS thread count.
     """
     m = as_matrix(A)
     names = list(theorems) if theorems else list(SIGMA_CHECKS)

@@ -175,12 +175,15 @@ def test_verify_rejects_samples_below_one_at_parse_time(diag_file, tmp_path, cap
     ["gen", "--kind", "random", "--n", "513"],
     ["gen", "--kind", "random", "--n", "100000"],
     ["gen", "--kind", "diag", "--values", ",".join(["1"] * 513)],
+    ["verify", "--matrix", "A.json", "--seed", "-1"],
+    ["compute", "--matrix", "A.json", "--seed", "-1"],
+    ["gen", "--kind", "random", "--seed", "-1"],
 ], ids=["plot-width-0", "plot-width-negative", "plot-height-inside-margins", "compute-grid-1",
         "compute-grid-100000", "compute-grid-not-integer", "verify-grid-1",
         "verify-grid-100000", "verify-grid-not-integer", "verify-angles-7",
         "verify-angles-65537", "verify-angles-10**12", "verify-k-max-0",
         "verify-k-max-100001", "verify-k-max-10**12", "verify-samples-65537", "gen-n-0", "gen-n-513",
-        "gen-n-100000", "gen-values-513"])
+        "gen-n-100000", "gen-values-513", "verify-seed--1", "compute-seed--1", "gen-seed--1"])
 def test_rejects_out_of_range_sizes_at_parse_time(tmp_path, capsys, argv):
     # Rejected before any file is read or any array allocated.
     out = tmp_path / "out"
@@ -190,7 +193,7 @@ def test_rejects_out_of_range_sizes_at_parse_time(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     flag = next(a for a in argv
                 if a in ("--width", "--height", "--grid", "--angles", "--k-max", "--samples", "--n",
-                         "--values"))
+                         "--values", "--seed"))
     assert f"argument {flag}:" in err and "Traceback" not in err
     assert not out.exists()
 

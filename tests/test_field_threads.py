@@ -1,6 +1,6 @@
 """The evaluator's one level of parallelism: bytes at any thread setting,
 and the OpenBLAS pin saved, set and restored around every numkernel call,
-field and suite."""
+whether a suite or a field makes it."""
 
 import os
 import subprocess
@@ -117,20 +117,38 @@ def _pin_lock_free() -> bool:
 
 @needs_openblas
 def test_suite_runs_pinned_and_restores(blas_at_two, monkeypatch):
-    # The suite's field and auto grid pin again on the same thread; the
-    # nested pins leave the count at 1 until the suite returns.
+    # run_suite holds no pin of its own: each numkernel call pins, and at
+    # n = 72 the field's SVDs and T9's eigh batches run on pool workers.
     seen = []
-    inner = theorems.check_t1
-
-    def recording(**kwargs):
-        seen.append(_blas_counts())
-        return inner(**kwargs)
-
-    monkeypatch.setattr(theorems, "check_t1", recording)
-    theorems.run_suite(generate("random", 4, seed=1), [0.1], theorems=["t1"], grid=7)
-    assert seen == [[1] * len(controls)]
+    for name in ("svd", "eigh"):
+        def recording(*args, _inner=getattr(np.linalg, name), _name=name, **kwargs):
+            seen.append((_name, _blas_counts()))
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    theorems.run_suite(generate("random", 72, seed=11), [0.1], theorems=["t1", "t9"], grid=7)
+    assert {name for name, _ in seen} == {"svd", "eigh"}
+    assert [counts for _, counts in seen if counts != [1] * len(controls)] == []
     assert _blas_counts() == [2] * len(controls)
     assert _pin_lock_free()
+
+
+def test_range_sweep_bytes_independent_of_pool_size(monkeypatch):
+    # n = 65 cuts 257 angles into 33 eigh batches of at most 8 points.
+    A = generate("random", 65, seed=165)
+    batches = []
+    inner = np.linalg.eigh
+
+    def recording(h):
+        batches.append(len(h))
+        return inner(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    points = {}
+    for pool in ("1", "2"):
+        monkeypatch.setenv("CONDSPEC_THREADS", pool)
+        points[pool] = theorems.numerical_range_boundary(A, 257).boundary_points.tobytes()
+    assert sorted(batches) == [1, 1] + [8] * 64
+    assert points["1"] == points["2"]
 
 
 @needs_openblas

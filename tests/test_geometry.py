@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from condspec.geometry import convex_hull, distance_to_polygon, hull_depths
 from condspec.matrixio import generate
-from condspec.numkernel import _single_threaded_blas, as_matrix, spectral_norm
+from condspec.numkernel import _lapack, as_matrix, spectral_norm
 from condspec.spectra import KIND_CONDITION, KIND_PSEUDO, GridSpec, compute_field
 from condspec.theorems import check_t9, check_t9e, numerical_range_boundary
 
@@ -101,7 +101,7 @@ def reference_distance(points, poly):
     return dmin
 
 
-@_single_threaded_blas()
+@_lapack("Hermitian eigensolve failed")
 def reference_range(A, n_angles):
     """One Hermitian eigensolve per support angle, under the BLAS pin that
     numerical_range_boundary runs under (unpinned, n = 65 rounds otherwise)."""
@@ -205,7 +205,7 @@ def test_distance_matches_per_edge_loop(name):
     assert np.array_equal(distance_to_polygon(poly, poly), reference_distance(poly, poly))
 
 
-# n = 65 solves 257 angles in two eigh batches (248 + 9), so the chunk
+# n = 65 solves 257 angles in 33 eigh batches of at most 8, so the chunk
 # loop and batched eigh beyond one call are compared too.
 @pytest.mark.parametrize("n", [*range(1, 9), 65])
 def test_batched_range_matches_per_angle_loop(n):

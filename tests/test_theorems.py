@@ -179,6 +179,13 @@ def test_t5e_companion():
     assert check_t5e(A, S, 0.3, seed=8).passed
 
 
+@pytest.mark.parametrize("check", [check_t5, check_t5e])
+def test_t5_rejects_similarity_of_another_size(check):
+    with pytest.raises(ValueError) as exc:
+        check(random_complex(3, 43), np.diag([1.5, 1.0]), 0.1, grid=21, seed=9)
+    assert str(exc.value) == "S is 2 x 2, A is 3 x 3"
+
+
 # --- T6 ------------------------------------------------------------------------
 
 def test_t6_transient_growth_certified():
