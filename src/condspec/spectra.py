@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridResolutionError, GridTooSmallError
+from .geometry import distance_to_disks
 from .numkernel import (  # _thread_count: condbench's environment record reads it here
     ComplexMatrix,
     _memo,
@@ -128,7 +129,7 @@ PSEUDO = SpectrumKind(
     measure=lambda smin, ratio: 1.0 / smin,
     level=lambda e, scale=1.0: scale * e,
     inside=lambda smin, e: smin <= e,
-    off_level=lambda smin, e: abs(smin / e - 1.0),
+    off_level=lambda smin, e: abs(_quiet_divide(smin, e) - 1.0),
     depth=lambda smin, e: _ratio_or_inf(e, smin),
     radius=lambda e, norm: norm + e,
     pad=lambda e, norm, scale=1.0: scale * e,
@@ -137,10 +138,15 @@ PSEUDO = SpectrumKind(
 _KINDS = {k.name: k for k in (CONDITION, PSEUDO)}
 
 
+def _quiet_divide(a, b):
+    """a / b, +-inf without a RuntimeWarning where it overflows or b is 0."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return a / b
+
+
 def _ratio_or_inf(e, smin):
     """e / smin, +inf where smin is not positive."""
-    with np.errstate(divide="ignore"):
-        return np.where(smin > 0, e / smin, np.inf)
+    return np.where(smin > 0, _quiet_divide(e, smin), np.inf)
 
 
 def spectrum_kind(kind) -> SpectrumKind:
@@ -562,7 +568,7 @@ def component_count(field: SpectralField, eps) -> int:
     labels, count = _label(mask)
     # A component is reached when one of its nodes is not farther than a
     # grid diagonal from the nearest eigenvalue.
-    far = np.abs(field.grid.nodes()[mask] - eig[:, None]).min(axis=0) > field.grid.cell_diagonal()
+    far = distance_to_disks(field.grid.nodes()[mask], eig) > field.grid.cell_diagonal()
     reached = np.zeros(count + 1, bool)
     reached[labels[mask][~far]] = True
     missed = np.flatnonzero(~reached[1:])

@@ -25,6 +25,7 @@ from .errors import GridResolutionError, PreconditionError
 from .geometry import (
     convex_hull,
     dedupe_ring,
+    distance_to_disks,
     distance_to_polygon,
     hull_depths,
 )
@@ -457,8 +458,7 @@ def _disk_cover_report(kind, A, eps, grid) -> TheoremReport:
                              {"status": "vacuous: no classified members"})
     centers = np.array([d.center for d in disks])
     radii = np.array([d.radius for d in disks])
-    excess = np.abs(members[:, None] - centers[None, :]) - radii[None, :]
-    worst = float(excess.min(axis=1).max())
+    worst = float(distance_to_disks(members, centers, radii).max())
     return TheoremReport(f"T8{kind.suffix}", worst <= slack, worst, slack, slack,
                          {"members": int(members.size), "disks": len(disks)})
 

@@ -1,5 +1,7 @@
 """CLI behavior: pipeline, exit codes, SVG structure, determinism."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -479,6 +481,25 @@ def test_auto_grid_past_float64_exits_2_without_warnings(tmp_path):
     assert out.returncode == 2
     [line] = out.stderr.splitlines()
     assert line.startswith("error: grid [-1.34444e+308, 1.34444e+308]") and "spans inf" in line
+
+
+# eps = 1e-320 makes smin / eps overflow in the pseudospectrum's distance
+# from its level; A = 1e-300 * I at eps = 0.05 makes eps / smin overflow in
+# its depth.  Both values are +inf either way.  The digests are those of the
+# reports written while numpy still printed its overflow warning.
+@pytest.mark.parametrize("diagonal, eps, digest", [
+    ([1.0, -1.0], "1e-320", "38d935d668bf7d56a4ee5221fd1e21a115b6b815623666226cf442e10a2c81aa"),
+    ([1e-300, 1e-300], "0.05", "805f9d212d3276c80daeb79ada2ad17224d62af9dac1687413333c7d24202747"),
+], ids=["eps-1e-320", "tiny-diagonal"])
+def test_verify_overflow_to_inf_prints_no_warning(tmp_path, diagonal, eps, digest):
+    matrix, report = tmp_path / "A.json", tmp_path / "report.json"
+    matrix.write_text(json.dumps(np.diag(diagonal).tolist()))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-m", "condspec", "verify", "--matrix", str(matrix),
+                          "--eps", eps, "--grid", "21", "--out", str(report)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0 and out.stderr == ""
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def _command_sequence(matrix, base):

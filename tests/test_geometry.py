@@ -1,18 +1,37 @@
-"""Hull, polygon distance and numerical range against loop references.
+"""Hull, polygon and disk distances and numerical range against references.
 
 The references are the plain per-point / per-edge / per-angle loops the
-vectorized kernels replaced; every comparison is bit for bit.
+vectorized kernels replaced, and the points x disks broadcasts that T3's
+eigenvalue reach and T8's disk cover used before `distance_to_disks` took a
+running minimum; every comparison is bit for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from condspec.geometry import convex_hull, distance_to_polygon, hull_depths
+from condspec import spectra, theorems
+from condspec.errors import GridResolutionError
+from condspec.geometry import convex_hull, distance_to_disks, distance_to_polygon, hull_depths
 from condspec.matrixio import generate
 from condspec.numkernel import _lapack, as_matrix, spectral_norm
-from condspec.spectra import KIND_CONDITION, KIND_PSEUDO, GridSpec, compute_field
-from condspec.theorems import check_t9, check_t9e, numerical_range_boundary
+from condspec.spectra import (
+    CONDITION,
+    KIND_CONDITION,
+    KIND_PSEUDO,
+    PSEUDO,
+    GridSpec,
+    component_count,
+    compute_field,
+    field_for,
+)
+from condspec.theorems import (
+    check_t8,
+    check_t8e,
+    check_t9,
+    check_t9e,
+    numerical_range_boundary,
+)
 
 
 def _cross(o, a, b):
@@ -114,6 +133,16 @@ def reference_range(A, n_angles):
         v = vecs[:, -1]
         points[i] = v.conj() @ m.entries @ v
     return points
+
+
+def reference_nearest(points, eigenvalues):
+    """T3's distance to the nearest eigenvalue: one eigenvalues x points array."""
+    return np.abs(points - eigenvalues[:, None]).min(axis=0)
+
+
+def reference_disk_excess(members, centers, radii):
+    """T8's excess over the nearest disk edge: one members x disks array."""
+    return (np.abs(members[:, None] - centers[None, :]) - radii[None, :]).min(axis=1)
 
 
 @st.composite
@@ -239,3 +268,91 @@ def test_t9_worst_is_the_maximum_over_all_members(A, eps):
         assert r.details["eroded_points"] == len(eroded)
         expected = reference_distance(eroded, poly).max() if len(eroded) else 0.0
         assert r.details["eroded_worst_distance"] == expected
+
+
+# The verify corpus's recipe (fixed matrices, J2/J4/J8 at 0 and 0.9, random
+# n = 2..6), random dense n = 16..64, and one eigenvalue / one disk at n = 1.
+REACH_CASES = {
+    "diag(1,-1)": np.diag([1.0, -1.0]),
+    "identity": np.eye(2),
+    "zero": np.zeros((2, 2)),
+    **{f"J{n}({v})": generate("jordan", n, value=v).entries for n in (2, 4, 8) for v in (0.0, 0.9)},
+    **{f"random{n}": generate("random", n, seed=40 + n).entries for n in range(2, 7)},
+    "random1x1": np.array([[1.5 - 0.5j]]),
+    "zero1x1": np.zeros((1, 1)),
+    **{f"dense{n}": generate("random", n, seed=70 + n).entries for n in (16, 40, 64)},
+}
+
+
+def _recording(monkeypatch, module):
+    """Replace module.distance_to_disks by a wrapper that keeps each call."""
+    calls = []
+
+    def record(points, centers, radii=0.0):
+        out = distance_to_disks(points, centers, radii)
+        calls.append((points, np.asarray(centers), out))
+        return out
+
+    monkeypatch.setattr(module, "distance_to_disks", record)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(REACH_CASES))
+def test_t3_reach_and_t8_worst_match_the_broadcast_forms(name, monkeypatch):
+    A = REACH_CASES[name]
+    field = field_for(A, 21 if A.shape[0] > 8 else 61, 0.4)
+    diag = field.grid.cell_diagonal()
+    reach_calls = _recording(monkeypatch, spectra)
+    cover_calls = _recording(monkeypatch, theorems)
+    for e in (0.05, 0.2, 0.4):
+        try:
+            component_count(field, e)
+        except GridResolutionError:
+            pass  # the reach was computed before the miss was reported
+        [(points, eig, nearest)] = reach_calls
+        reach_calls.clear()
+        assert np.array_equal(eig, as_matrix(A).eigvals)
+        assert nearest.tobytes() == reference_nearest(points, eig).tobytes()
+        assert np.array_equal(nearest > diag, reference_nearest(points, eig) > diag)
+        for check, kind in ((check_t8, CONDITION), (check_t8e, PSEUDO)):
+            members = field.member_nodes(e, kind)
+            disks = theorems._gerschgorin_disks(kind, as_matrix(A), e)
+            centers = np.array([d.center for d in disks])
+            radii = np.array([d.radius for d in disks])
+            r = check(A, e, field)
+            if members.size == 0:
+                assert not cover_calls
+                continue
+            [(_, _, excess)] = cover_calls
+            cover_calls.clear()
+            expected = reference_disk_excess(members, centers, radii)
+            assert excess.tobytes() == expected.tobytes()
+            assert r.lhs == expected.max()
+
+
+def test_disk_distance_on_disk_edges_and_ties():
+    # 3+4i, 5i and -5 lie exactly on the edge of D(0, 5) and outside the
+    # other disks; 5 is on the edges of D(0, 5) and D(10, 5), a tie.
+    centers = np.array([0.0, 10.0, 13.0 + 0j])
+    radii = np.array([5.0, 5.0, 3.0])
+    points = np.array([3 + 4j, 5j, -5.0, 5.0, 0.0, 20.0 + 0j])
+    got = distance_to_disks(points, centers, radii)
+    assert got.tobytes() == reference_disk_excess(points, centers, radii).tobytes()
+    assert list(got[:4]) == [0.0, 0.0, 0.0, 0.0] and not np.signbit(got[:4]).any()
+    assert got[4] == -5.0 and got[5] == 4.0
+    assert distance_to_disks(points, centers).tobytes() == \
+        reference_nearest(points, centers).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40),
+       st.lists(st.tuples(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                             allow_infinity=False),
+                          st.floats(0.0, 1e6)), min_size=1, max_size=12))
+def test_disk_distance_matches_broadcast(points, disks):
+    points = np.array(points, dtype=np.complex128)
+    centers = np.array([c for c, _ in disks], dtype=np.complex128)
+    radii = np.array([r for _, r in disks])
+    got = distance_to_disks(points, centers, radii)
+    assert got.tobytes() == reference_disk_excess(points, centers, radii).tobytes()

@@ -1,6 +1,7 @@
 """Per-theorem checks: worked examples, limit reductions, preconditions."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from condspec.errors import PreconditionError
 from condspec.geometry import convex_hull, distance_to_polygon
 from condspec.matrixio import generate
 from condspec import theorems
-from condspec.numkernel import U_MACH, as_matrix, eigenvalues, spectral_norm
+from condspec.numkernel import U_MACH, as_matrix, condition_ratio, eigenvalues, spectral_norm
 from condspec.spectra import (
     CONDITION,
     PSEUDO,
     GridSpec,
+    SpectralField,
+    auto_grid,
     bounding_region,
     compute_field,
     read_field_csv,
@@ -36,6 +39,7 @@ from condspec.theorems import (
     check_t7,
     check_t7e,
     check_t8,
+    check_t8e,
     check_t9,
     check_t10,
     check_t10e,
@@ -347,8 +351,35 @@ def test_t8_containment_random():
 
 
 def test_t8e_companion(diag_field):
-    from condspec.theorems import check_t8e
     assert check_t8e(DIAG, 0.3, diag_field).passed
+
+
+def test_t3_and_t8_memory_is_bounded_by_the_members():
+    # n = 64 at eps 0.4 on a 161 x 161 grid: 10,162 condition members and
+    # 3,213 pseudospectrum members.  A members x n array of complex
+    # differences and their moduli takes 15 MiB; a running minimum over the
+    # eigenvalues or disks keeps a few arrays of one value per member.  The
+    # field of a normal matrix is |z - d_j| in closed form, which spares the
+    # test 25,921 SVDs at n = 64.
+    rng = np.random.default_rng(5)
+    d = rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64)
+    A = as_matrix(np.diag(d))
+    grid = auto_grid(A, 0.4, 161)
+    dist = np.abs(grid.nodes()[:, :, None] - d)
+    smin, smax = dist.min(axis=2), dist.max(axis=2)
+    field = SpectralField(grid, smin, smax, condition_ratio(smin, smax, A.n), A)
+    assert field.member_nodes(0.4).size > 10_000
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for check in (check_t3, check_t8, check_t8e):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert check(A, 0.4, field).passed
+            assert tracemalloc.get_traced_memory()[1] - base < 2**20, check.__name__
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def test_disk_validation():
