@@ -28,7 +28,6 @@ from .numkernel import (
     eigen_decomposition,
     eigenvalues,
     power_norms,
-    smallest_singular_value,
     spectral_norm,
     svd,
 )
@@ -39,6 +38,7 @@ from .spectra import (
     Epsilon,
     GridSpec,
     SpectralField,
+    auto_grid,
     bounding_region,
     component_count,
     compute_field,
@@ -72,7 +72,6 @@ from .witness import (
     check_equivalence,
     membership_from_perturbation,
     witness_perturbation,
-    witness_vector,
 )
 from .matrixio import MatrixSource, generate, parse_matrix
 

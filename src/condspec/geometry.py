@@ -1,10 +1,11 @@
 """Small planar-geometry kernel: hulls, polygon and disk distances, hull depths.
 
 Points are (k, 2) float arrays or complex scalars/arrays; polygons are
-(m, 2) vertex arrays.  Everything is deterministic.  `distance_to_polygon`,
-`distance_to_disks` and `hull_depths` are vectorized over the points;
-`convex_hull` runs its Python monotone chain only over the two ends of each
-row of equal y; `dedupe_ring` loops over vertices in Python.
+(m, 2) vertex arrays.  Everything is deterministic.  `distance_to_polygon`
+and `hull_depths` are vectorized over the points, `distance_to_disks` over
+the longer of points and disks; `convex_hull` runs its Python monotone
+chain only over the two ends of each row of equal y; `dedupe_ring` loops
+over vertices in Python.
 """
 
 from __future__ import annotations
@@ -103,11 +104,17 @@ def distance_to_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
 def distance_to_disks(points: np.ndarray, centers, radii=0.0) -> np.ndarray:
     """min over j of |p - c_j| - r_j for each complex point p: how far p
     lies outside the union of the disks D(c_j, r_j), negative inside it.
-    With radii 0 it is the distance to the nearest center.  A running
-    minimum over the disks, so the extra memory is O(points), not
-    O(points * disks); each term has the bits of the broadcast form."""
-    excess = np.full(np.shape(points), np.inf)
-    for c, r in zip(centers, np.broadcast_to(radii, np.shape(centers))):
+    With radii 0 it is the distance to the nearest center.  The loop runs
+    over the shorter of points and disks (a running minimum over the disks,
+    or one minimum per point), so the extra memory is O(points + disks),
+    not O(points * disks); each term has the bits of the broadcast form."""
+    points, centers = np.asarray(points), np.asarray(centers)
+    radii = np.broadcast_to(radii, centers.shape)
+    if points.size < centers.size:
+        return np.array([(np.abs(p - centers) - radii).min()
+                         for p in points.ravel()]).reshape(points.shape)
+    excess = np.full(points.shape, np.inf)
+    for c, r in zip(centers, radii):
         np.minimum(excess, np.abs(points - c) - r, out=excess)
     return excess
 

@@ -243,10 +243,6 @@ def spectral_norm(M) -> float:
     return as_matrix(M).norm
 
 
-def smallest_singular_value(M) -> float:
-    return float(as_matrix(M).svals[-1])
-
-
 def singularity_threshold(n: int, sigma_max: float) -> float:
     """Numerical-rank cutoff: sigma_min at or below this counts as zero."""
     return n * U_MACH * sigma_max

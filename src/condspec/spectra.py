@@ -78,7 +78,8 @@ class SpectrumKind:
     Membership compares one quantity of z*I - A, picked from (sigma_min,
     ratio), with a level set by eps.  Reports are compared bit for bit, so
     each callable fixes its operation order: the pad is scale * 2.0 * eps
-    / (1 - eps) * ||A|| left to right, not scale times the pad.
+    / (1 - eps) * ||A|| left to right, not scale times the pad.  At eps = 0
+    (both spectra are the eigenvalues) each callable taking eps gives its limit.
     """
 
     name: str
@@ -115,10 +116,11 @@ CONDITION = SpectrumKind(
     name=KIND_CONDITION, suffix="σ", eps_limit=1.0, degree=0, poles=True,
     quantity=lambda smin, ratio: ratio,
     measure=lambda smin, ratio: ratio,
-    level=lambda e, scale=1.0: scale / e,
-    inside=lambda ratio, e: ratio >= 1.0 / e,
-    off_level=lambda ratio, e: abs(ratio * e - 1.0),
-    depth=lambda ratio, e: ratio * e,
+    level=lambda e, scale=1.0: scale / e if e else np.inf,
+    inside=lambda ratio, e: ratio >= (1.0 / e if e else np.inf),
+    off_level=lambda ratio, e: (abs(ratio * e - 1.0) if e
+                                else np.where(ratio == np.inf, np.inf, 1.0)),
+    depth=lambda ratio, e: ratio * e if e else np.where(ratio == np.inf, np.inf, 0.0),
     radius=lambda e, norm: (1.0 + e) / (1.0 - e) * norm,
     pad=lambda e, norm, scale=1.0: scale * 2.0 * e / (1.0 - e) * norm(),
 )
@@ -129,8 +131,9 @@ PSEUDO = SpectrumKind(
     measure=lambda smin, ratio: 1.0 / smin,
     level=lambda e, scale=1.0: scale * e,
     inside=lambda smin, e: smin <= e,
-    off_level=lambda smin, e: abs(_quiet_divide(smin, e) - 1.0),
-    depth=lambda smin, e: _ratio_or_inf(e, smin),
+    off_level=lambda smin, e: (abs(_quiet_divide(smin, e) - 1.0) if e
+                               else np.where(smin > 0, np.inf, 1.0)),
+    depth=lambda smin, e: np.where(smin > 0, _quiet_divide(e, smin), np.inf),
     radius=lambda e, norm: norm + e,
     pad=lambda e, norm, scale=1.0: scale * e,
 )
@@ -139,14 +142,9 @@ _KINDS = {k.name: k for k in (CONDITION, PSEUDO)}
 
 
 def _quiet_divide(a, b):
-    """a / b, +-inf without a RuntimeWarning where it overflows or b is 0."""
-    with np.errstate(over="ignore", divide="ignore"):
+    """a / b with no RuntimeWarning where it overflows or b is 0 (+-inf, nan for 0/0)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return a / b
-
-
-def _ratio_or_inf(e, smin):
-    """e / smin, +inf where smin is not positive."""
-    return np.where(smin > 0, _quiet_divide(e, smin), np.inf)
 
 
 def spectrum_kind(kind) -> SpectrumKind:
@@ -186,13 +184,6 @@ class GridSpec:
     def square(cls, radius: float, n: int = DEFAULT_GRID_NODES) -> "GridSpec":
         r = float(radius)
         return cls(-r, r, -r, r, n, n)
-
-    @classmethod
-    def auto(cls, A, eps_max, n: int = DEFAULT_GRID_NODES, kind: str = KIND_CONDITION) -> "GridSpec":
-        """Square grid covering the bounding disk of the requested spectrum
-        with a 10% margin (a floor keeps the grid nondegenerate for A = 0)."""
-        r = GRID_MARGIN * bounding_region(A, eps_max, kind)
-        return cls.square(max(r, 0.5), n)
 
     def re_axis(self) -> np.ndarray:
         return _memo(self._facts, "re", lambda: _read_only(
@@ -308,8 +299,7 @@ def compute_field(A, grid: GridSpec) -> SpectralField:
 def condition_number_at(A, z: complex) -> float:
     """kappa(z*I - A) = sigma_max/sigma_min; +inf when z is (numerically)
     an eigenvalue."""
-    m = as_matrix(A)
-    return float(condition_ratio(*shifted_extremes(m, z), m.n)[0])
+    return float(CONDITION.at(A, z)[1][0])
 
 
 def in_spectrum(A, z: complex, eps, kind: str = KIND_CONDITION) -> bool:
@@ -328,13 +318,14 @@ def in_pseudospectrum(A, z: complex, eps) -> bool:
 
 
 def auto_grid(A, eps_max, n: int = DEFAULT_GRID_NODES, kind: str = KIND_CONDITION) -> GridSpec:
-    """The auto grid of a run up to eps_max: the square over the condition
-    spectrum's bounding disk at min(eps_max, 0.9) (that radius grows without
-    bound as eps -> 1) and, for any other kind, the pseudospectrum's at eps_max."""
-    radii = [GridSpec.auto(A, min(float(eps_max), 0.9), n).re_max]
+    """The auto grid up to eps_max: the square 10% wider than the condition
+    spectrum's bounding disk at min(eps_max, 0.9) (that disk grows without
+    bound as eps -> 1) and, for any other kind, the pseudospectrum's at
+    eps_max; its half-width is at least 0.5, so A = 0 gets a grid too."""
+    radius = bounding_region(A, min(float(eps_max), 0.9))
     if kind != KIND_CONDITION:
-        radii.append(GridSpec.auto(A, eps_max, n, KIND_PSEUDO).re_max)
-    return GridSpec.square(max(radii), n)
+        radius = max(radius, bounding_region(A, eps_max, KIND_PSEUDO))
+    return GridSpec.square(max(GRID_MARGIN * radius, 0.5), n)
 
 
 def bounding_region(A, eps, kind: str = KIND_CONDITION) -> float:
@@ -528,8 +519,7 @@ def member_distances(A, field: SpectralField, eps, zs, kind: str = KIND_CONDITIO
     of field, then the eigenvalues of A.  Eigenvalues are members at every
     eps, so the distance stays meaningful when no node classifies."""
     candidates = np.concatenate([field.member_nodes(eps, kind).ravel(), as_matrix(A).eigvals])
-    return np.array([np.abs(candidates - z).min() for z in np.asarray(zs, np.complex128)],
-                    dtype=np.float64)
+    return distance_to_disks(np.asarray(zs, np.complex128), candidates)
 
 
 def distance_to_condition_spectrum(A, z: complex, eps, grid) -> float:

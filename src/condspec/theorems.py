@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridResolutionError, PreconditionError
+from .errors import GridResolutionError, GridTooSmallError, PreconditionError
 from .geometry import (
     convex_hull,
     dedupe_ring,
@@ -432,35 +432,34 @@ def check_t7e(A, eps, k_list=None, grid=None, z_samples=None,
 # ---------------------------------------------------------------------------
 # T8: Gerschgorin-style localization
 
-def _gerschgorin_disks(kind, m, e) -> list[Disk]:
-    """Disks D(a_jj, r_j + sqrt(N)*pad) with row sums r_j = sum_{k != j} |a_jk|."""
+def _gerschgorin_disks(kind, m, e) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, radii) of the disks D(a_jj, r_j + sqrt(N)*pad) with row
+    sums r_j = sum_{k != j} |a_jk|."""
     pad = kind.pad(e, lambda: m.norm, np.sqrt(m.n))
     absA = np.abs(m.entries)
-    row = absA.sum(axis=1) - np.diag(absA)
-    return [Disk(complex(m.entries[j, j]), float(row[j] + pad)) for j in range(m.n)]
+    return np.diag(m.entries), absA.sum(axis=1) - np.diag(absA) + pad
 
 
 def gerschgorin_condition_disks(A, eps) -> list[Disk]:
     """Disks D(a_jj, r_j + sqrt(N)*2eps/(1-eps)*||A||) with row sums
     r_j = sum_{k != j} |a_jk| covering the condition spectrum."""
-    return _gerschgorin_disks(CONDITION, as_matrix(A), CONDITION.eps(eps))
+    centers, radii = _gerschgorin_disks(CONDITION, as_matrix(A), CONDITION.eps(eps))
+    return [Disk(complex(c), float(r)) for c, r in zip(centers, radii)]
 
 
 def _disk_cover_report(kind, A, eps, grid) -> TheoremReport:
     e = kind.eps(eps)
     m = as_matrix(A)
     field = field_for(m, grid, e)
-    disks = _gerschgorin_disks(kind, m, e)
+    centers, radii = _gerschgorin_disks(kind, m, e)
     members = field.member_nodes(e, kind)
     slack = field.grid.cell_diagonal()
     if members.size == 0:
         return TheoremReport(f"T8{kind.suffix}", True, 0.0, slack, slack,
                              {"status": "vacuous: no classified members"})
-    centers = np.array([d.center for d in disks])
-    radii = np.array([d.radius for d in disks])
     worst = float(distance_to_disks(members, centers, radii).max())
     return TheoremReport(f"T8{kind.suffix}", worst <= slack, worst, slack, slack,
-                         {"members": int(members.size), "disks": len(disks)})
+                         {"members": int(members.size), "disks": m.n})
 
 
 def check_t8(A, eps, grid=None) -> TheoremReport:
@@ -627,8 +626,9 @@ def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConf
     """Run the selected checks for each eps over one shared field.
 
     In non-strict mode a precondition violation (for example
-    kappa(S)^2*eps >= 1 for T5) records a skipped report; strict mode
-    re-raises it, which the CLI maps to exit code 2.  Every LAPACK call
+    kappa(S)^2*eps >= 1 for T5, or a grid too coarse or too small for
+    T3's component count) records a skipped report; strict mode re-raises
+    it, which the CLI maps to exit code 2.  Every LAPACK call
     runs in numkernel under its BLAS pin, so reports do not depend on the
     BLAS thread count.
     """
@@ -660,7 +660,7 @@ def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConf
                     # module (by a tracer, say) is the one that runs.
                     check = globals()[f"check_{check_name}"]
                     reports.append(check(**{a: args[a] for a in _SUITE_ARGS[name]}))
-                except (PreconditionError, GridResolutionError) as exc:
+                except (PreconditionError, GridResolutionError, GridTooSmallError) as exc:
                     if strict:
                         raise
                     reports.append(TheoremReport(f"T{name[1:]}{kind.suffix}", True, None, None,

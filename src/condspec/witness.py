@@ -23,7 +23,7 @@ from .numkernel import (
     ComplexMatrix,
     as_matrix,
     condition_ratio,
-    singular_values,
+    shifted_extremes,
     singularity_threshold,
     spectral_norm,
     svd,
@@ -103,19 +103,14 @@ def _smallest_right_singular_vector(shifted: np.ndarray) -> tuple[np.ndarray, fl
     return vec, float(r.singular_values[-1]), float(r.singular_values[0])
 
 
-def witness_vector(A, z: complex, eps) -> np.ndarray:
-    """Unit u with ||(z - A)u|| <= eps*||z - A||: the right singular vector
-    of the smallest singular value of z*I - A.  At an eigenvalue this is a
-    normalized eigenvector and the residual is zero."""
-    return witness_perturbation(A, z, eps).u
-
-
 def witness_perturbation(A, z: complex, eps) -> Witness:
     """Rank-one E with ||E|| <= eps*||z - A|| and z an eigenvalue of A + E.
 
-    The residual (A - z)u = eps_hat * v fixes v and eps_hat; w = u in the
-    spectral norm, giving E = -eps_hat * v u*.  When z is (numerically) an
-    exact eigenvalue the residual is below the rank threshold and E = 0.
+    Its u, with ||(z - A)u|| <= eps*||z - A||, is the right singular vector
+    of sigma_min(z*I - A): at an eigenvalue, an eigenvector.  The residual
+    (A - z)u = eps_hat * v fixes v and eps_hat; w = u in the spectral norm,
+    giving E = -eps_hat * v u*.  When z is (numerically) an exact eigenvalue
+    the residual is below the rank threshold and E = 0.
     """
     e = CONDITION.eps(eps)
     m = as_matrix(A)
@@ -145,13 +140,16 @@ def membership_from_perturbation(A, z: complex, E, eps) -> bool:
     e = CONDITION.eps(eps)
     m = as_matrix(A)
     pert = as_matrix(E)
-    shifted, shifted_sum = m.shifted(z), (m.entries + pert.entries) - z * np.eye(m.n)
-    if not (np.isfinite(shifted).all() and np.isfinite(shifted_sum).all()):
-        return False  # z*I - A or A + E - z*I overflows float64: not checkable
-    if spectral_norm(pert) > e * float(singular_values(shifted)[0]) * (1.0 + FLOAT_SLACK):
-        return False
-    smin = float(singular_values(shifted_sum)[-1])
-    return smin <= _CERT_EIG_TOL * (1.0 + spectral_norm(m))
+    if pert.n != m.n:  # else numpy would broadcast a 1 x 1 E over all of A
+        raise ValueError("E is %d x %d, A is %d x %d" % (pert.n, pert.n, m.n, m.n))
+    perturbed = m.entries + pert.entries
+    try:
+        smax = float(shifted_extremes(m, z)[1][0])
+        smin = float(shifted_extremes(perturbed, z)[0][0])
+    except ValueError:
+        return False  # z*I - A, A + E or z*I - (A + E) overflows float64: not checkable
+    return (spectral_norm(pert) <= e * smax * (1.0 + FLOAT_SLACK)
+            and smin <= _CERT_EIG_TOL * (1.0 + spectral_norm(m)))
 
 
 def check_equivalence(A, z: complex, eps) -> TheoremReport:

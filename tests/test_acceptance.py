@@ -18,6 +18,7 @@ from condspec.matrixio import generate, write_matrix
 from condspec.numkernel import as_matrix, eigenvalues, singular_values, spectral_norm
 from condspec.spectra import (
     GridSpec,
+    auto_grid,
     compute_field,
     condition_number_at,
     condition_spectral_radius,
@@ -62,7 +63,7 @@ def corpus_results(corpus):
     t0 = time.perf_counter()
     results = []
     for i, (name, A) in enumerate(corpus):
-        field = compute_field(A, GridSpec.auto(A, max(EPS_SWEEP), n=161))
+        field = compute_field(A, auto_grid(A, max(EPS_SWEEP), 161))
         reports = run_suite(A, EPS_SWEEP, grid=field, samples=24, seed=i)
         results.append((name, A, field, reports))
     elapsed = time.perf_counter() - t0
@@ -78,7 +79,7 @@ def test_criterion_1_equivalence_suite():
         n = 2 + i % 5
         A = _random_matrix(n, 10_000 + i)
         eps = float(rng.uniform(0.05, 0.5))
-        field = compute_field(A, GridSpec.auto(A, eps, n=61))
+        field = compute_field(A, auto_grid(A, eps, 61))
         norm_a = spectral_norm(A)
         for z in sample_points(field, eps, 20, seed=i):
             z = complex(z)

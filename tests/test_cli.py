@@ -110,6 +110,28 @@ def test_verify_all_skips_t5_at_large_eps(diag_file, tmp_path):
     assert t5 and str(t5[0]["details"].get("status", "")).startswith("skipped")
 
 
+# The auto grid covers the bounding disk only up to eps = 0.9, so at 0.95
+# T3σ cannot count components on it: the sweep skips T3σ, naming the disk,
+# and naming T3 makes that fatal.
+_DISK_MISSED = "does not contain the bounding disk D(0, 39)"
+
+
+def test_verify_all_skips_t3_past_the_auto_grid(diag_file, tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["verify", "--matrix", str(diag_file), "--eps", "0.95",
+                 "--grid", "21", "--out", str(report)]) == 0
+    [t3] = [e for e in jsonio.loads(report.read_text()) if e["theorem_id"] == "T3σ"]
+    assert t3["details"]["status"].startswith("skipped: grid [-20.9")
+    assert t3["details"]["status"].endswith(_DISK_MISSED) and t3["details"]["eps"] == 0.95
+
+
+def test_verify_t3_past_the_auto_grid_exits_2(diag_file, tmp_path, capsys):
+    assert main(["verify", "--matrix", str(diag_file), "--eps", "0.95", "--grid", "21",
+                 "--theorems", "t3", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid [-20.9") and _DISK_MISSED in err
+
+
 def test_verify_tampered_certificate_exits_1(diag_file, tmp_path):
     A = np.diag([1.0, -1.0])
     w = witness_perturbation(A, 0.9, 0.5)

@@ -10,6 +10,7 @@ from condspec.spectra import (
     GridSpec,
     SpectralField,
     _marching_squares,
+    auto_grid,
     compute_field,
     extract_contours,
     spectrum_kind,
@@ -80,7 +81,7 @@ def test_no_contour_for_zero_matrix_away_from_origin():
 def test_monotone_nesting_random_matrix():
     rng = np.random.default_rng(44)
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    grid = GridSpec.auto(A, 0.3, n=201)
+    grid = auto_grid(A, 0.3, 201)
     field = compute_field(A, grid)
     contours = extract_contours(field, [0.1, 0.3], "condition")
     inner = contours.levels[0].polylines
@@ -335,5 +336,5 @@ def _acceptance_corpus():
 @pytest.mark.parametrize("kind", ["condition", "pseudo"])
 def test_corpus_contour_bytes_match_reference(kind):
     for A in _acceptance_corpus():
-        field = compute_field(A, GridSpec.auto(A, 0.4, n=61))
+        field = compute_field(A, auto_grid(A, 0.4, 61))
         assert_same_contours(field, [1e-6, 0.05, 0.4], kind)

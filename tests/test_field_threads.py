@@ -46,10 +46,10 @@ def _field_bytes(f):
 _HASH_FIELDS = """
 import hashlib
 from condspec.matrixio import generate
-from condspec.spectra import GridSpec, compute_field
+from condspec.spectra import GridSpec, auto_grid, compute_field
 for n in (72, 96):
     A = generate("random", n, seed=11)
-    for grid in (GridSpec.square(3.0, 7), GridSpec.auto(A, 0.1, n=7)):
+    for grid in (GridSpec.square(3.0, 7), auto_grid(A, 0.1, 7)):
         f = compute_field(A, grid)
         print(n, grid.re_max.hex(),
               hashlib.sha256(f.sigma_min.tobytes() + f.sigma_max.tobytes()).hexdigest())

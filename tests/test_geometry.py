@@ -20,7 +20,7 @@ from condspec.spectra import (
     KIND_CONDITION,
     KIND_PSEUDO,
     PSEUDO,
-    GridSpec,
+    auto_grid,
     component_count,
     compute_field,
     field_for,
@@ -255,7 +255,7 @@ def test_batched_range_matches_per_angle_loop(n):
                          ids=["diag(1,-1)", "J4(0.9)", "random5", "diag(1+i,-1+i,-i)"])
 @pytest.mark.parametrize("eps", [0.05, 0.3])
 def test_t9_worst_is_the_maximum_over_all_members(A, eps):
-    field = compute_field(A, GridSpec.auto(A, eps, n=81))
+    field = compute_field(A, auto_grid(A, eps, 81))
     poly = _range_polygon(A)
     norm_a = spectral_norm(A)
     for check, kind, pad in ((check_t9, KIND_CONDITION, 2 * eps / (1 - eps) * norm_a),
@@ -316,9 +316,7 @@ def test_t3_reach_and_t8_worst_match_the_broadcast_forms(name, monkeypatch):
         assert np.array_equal(nearest > diag, reference_nearest(points, eig) > diag)
         for check, kind in ((check_t8, CONDITION), (check_t8e, PSEUDO)):
             members = field.member_nodes(e, kind)
-            disks = theorems._gerschgorin_disks(kind, as_matrix(A), e)
-            centers = np.array([d.center for d in disks])
-            radii = np.array([d.radius for d in disks])
+            centers, radii = theorems._gerschgorin_disks(kind, as_matrix(A), e)
             r = check(A, e, field)
             if members.size == 0:
                 assert not cover_calls
@@ -342,6 +340,10 @@ def test_disk_distance_on_disk_edges_and_ties():
     assert got[4] == -5.0 and got[5] == 4.0
     assert distance_to_disks(points, centers).tobytes() == \
         reference_nearest(points, centers).tobytes()
+    # With fewer points than disks the loop runs over the points (T4's case).
+    for few in (points[:2], points[:0]):
+        assert distance_to_disks(few, centers, radii).tobytes() == \
+            reference_disk_excess(few, centers, radii).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,7 +1,8 @@
 """Layering rules, read from the source: numkernel is the only module that
 calls LAPACK (any np.linalg routine but norm), pins BLAS or builds a thread
 pool, so the batched sigma(zI - A) primitive, the W(A) sweep, the BLAS pin
-and the pool have one home."""
+and the pool have one home; and spectra.auto_grid is the only caller of
+GridSpec.square, so auto grids have one rule."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,26 @@ def test_numkernel_holds_both():
     found = _violations(ast.parse((SOURCES[0].parent / "numkernel.py").read_text()))
     for what in ("linalg.svd", "linalg.eigh", "linalg.solve", "ThreadPoolExecutor"):
         assert any(what in line for line in found), what
+
+
+def _square_calls(tree, module: str) -> list:
+    """Lines of the calls of a method named square outside spectra.auto_grid."""
+    calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "square"}
+    allowed = {node for fn in ast.walk(tree) if module == "spectra"
+               and isinstance(fn, ast.FunctionDef) and fn.name == "auto_grid"
+               for node in ast.walk(fn)}
+    return sorted(node.lineno for node in calls - allowed)
+
+
+def test_square_rule_sees_a_second_auto_grid_rule():
+    source = ("class GridSpec:\n    @classmethod\n    def auto(cls, A, eps, n):\n"
+              "        return cls.square(2.0, n)\n\n"
+              "def auto_grid(A, eps, n):\n    return GridSpec.square(1.0, n)\n")
+    assert _square_calls(ast.parse(source), "spectra") == [4]
+    assert _square_calls(ast.parse(source), "cli") == [4, 7]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_only_auto_grid_builds_square_grids(path):
+    assert _square_calls(ast.parse(path.read_text()), path.stem) == []

@@ -24,7 +24,6 @@ from condspec.numkernel import (
     power_norms,
     shifted_extremes,
     singular_values,
-    smallest_singular_value,
     spectral_norm,
     svd,
 )
@@ -155,12 +154,12 @@ def test_spectral_norm_charpoly_oracle(seed):
     assert spectral_norm(M) == pytest.approx(expected, rel=1e-10)
 
 
-# --- smallest_singular_value ---------------------------------------------------
+# --- smallest singular value ----------------------------------------------------
 
 def test_smallest_singular_value_examples():
-    assert smallest_singular_value(np.eye(2)) == 1.0
-    assert smallest_singular_value(np.diag([3.0, 0.5])) == 0.5
-    assert smallest_singular_value(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
+    assert as_matrix(np.eye(2)).svals[-1] == 1.0
+    assert as_matrix(np.diag([3.0, 0.5])).svals[-1] == 0.5
+    assert as_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])).svals[-1] == 0.0
 
 
 def test_svd_vectors_invariant():
@@ -235,12 +234,12 @@ def test_condition_number_singular():
 def test_inverse_norm_reciprocal():
     M = random_complex(5, 13)
     inv_norm = spectral_norm(np.linalg.inv(M))
-    assert smallest_singular_value(M) * inv_norm == pytest.approx(1.0, rel=1e-10)
+    assert as_matrix(M).svals[-1] * inv_norm == pytest.approx(1.0, rel=1e-10)
 
 
 def test_norm_equals_smallest_for_1x1():
     m = as_matrix([[2.5 - 1j]])
-    assert spectral_norm(m) == smallest_singular_value(m)
+    assert spectral_norm(m) == m.svals[-1]
 
 
 # --- power_norms -----------------------------------------------------------------

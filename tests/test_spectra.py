@@ -1,5 +1,7 @@
 """Membership predicates, grid fields, radii, distances, components."""
 
+import dataclasses
+import inspect
 import io
 import random
 import tracemalloc
@@ -14,9 +16,12 @@ from condspec.errors import GridResolutionError, GridTooSmallError
 from condspec.matrixio import generate
 from condspec.numkernel import as_matrix, eigenvalues
 from condspec.spectra import (
+    CONDITION,
+    PSEUDO,
     Epsilon,
     GridSpec,
     SpectralField,
+    auto_grid,
     bounding_region,
     component_count,
     compute_field,
@@ -106,9 +111,40 @@ def test_pseudo_membership_examples():
     assert in_pseudospectrum(DIAG, 3.0, 2.0)      # boundary: sigma_min = 2 <= 2
 
 
+# At eps = 0 both spectra are the eigenvalues, where the ratio is +inf and
+# sigma_min is 0.  Every rule of a kind that takes eps gives its limit as
+# eps -> 0+ there: no ZeroDivisionError, no nan, no RuntimeWarning.
+_RULES_AT_EPS_ZERO = {  # rule: (its call at eps = 0, condition value, pseudo value)
+    "level": (lambda f, q: f(0.0, 2.0), np.inf, 0.0),
+    "inside": (lambda f, q: f(q, 0.0), [True, False], [True, False]),
+    "off_level": (lambda f, q: f(q, 0.0), [np.inf, 1.0], [1.0, np.inf]),
+    "depth": (lambda f, q: f(q, 0.0), [np.inf, 0.0], [np.inf, 0.0]),
+    "radius": (lambda f, q: f(0.0, 3.0), 3.0, 3.0),
+    "pad": (lambda f, q: f(0.0, lambda: 3.0, 2.0), 0.0, 0.0),
+}
+
+
+def test_every_rule_taking_eps_is_checked_at_zero():
+    takes_eps = {f.name for f in dataclasses.fields(spectra.SpectrumKind)
+                 if callable(getattr(CONDITION, f.name))
+                 and "e" in inspect.signature(getattr(CONDITION, f.name)).parameters}
+    assert takes_eps == set(_RULES_AT_EPS_ZERO)
+
+
+@pytest.mark.parametrize("kind", [CONDITION, PSEUDO], ids=["sigma", "eps"])
+@pytest.mark.parametrize("rule", list(_RULES_AT_EPS_ZERO))
+def test_kind_rules_at_eps_zero(kind, rule):
+    call, *expected = _RULES_AT_EPS_ZERO[rule]
+    expected = expected[kind is PSEUDO]
+    q = np.array([np.inf, 2.0]) if kind is CONDITION else np.array([0.0, 0.5])  # eigenvalue, not
+    f = getattr(kind, rule)
+    assert np.array_equal(call(f, q), expected)
+    assert [call(f, x) for x in q] == ([expected] * 2 if np.ndim(expected) == 0 else expected)
+
+
 def test_membership_monotone_in_eps():
     A = random_complex(3, 9)
-    field = compute_field(A, GridSpec.auto(A, 0.4, n=61))
+    field = compute_field(A, auto_grid(A, 0.4, 61))
     inner = field.member_mask(0.1)
     outer = field.member_mask(0.4)
     assert np.all(outer[inner])
@@ -204,7 +240,7 @@ def test_radius_against_bisection_oracle():
         return lo
 
     for eps, nodes in ((0.5, 401), (0.2, 401)):
-        grid = GridSpec.auto(DIAG, eps, n=nodes)
+        grid = auto_grid(DIAG, eps, nodes)
         r = condition_spectral_radius(DIAG, eps, grid)
         assert abs(r - bisect(eps)) <= 2 * max(grid.dre, grid.dim)
 
@@ -219,7 +255,7 @@ def test_radius_approaches_spectrum_for_small_eps():
 def test_radius_below_paper_bound():
     A = random_complex(4, 12)
     eps = 0.3
-    grid = GridSpec.auto(A, eps, n=121)
+    grid = auto_grid(A, eps, 121)
     assert condition_spectral_radius(A, eps, grid) <= bounding_region(A, eps) + grid.cell_diagonal()
 
 
@@ -231,16 +267,16 @@ def test_radius_grid_too_small():
 # --- distance_to_condition_spectrum ---------------------------------------------------
 
 def test_distance_zero_inside_and_at_eigenvalues():
-    grid = GridSpec.auto(DIAG, 0.3, n=121)
+    grid = auto_grid(DIAG, 0.3, 121)
     assert distance_to_condition_spectrum(DIAG, 1.0, 0.3, grid) == 0.0
     assert distance_to_condition_spectrum(DIAG, 1.05, 0.3, grid) == 0.0
 
 
 def test_distance_matches_fine_grid_oracle():
     eps, z = 0.3, 5.0 + 0.0j
-    grid = GridSpec.auto(DIAG, eps, n=241)
+    grid = auto_grid(DIAG, eps, 241)
     d = distance_to_condition_spectrum(DIAG, z, eps, grid)
-    fine = GridSpec.auto(DIAG, eps, n=1001)
+    fine = auto_grid(DIAG, eps, 1001)
     nodes = fine.nodes()
     d1 = np.abs(nodes - 1.0)
     d2 = np.abs(nodes + 1.0)
@@ -258,7 +294,7 @@ def test_distance_grid_too_small():
 # --- component_count ---------------------------------------------------------------
 
 def test_components_diag_small_eps():
-    field = compute_field(DIAG, GridSpec.auto(DIAG, 0.2, n=201))
+    field = compute_field(DIAG, auto_grid(DIAG, 0.2, 201))
     assert component_count(field, 0.2) == 2
 
 
@@ -277,7 +313,7 @@ def test_components_diag_large_eps_stay_separate():
 
 def test_components_hausdorff_convergence():
     A = random_complex(3, 20)
-    field = compute_field(A, GridSpec.auto(A, 0.3, n=301))
+    field = compute_field(A, auto_grid(A, 0.3, 301))
     eig = eigenvalues(A)
     nodes = field.grid.nodes()
 

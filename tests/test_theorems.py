@@ -70,7 +70,7 @@ def is_convex_polygon(poly, tol: float = 0.0) -> bool:
 
 @pytest.fixture(scope="module")
 def diag_field():
-    return compute_field(DIAG, GridSpec.auto(DIAG, 0.5, n=161))
+    return compute_field(DIAG, auto_grid(DIAG, 0.5, 161))
 
 
 # --- T1 ------------------------------------------------------------------------
@@ -317,13 +317,12 @@ def test_eps_to_zero_limit_of_pad_radius_and_disks(kind):
         pads.append(kind.pad(e, lambda: m.norm))
         assert 0.0 < pads[-1] <= 4.0 * e * m.norm
         assert 0.0 <= kind.radius(e, m.norm) - m.norm <= pads[-1] + 4.0 * U_MACH * m.norm
-        radii = [d.radius for d in theorems._gerschgorin_disks(kind, m, e)]
+        radii = theorems._gerschgorin_disks(kind, m, e)[1]
         assert np.array_equal(radii, rows + 2.0 * pads[-1])  # sqrt(N) = 2: exact
     assert pads == sorted(pads, reverse=True) and len(set(pads)) == len(pads)
     # Below half an ulp of ||A|| and of every row sum, the limit is exact.
     assert kind.radius(2.0 ** -60, m.norm) == m.norm
-    assert np.array_equal([d.radius for d in theorems._gerschgorin_disks(kind, m, 2.0 ** -60)],
-                          rows)
+    assert np.array_equal(theorems._gerschgorin_disks(kind, m, 2.0 ** -60)[1], rows)
     with pytest.raises(ValueError, match="eps must be finite and > 0"):
         kind.eps(0.0)
 
@@ -558,10 +557,17 @@ def test_suite_rejects_unknown_selector():
 
 
 def test_suite_propagates_grid_too_small():
+    # Strict mode raises it; otherwise T3σ, the one check that needs the
+    # bounding disk on the grid, is skipped and names the disk.
     from condspec.errors import GridTooSmallError
     from condspec.spectra import GridSpec
+    grid = GridSpec(-1, 1, -1, 1, 21, 21)
     with pytest.raises(GridTooSmallError):
-        run_suite(DIAG, [0.5], grid=GridSpec(-1, 1, -1, 1, 21, 21))
+        run_suite(DIAG, [0.5], grid=grid, strict=True)
+    [t3] = [r for r in run_suite(DIAG, [0.5], grid=grid) if r.theorem_id == "T3σ"]
+    assert t3.passed and t3.lhs is None
+    assert t3.details["status"].startswith("skipped: grid [-1, 1] x [-1, 1] does not contain")
+    assert "D(0, 3)" in t3.details["status"]
 
 
 def test_suite_degenerate_1x1():
@@ -587,11 +593,11 @@ def test_suite_on_shared_matrices_matches_fresh_runs():
 
     def fresh(M):
         a = np.array(M.entries)
-        return suite(a, compute_field(a, GridSpec.auto(a, 0.4, n=61)))
+        return suite(a, compute_field(a, auto_grid(a, 0.4, 61)))
 
     A = generate("jordan", 4, value=0.9)
     B = ComplexMatrix(random_complex(3, 21))
-    fields = {id(M): compute_field(M, GridSpec.auto(M, 0.4, n=61)) for M in (A, B)}
+    fields = {id(M): compute_field(M, auto_grid(M, 0.4, 61)) for M in (A, B)}
     runs = [suite(M, fields[id(M)]) for M in (A, B, A)]
     assert runs == [fresh(A), fresh(B), fresh(A)]
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from condspec import jsonio
 from condspec.errors import NotAMemberError, ParseError
 from condspec.numkernel import as_matrix, eigenvalues, singular_values, spectral_norm
-from condspec.spectra import GridSpec, compute_field, condition_number_at, in_condition_spectrum
+from condspec.spectra import auto_grid, compute_field, condition_number_at, in_condition_spectrum
 from condspec.theorems import sample_points
 from condspec.witness import (
     Witness,
@@ -16,7 +16,6 @@ from condspec.witness import (
     membership_from_perturbation,
     witness_from_json_obj,
     witness_perturbation,
-    witness_vector,
 )
 
 DIAG = np.diag([1.0, -1.0])
@@ -28,20 +27,20 @@ def random_complex(n, seed):
 
 
 def boundary_adjacent_points(A, eps, seed, count=10):
-    field = compute_field(A, GridSpec.auto(A, eps, n=61))
+    field = compute_field(A, auto_grid(A, eps, 61))
     return sample_points(field, eps, count, seed)
 
 
-# --- witness_vector -----------------------------------------------------------
+# --- the witness vector u -------------------------------------------------------
 
 def test_vector_at_eigenvalue_is_eigenvector():
-    u = witness_vector(DIAG, 1.0, 0.5)
+    u = witness_perturbation(DIAG, 1.0, 0.5).u
     assert np.linalg.norm(DIAG @ u - 1.0 * u) <= 1e-10
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vector_diag_example():
-    u = witness_vector(DIAG, 0.9, 0.5)
+    u = witness_perturbation(DIAG, 0.9, 0.5).u
     assert np.allclose(u, [1.0, 0.0])  # residual 0.1 <= 0.5 * 1.9
     assert np.linalg.norm(DIAG @ u - 0.9 * u) == pytest.approx(0.1)
 
@@ -53,14 +52,14 @@ def test_vector_residual_bound_random():
         z = complex(z)
         if not in_condition_spectrum(A, z, eps):
             continue
-        u = witness_vector(A, z, eps)
+        u = witness_perturbation(A, z, eps).u
         smax = float(singular_values(as_matrix(A).shifted(z))[0])
         assert np.linalg.norm((z * np.eye(5) - A) @ u) <= eps * smax * (1 + 1e-12)
 
 
 def test_vector_rejects_non_member():
     with pytest.raises(NotAMemberError):
-        witness_vector(DIAG, 10.0, 0.1)
+        witness_perturbation(DIAG, 10.0, 0.1)
 
 
 # --- witness_perturbation -------------------------------------------------------
@@ -141,6 +140,14 @@ def test_certificate_overflowing_float64_rejected():
     # ||E|| is within budget, but A + E - z*I overflows to -inf
     E = np.diag([-0.9e308, -0.9e308])
     assert not membership_from_perturbation(DIAG, 1e308, E, 0.95)
+
+
+def test_certificate_of_another_size_raises():
+    # A 1 x 1 E would broadcast to 0.4875 in every entry of A, which makes
+    # 1.6 an eigenvalue although kappa(1.6 - A) = 4.33 < 1/0.2.
+    assert not in_condition_spectrum(DIAG, 1.6, 0.2)
+    with pytest.raises(ValueError, match="E is 1 x 1, A is 2 x 2"):
+        membership_from_perturbation(DIAG, 1.6, [[0.4875]], 0.2)
 
 
 def test_certificate_round_trip():
