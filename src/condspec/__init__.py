@@ -33,9 +33,10 @@ from .numkernel import (
 )
 from .report import TheoremReport
 from .spectra import (
+    CONDITION,
+    PSEUDO,
     ContourLevel,
     ContourSet,
-    Epsilon,
     GridSpec,
     SpectralField,
     auto_grid,

@@ -28,20 +28,23 @@ from .errors import CondspecError, GridTooSmallError, ParseError, PreconditionEr
 from .numkernel import ComplexMatrix, eigenvalues
 from .report import TheoremReport
 from .spectra import (
+    CONDITION,
+    PSEUDO,
     GridSpec,
-    KIND_CONDITION,
-    KIND_PSEUDO,
     auto_grid,
     compute_field,
     extract_contours,
     read_field_grid,
-    spectrum_kind,
     write_field_csv,
 )
 from .theorems import SIGMA_CHECKS, TransientConfig, run_suite
 from .witness import membership_from_perturbation, witness_from_json_obj
 
 DEFAULT_EPS = (0.1, 0.2, 0.3)
+
+# compute --kind: each choice and the kinds it computes.
+KIND_CHOICES = {CONDITION.name: (CONDITION,), PSEUDO.name: (PSEUDO,),
+                "both": (CONDITION, PSEUDO)}
 
 
 @dataclass
@@ -51,7 +54,7 @@ class RunConfig:
     matrix: ComplexMatrix
     eps_list: tuple = DEFAULT_EPS
     grid_nodes: int = 161
-    kind: str = KIND_CONDITION
+    kinds: tuple = (CONDITION,)
     out: Path = Path(".")
     seed: int = 0
     theorems: tuple = ()
@@ -62,15 +65,16 @@ class RunConfig:
     certificate: Path | None = None
 
     def resolve_grid(self) -> GridSpec:
-        return auto_grid(self.matrix, max(self.eps_list), self.grid_nodes, self.kind)
+        """The auto grid, widened for the pseudospectrum when it is computed."""
+        kind = PSEUDO if PSEUDO in self.kinds else CONDITION
+        return auto_grid(self.matrix, max(self.eps_list), self.grid_nodes, kind)
 
 
 def cmd_compute(config: RunConfig) -> list[Path]:
     """Write field.csv plus one contour JSON per requested kind."""
-    kinds = [config.kind] if config.kind != "both" else [KIND_CONDITION, KIND_PSEUDO]
     for e in config.eps_list:
-        for k in kinds:
-            spectrum_kind(k).eps(e)
+        for kind in config.kinds:
+            kind.eps(e)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     field = compute_field(config.matrix, config.resolve_grid())
@@ -79,15 +83,15 @@ def cmd_compute(config: RunConfig) -> list[Path]:
     with open(field_path, "w") as fp:
         write_field_csv(field, fp)
     written.append(field_path)
-    for kind in kinds:
+    for kind in config.kinds:
         contours = extract_contours(field, config.eps_list, kind)
-        path = out / f"contours_{kind}.json"
+        path = out / f"contours_{kind.name}.json"
         with open(path, "w") as fp:
             jsonio.dump(contours.to_json_obj(), fp)
         written.append(path)
         empty = [lv.eps for lv in contours.levels if not lv.polylines]
         if empty:
-            print(f"note: no {kind} contour crosses the grid for eps = "
+            print(f"note: no {kind.name} contour crosses the grid for eps = "
                   + ", ".join(f"{e:g}" for e in empty), file=sys.stderr)
     return written
 
@@ -157,13 +161,14 @@ def cmd_plot(field_path, contour_paths, matrix: ComplexMatrix | None,
     groups = []
     for cpath in contour_paths:
         name = Path(cpath).stem
-        kind = KIND_PSEUDO if "pseudo" in name else KIND_CONDITION
+        kind = PSEUDO.name if PSEUDO.name in name else CONDITION.name
         data = jsonio.loads(Path(cpath).read_text())
         if not isinstance(data, list):
             raise ParseError(f"{cpath}: contour JSON must be a list of levels")
         for level in data:
             if not (isinstance(level, dict) and isinstance(level.get("polylines"), list)
-                    and isinstance(level.get("eps"), (int, float))):
+                    and isinstance(level.get("eps"), (int, float))
+                    and not isinstance(level["eps"], bool)):
                 raise ParseError(f"{cpath}: each contour level must be an object with "
                                  "a numeric 'eps' and a 'polylines' list")
             try:
@@ -174,6 +179,8 @@ def cmd_plot(field_path, contour_paths, matrix: ComplexMatrix | None,
                 raise ParseError(f"{cpath}: a number is beyond the float64 range") from exc
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{cpath}: polylines must be lists of [re, im] pairs") from exc
+            if not (np.isfinite(eps) and all(np.isfinite(p).all() for p in polys)):
+                raise ParseError(f"{cpath}: 'eps' and every [re, im] point must be finite")
             groups.append((kind, eps, polys))
     eig = eigenvalues(matrix) if matrix is not None else None
     svg = svgplot.render_svg(groups, eigenvalues=eig, bounds=bounds,
@@ -253,17 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated eps values (default 0.1,0.2,0.3)")
         p.add_argument("--grid", type=_bounded_int(2, matrixio.MAX_GRID_NODES), default=161,
                        help=f"grid nodes per axis, 2 to {matrixio.MAX_GRID_NODES}")
-        p.add_argument("--seed", type=_bounded_int(0), default=0,
-                       help="seed of verify's sampled points; compute draws nothing")
 
     p_comp = sub.add_parser("compute", help="write the field CSV and contour JSON")
     add_common(p_comp)
-    p_comp.add_argument("--kind", choices=[KIND_CONDITION, KIND_PSEUDO, "both"],
-                        default=KIND_CONDITION)
+    p_comp.add_argument("--kind", choices=list(KIND_CHOICES), default=CONDITION.name)
     p_comp.add_argument("--out", default="condspec-out", help="output directory")
 
     p_ver = sub.add_parser("verify", help="run theorem checks and write a report")
     add_common(p_ver)
+    p_ver.add_argument("--seed", type=_bounded_int(0), default=0,
+                       help="seed of the sampled points")
     p_ver.add_argument("--theorems", type=_parse_theorems, default=(),
                        help="'all' (default) or comma-separated t1..t10")
     p_ver.add_argument("--k-max", type=_bounded_int(1, matrixio.MAX_K_MAX), default=50,
@@ -325,7 +331,7 @@ def main(argv=None) -> int:
         matrix = matrixio.parse_matrix(Path(args.matrix), args.format)
         if args.command == "compute":
             config = RunConfig(matrix=matrix, eps_list=args.eps, grid_nodes=args.grid,
-                               kind=args.kind, out=Path(args.out), seed=args.seed)
+                               kinds=KIND_CHOICES[args.kind], out=Path(args.out))
             for path in cmd_compute(config):
                 print(f"wrote {path}")
             return 0

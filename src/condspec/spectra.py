@@ -7,7 +7,8 @@ sigma_min(z*I - A) <= eps, i.e. the resolvent norm reaches 1/eps.  One
 SpectrumKind record per kind (CONDITION, PSEUDO) holds every rule that
 differs between the two: the eps range, the compared quantity and its
 level, the boundary band, the bounding radius and the pad the theorems
-share.  Functions that take a kind accept either record or its name.
+share.  Functions that take a kind take the record; kind names are text
+read or written at the edges (file names, ContourLevel.kind, labels).
 
 Grid computation samples sigma_min, sigma_max and their ratio over a
 rectangle of the complex plane; classification, contour extraction,
@@ -40,9 +41,6 @@ from .numkernel import (  # _thread_count: condbench's environment record reads 
     spectral_norm,
 )
 
-KIND_CONDITION = "condition"
-KIND_PSEUDO = "pseudo"
-
 # Default node count per axis and margin factor for auto-sized grids.
 DEFAULT_GRID_NODES = 401
 GRID_MARGIN = 1.1
@@ -54,20 +52,6 @@ BOUNDARY_BAND = 1e-9
 
 # Relative slack for comparisons that are exact in exact arithmetic.
 FLOAT_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class Epsilon:
-    """Perturbation level.  Condition-spectrum use requires value < 1;
-    pseudospectrum use admits any positive value."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not np.isfinite(v) or v <= 0.0:
-            raise ValueError(f"eps must be finite and > 0, got {self.value!r}")
-        object.__setattr__(self, "value", v)
 
 
 @dataclass(frozen=True)
@@ -97,9 +81,11 @@ class SpectrumKind:
     pad: Callable        # (eps, () -> ||A||, scale=1.0) -> scale times the pad of T4, T7-T9;
                          # ||A|| is taken only by the kind whose pad uses it
 
-    def eps(self, eps) -> float:
-        """Validate an Epsilon/float for this kind."""
-        v = (eps if isinstance(eps, Epsilon) else Epsilon(eps)).value
+    def eps(self, eps: float) -> float:
+        """eps as a float, checked for this kind: finite, > 0 and below eps_limit."""
+        v = float(eps)
+        if not np.isfinite(v) or v <= 0.0:
+            raise ValueError(f"eps must be finite and > 0, got {eps!r}")
         if v >= self.eps_limit:
             raise ValueError(f"{self.name}-spectrum eps must satisfy "
                              f"0 < eps < {self.eps_limit:g}, got {v}")
@@ -113,7 +99,7 @@ class SpectrumKind:
 
 
 CONDITION = SpectrumKind(
-    name=KIND_CONDITION, suffix="σ", eps_limit=1.0, degree=0, poles=True,
+    name="condition", suffix="σ", eps_limit=1.0, degree=0, poles=True,
     quantity=lambda smin, ratio: ratio,
     measure=lambda smin, ratio: ratio,
     level=lambda e, scale=1.0: scale / e if e else np.inf,
@@ -126,7 +112,7 @@ CONDITION = SpectrumKind(
 )
 
 PSEUDO = SpectrumKind(
-    name=KIND_PSEUDO, suffix="ε", eps_limit=np.inf, degree=1, poles=False,
+    name="pseudo", suffix="ε", eps_limit=np.inf, degree=1, poles=False,
     quantity=lambda smin, ratio: smin,
     measure=lambda smin, ratio: 1.0 / smin,
     level=lambda e, scale=1.0: scale * e,
@@ -138,23 +124,11 @@ PSEUDO = SpectrumKind(
     pad=lambda e, norm, scale=1.0: scale * e,
 )
 
-_KINDS = {k.name: k for k in (CONDITION, PSEUDO)}
-
 
 def _quiet_divide(a, b):
     """a / b with no RuntimeWarning where it overflows or b is 0 (+-inf, nan for 0/0)."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return a / b
-
-
-def spectrum_kind(kind) -> SpectrumKind:
-    """The record of a kind given by record or by name."""
-    if isinstance(kind, SpectrumKind):
-        return kind
-    try:
-        return _KINDS[kind]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown spectrum kind {kind!r}") from None
 
 
 @dataclass(frozen=True)
@@ -247,33 +221,31 @@ class SpectralField:
     matrix: ComplexMatrix | None = dc_field(default=None, repr=False)
     _facts: dict = dc_field(default_factory=dict, init=False, repr=False)
 
-    def quantity(self, kind) -> np.ndarray:
+    def quantity(self, kind: SpectrumKind) -> np.ndarray:
         """The kind's compared quantity at every node."""
-        return spectrum_kind(kind).quantity(self.sigma_min, self.ratio)
+        return kind.quantity(self.sigma_min, self.ratio)
 
-    def member_mask(self, eps, kind: str = KIND_CONDITION) -> np.ndarray:
+    def member_mask(self, eps: float, kind: SpectrumKind = CONDITION) -> np.ndarray:
         """Membership at every node (condition spectrum by default)."""
-        k = spectrum_kind(kind)
-        e = k.eps(eps)
-        return _memo(self._facts, ("mask", e, k.name),
-                     lambda: _read_only(k.inside(self.quantity(k), e)))
+        e = kind.eps(eps)
+        return _memo(self._facts, ("mask", e, kind.name),
+                     lambda: _read_only(kind.inside(self.quantity(kind), e)))
 
-    def member_nodes(self, eps, kind: str = KIND_CONDITION) -> np.ndarray:
-        k = spectrum_kind(kind)
-        e = k.eps(eps)
-        return _memo(self._facts, ("nodes", e, k.name),
-                     lambda: _read_only(self.grid.nodes()[self.member_mask(e, k)]))
+    def member_nodes(self, eps: float, kind: SpectrumKind = CONDITION) -> np.ndarray:
+        e = kind.eps(eps)
+        return _memo(self._facts, ("nodes", e, kind.name),
+                     lambda: _read_only(self.grid.nodes()[self.member_mask(e, kind)]))
 
-    def band_nodes(self, eps, kind: str = KIND_CONDITION) -> np.ndarray:
+    def band_nodes(self, eps: float, kind: SpectrumKind = CONDITION) -> np.ndarray:
         """Nodes whose quantity lies within a factor 2 of the membership
         level, in grid order."""
-        k = spectrum_kind(kind)
-        e = k.eps(eps)
+        e = kind.eps(eps)
 
         def make():
-            q = self.quantity(k)
-            return _read_only(self.grid.nodes()[(q >= k.level(e, 0.5)) & (q <= k.level(e, 2.0))])
-        return _memo(self._facts, ("band", e, k.name), make)
+            q = self.quantity(kind)
+            return _read_only(self.grid.nodes()[(q >= kind.level(e, 0.5))
+                                                & (q <= kind.level(e, 2.0))])
+        return _memo(self._facts, ("band", e, kind.name), make)
 
 
 def compute_field(A, grid: GridSpec) -> SpectralField:
@@ -302,11 +274,10 @@ def condition_number_at(A, z: complex) -> float:
     return float(CONDITION.at(A, z)[1][0])
 
 
-def in_spectrum(A, z: complex, eps, kind: str = KIND_CONDITION) -> bool:
+def in_spectrum(A, z: complex, eps: float, kind: SpectrumKind = CONDITION) -> bool:
     """Whether z belongs to the eps-spectrum of A of the given kind."""
-    k = spectrum_kind(kind)
-    e = k.eps(eps)
-    return bool(k.inside(k.at(A, z)[1][0], e))
+    e = kind.eps(eps)
+    return bool(kind.inside(kind.at(A, z)[1][0], e))
 
 
 def in_condition_spectrum(A, z: complex, eps) -> bool:
@@ -317,24 +288,23 @@ def in_pseudospectrum(A, z: complex, eps) -> bool:
     return in_spectrum(A, z, eps, PSEUDO)
 
 
-def auto_grid(A, eps_max, n: int = DEFAULT_GRID_NODES, kind: str = KIND_CONDITION) -> GridSpec:
+def auto_grid(A, eps_max: float, n: int = DEFAULT_GRID_NODES,
+              kind: SpectrumKind = CONDITION) -> GridSpec:
     """The auto grid up to eps_max: the square 10% wider than the condition
     spectrum's bounding disk at min(eps_max, 0.9) (that disk grows without
-    bound as eps -> 1) and, for any other kind, the pseudospectrum's at
-    eps_max; its half-width is at least 0.5, so A = 0 gets a grid too."""
+    bound as eps -> 1) and, for any other kind, also holding that kind's
+    disk at eps_max; its half-width is at least 0.5, so A = 0 gets a grid too."""
     radius = bounding_region(A, min(float(eps_max), 0.9))
-    if kind != KIND_CONDITION:
-        radius = max(radius, bounding_region(A, eps_max, KIND_PSEUDO))
+    if kind != CONDITION:
+        radius = max(radius, bounding_region(A, eps_max, kind))
     return GridSpec.square(max(GRID_MARGIN * radius, 0.5), n)
 
 
-def bounding_region(A, eps, kind: str = KIND_CONDITION) -> float:
+def bounding_region(A, eps: float, kind: SpectrumKind = CONDITION) -> float:
     """Radius R of a disk about 0 guaranteed to contain the spectrum:
     (1+eps)/(1-eps)*||A|| for the condition spectrum, ||A||+eps for the
     pseudospectrum."""
-    norm = spectral_norm(A)
-    k = spectrum_kind(kind)
-    return k.radius(k.eps(eps), norm)
+    return kind.radius(kind.eps(eps), spectral_norm(A))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +413,7 @@ def _marching_squares(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
     return polylines
 
 
-def extract_contours(field: SpectralField, eps_list, kind: str = KIND_CONDITION) -> ContourSet:
+def extract_contours(field: SpectralField, eps_list, kind: SpectrumKind = CONDITION) -> ContourSet:
     """Marching-squares boundary polylines at each requested eps.
 
     Condition kind traces ratio = 1/eps, pseudo kind sigma_min = eps, both
@@ -453,23 +423,22 @@ def extract_contours(field: SpectralField, eps_list, kind: str = KIND_CONDITION)
     that never crosses inside the grid yields an empty polyline list for
     that eps (reported, not an error).
     """
-    k = spectrum_kind(kind)
     xs = field.grid.re_axis()
     ys = field.grid.im_axis()
     with np.errstate(divide="ignore"):
-        logs = np.log10(field.quantity(k))
+        logs = np.log10(field.quantity(kind))
     poles = ~np.isfinite(logs)
     finite = logs[~poles]
     bounds = (float(finite.min()), float(finite.max())) if finite.size else None
     levels = []
     for eps in eps_list:
-        e = k.eps(eps)
-        lv = float(np.log10(k.level(e)))
+        e = kind.eps(eps)
+        lv = float(np.log10(kind.level(e)))
         lo, hi = bounds or (lv, lv)
         lo, hi = lo - 2.0, hi + 2.0
         t = np.nan_to_num(logs, nan=lo, posinf=max(hi, lv + 2.0), neginf=min(lo, lv - 2.0))
         polys = _marching_squares(xs, ys, t, lv, poles)
-        levels.append(ContourLevel(e, k.name, tuple(polys)))
+        levels.append(ContourLevel(e, kind.name, tuple(polys)))
     return ContourSet(tuple(levels))
 
 
@@ -499,7 +468,7 @@ def field_for(A, grid, eps) -> SpectralField:
     return compute_field(A, grid)
 
 
-def member_radius(field: SpectralField, eps, kind: str = KIND_CONDITION) -> float:
+def member_radius(field: SpectralField, eps: float, kind: SpectrumKind = CONDITION) -> float:
     """max |z| over the member nodes, 0.0 when there are none."""
     members = field.member_nodes(eps, kind)
     return float(np.abs(members).max()) if members.size else 0.0
@@ -514,7 +483,8 @@ def condition_spectral_radius(A, eps, grid) -> float:
     return member_radius(field, eps)
 
 
-def member_distances(A, field: SpectralField, eps, zs, kind: str = KIND_CONDITION) -> np.ndarray:
+def member_distances(A, field: SpectralField, eps: float, zs,
+                     kind: SpectrumKind = CONDITION) -> np.ndarray:
     """min |c - z| for each z in zs over the candidates c: the member nodes
     of field, then the eigenvalues of A.  Eigenvalues are members at every
     eps, so the distance stays meaningful when no node classifies."""

@@ -45,6 +45,7 @@ from .spectra import (
     FLOAT_SLACK,
     PSEUDO,
     SpectralField,
+    SpectrumKind,
     bounding_region,
     component_count,
     compute_field,  # unused here; condbench's tracer test reads theorems.compute_field
@@ -52,7 +53,6 @@ from .spectra import (
     in_spectrum,
     member_distances,
     member_radius,
-    spectrum_kind,
 )
 
 
@@ -109,12 +109,11 @@ def _disk_draw(rng, radius: float, count: int, scale: float = 1.0) -> np.ndarray
     return r * np.exp(1j * th)
 
 
-def sample_points(field: SpectralField, eps, count: int, seed: int,
-                  kind: str = CONDITION.name) -> np.ndarray:
+def sample_points(field: SpectralField, eps: float, count: int, seed: int,
+                  kind: SpectrumKind = CONDITION) -> np.ndarray:
     """Boundary-biased z samples: grid nodes whose field value lies within
     a factor 2 of the membership level, topped up with 25% uniform draws
     over the bounding disk.  Deterministic for a fixed seed."""
-    kind = spectrum_kind(kind)
     e = kind.eps(eps)
     band_nodes = field.band_nodes(e, kind)
 

@@ -261,7 +261,7 @@ def test_criterion_8_byte_determinism(tmp_path):
             env = dict(os.environ, CONDSPEC_THREADS=threads)
             for cmd in (
                 ["compute", "--matrix", str(mpath), "--eps", "0.1,0.3",
-                 "--kind", "both", "--grid", "61", "--seed", "5", "--out", str(outdir)],
+                 "--kind", "both", "--grid", "61", "--out", str(outdir)],
                 ["verify", "--matrix", str(mpath), "--eps", "0.2",
                  "--grid", "61", "--seed", "5", "--out", str(rep)],
                 ["plot", "--field", str(outdir / "field.csv"),

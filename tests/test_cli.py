@@ -200,14 +200,13 @@ def test_verify_rejects_samples_below_one_at_parse_time(diag_file, tmp_path, cap
     ["gen", "--kind", "random", "--n", "100000"],
     ["gen", "--kind", "diag", "--values", ",".join(["1"] * 513)],
     ["verify", "--matrix", "A.json", "--seed", "-1"],
-    ["compute", "--matrix", "A.json", "--seed", "-1"],
     ["gen", "--kind", "random", "--seed", "-1"],
 ], ids=["plot-width-0", "plot-width-negative", "plot-height-inside-margins", "compute-grid-1",
         "compute-grid-100000", "compute-grid-not-integer", "verify-grid-1",
         "verify-grid-100000", "verify-grid-not-integer", "verify-angles-7",
         "verify-angles-65537", "verify-angles-10**12", "verify-k-max-0",
         "verify-k-max-100001", "verify-k-max-10**12", "verify-samples-65537", "gen-n-0", "gen-n-513",
-        "gen-n-100000", "gen-values-513", "verify-seed--1", "compute-seed--1", "gen-seed--1"])
+        "gen-n-100000", "gen-values-513", "verify-seed--1", "gen-seed--1"])
 def test_rejects_out_of_range_sizes_at_parse_time(tmp_path, capsys, argv):
     # Rejected before any file is read or any array allocated.
     out = tmp_path / "out"
@@ -220,6 +219,14 @@ def test_rejects_out_of_range_sizes_at_parse_time(tmp_path, capsys, argv):
                          "--values", "--seed"))
     assert f"argument {flag}:" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_compute_takes_no_seed(tmp_path, capsys):
+    # compute draws nothing, so --seed belongs to verify (and gen) alone.
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--matrix", "A.json", "--seed", "3", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_plot_accepts_the_smallest_frame(diag_field_csv, tmp_path):
@@ -337,8 +344,7 @@ def test_byte_identical_outputs_across_runs(diag_file, tmp_path):
         svg = tmp_path / f"fig_{tag}.svg"
         rep = tmp_path / f"rep_{tag}.json"
         assert main(["compute", "--matrix", str(diag_file), "--eps", "0.2",
-                     "--kind", "both", "--grid", "61", "--out", str(outdir),
-                     "--seed", "9"]) == 0
+                     "--kind", "both", "--grid", "61", "--out", str(outdir)]) == 0
         assert main(["verify", "--matrix", str(diag_file), "--eps", "0.2",
                      "--grid", "61", "--seed", "9", "--out", str(rep)]) == 0
         assert main(["plot", "--field", str(outdir / "field.csv"),
@@ -373,15 +379,22 @@ def _field_csv_2x2(values):
     ("contours_condition.json", '[{"eps": 0.1, "polylines": [{"x": 1}]}]'),
     ("contours_condition.json", f'[{{"eps": 0.1, "polylines": [[[{10**400}, 1]]]}}]'),
     ("contours_condition.json", f'[{{"eps": {10**400}, "polylines": []}}]'),
+    ("contours_condition.json", '[{"eps": 0.1, "polylines": [[[NaN, 0], [1, 1]]]}]'),
+    ("contours_condition.json", '[{"eps": 0.1, "polylines": [[[0, 0], [Infinity, 1]]]}]'),
+    ("contours_condition.json", '[{"eps": true, "polylines": []}]'),
+    ("contours_condition.json", '[{"eps": NaN, "polylines": []}]'),
+    ("contours_condition.json", '[{"eps": -Infinity, "polylines": []}]'),
 ], ids=["header-only", "4-columns", "6-columns", "duplicated-node", "level-not-object", "no-polylines",
-        "not-a-list", "polyline-not-list", "point-past-float64", "eps-past-float64"])
+        "not-a-list", "polyline-not-list", "point-past-float64", "eps-past-float64", "point-nan",
+        "point-infinite", "eps-true", "eps-nan", "eps-infinite"])
 def test_plot_rejects_malformed_inputs_with_exit_2(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
     flag = "--field" if name == "field.csv" else "--contours"
     assert main(["plot", flag, str(path), "--out", str(tmp_path / "fig.svg")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: " if flag == "--field" else f"error: {path}: ")
+    assert "Traceback" not in err
     assert not (tmp_path / "fig.svg").exists()
 
 

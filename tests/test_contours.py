@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from condspec.matrixio import generate
 from condspec.spectra import (
+    CONDITION,
+    PSEUDO,
     GridSpec,
     SpectralField,
     _marching_squares,
     auto_grid,
     compute_field,
     extract_contours,
-    spectrum_kind,
 )
 
 DIAG = np.diag([1.0, -1.0])
@@ -60,7 +61,7 @@ def distance_to_circles(points, circles):
 def test_two_closed_curves_near_analytic_boundary():
     grid = GridSpec(-3, 3, -3, 3, 201, 201)
     field = compute_field(DIAG, grid)
-    contours = extract_contours(field, [0.3], "condition")
+    contours = extract_contours(field, [0.3], CONDITION)
     level = contours.levels[0]
     assert level.eps == 0.3
     assert len(level.polylines) == 2
@@ -73,7 +74,7 @@ def test_two_closed_curves_near_analytic_boundary():
 def test_no_contour_for_zero_matrix_away_from_origin():
     grid = GridSpec(1.0, 2.0, 1.0, 2.0, 21, 21)
     field = compute_field(np.zeros((2, 2)), grid)
-    contours = extract_contours(field, [0.3, 0.7], "condition")
+    contours = extract_contours(field, [0.3, 0.7], CONDITION)
     for level in contours.levels:
         assert level.polylines == ()
 
@@ -83,7 +84,7 @@ def test_monotone_nesting_random_matrix():
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     grid = auto_grid(A, 0.3, 201)
     field = compute_field(A, grid)
-    contours = extract_contours(field, [0.1, 0.3], "condition")
+    contours = extract_contours(field, [0.1, 0.3], CONDITION)
     inner = contours.levels[0].polylines
     outer = [p for p in contours.levels[1].polylines if len(p) > 2]
     assert inner and outer
@@ -97,7 +98,7 @@ def test_pseudo_contours_enclose_eigenvalues():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     grid = GridSpec(-2, 2, -2, 2, 161, 161)
     field = compute_field(A, grid)
-    contours = extract_contours(field, [0.3], "pseudo")
+    contours = extract_contours(field, [0.3], PSEUDO)
     polys = [p for p in contours.levels[0].polylines if len(p) > 2]
     assert polys
     assert any(polyline_contains(p, 0j) for p in polys)
@@ -105,7 +106,7 @@ def test_pseudo_contours_enclose_eigenvalues():
 
 def test_contour_json_shape():
     field = compute_field(DIAG, GridSpec(-3, 3, -3, 3, 81, 81))
-    obj = extract_contours(field, [0.2, 0.4], "condition").to_json_obj()
+    obj = extract_contours(field, [0.2, 0.4], CONDITION).to_json_obj()
     assert [lv["eps"] for lv in obj] == [0.2, 0.4]
     first = obj[0]["polylines"][0]
     assert isinstance(first[0], list) and len(first[0]) == 2
@@ -115,7 +116,7 @@ def test_contour_json_shape():
 def test_contour_points_lie_on_level_set(eps):
     grid = GridSpec(-3, 3, -3, 3, 161, 161)
     field = compute_field(DIAG, grid)
-    level = extract_contours(field, [eps], "condition").levels[0]
+    level = extract_contours(field, [eps], CONDITION).levels[0]
     circles = apollonius_circles(eps)
     for poly in level.polylines:
         assert distance_to_circles(np.asarray(poly), circles).max() <= grid.cell_diagonal()
@@ -240,12 +241,11 @@ def ref_log_scaled(values, level):
 
 def ref_contours(field, eps_list, kind):
     """(eps, polylines) per level, as the reference extracted them."""
-    k = spectrum_kind(kind)
     xs, ys = field.grid.re_axis(), field.grid.im_axis()
     out = []
     for eps in eps_list:
-        e = k.eps(eps)
-        t, lv, poles = ref_log_scaled(field.quantity(k), k.level(e))
+        e = kind.eps(eps)
+        t, lv, poles = ref_log_scaled(field.quantity(kind), kind.level(e))
         out.append((e, ref_marching_squares(xs, ys, t, lv, poles)))
     return out
 
@@ -319,8 +319,8 @@ def small_fields(draw):
 @settings(max_examples=150, deadline=None)
 @given(small_fields())
 def test_extract_contours_bytes_match_reference(field):
-    assert_same_contours(field, [0.1, 0.01, 0.3], "condition")
-    assert_same_contours(field, [0.1, 1.0, 0.3], "pseudo")
+    assert_same_contours(field, [0.1, 0.01, 0.3], CONDITION)
+    assert_same_contours(field, [0.1, 1.0, 0.3], PSEUDO)
 
 
 def _acceptance_corpus():
@@ -333,7 +333,7 @@ def _acceptance_corpus():
     return mats
 
 
-@pytest.mark.parametrize("kind", ["condition", "pseudo"])
+@pytest.mark.parametrize("kind", [CONDITION, PSEUDO], ids=["condition", "pseudo"])
 def test_corpus_contour_bytes_match_reference(kind):
     for A in _acceptance_corpus():
         field = compute_field(A, auto_grid(A, 0.4, 61))

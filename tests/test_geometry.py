@@ -17,8 +17,6 @@ from condspec.matrixio import generate
 from condspec.numkernel import _lapack, as_matrix, spectral_norm
 from condspec.spectra import (
     CONDITION,
-    KIND_CONDITION,
-    KIND_PSEUDO,
     PSEUDO,
     auto_grid,
     component_count,
@@ -258,8 +256,8 @@ def test_t9_worst_is_the_maximum_over_all_members(A, eps):
     field = compute_field(A, auto_grid(A, eps, 81))
     poly = _range_polygon(A)
     norm_a = spectral_norm(A)
-    for check, kind, pad in ((check_t9, KIND_CONDITION, 2 * eps / (1 - eps) * norm_a),
-                             (check_t9e, KIND_PSEUDO, eps)):
+    for check, kind, pad in ((check_t9, CONDITION, 2 * eps / (1 - eps) * norm_a),
+                             (check_t9e, PSEUDO, eps)):
         members = field.member_nodes(eps, kind)
         pts = np.column_stack([members.real, members.imag])
         eroded = pts[hull_depths(pts, convex_hull(pts)) >= pad]

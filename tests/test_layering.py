@@ -1,8 +1,10 @@
 """Layering rules, read from the source: numkernel is the only module that
 calls LAPACK (any np.linalg routine but norm), pins BLAS or builds a thread
 pool, so the batched sigma(zI - A) primitive, the W(A) sweep, the BLAS pin
-and the pool have one home; and spectra.auto_grid is the only caller of
-GridSpec.square, so auto grids have one rule."""
+and the pool have one home; spectra.auto_grid is the only caller of
+GridSpec.square, so auto grids have one rule; and only cli and svgplot,
+where kind names are text read or written, compare a value with a kind
+name, so inside the library a kind is its SpectrumKind record."""
 
 import ast
 from pathlib import Path
@@ -91,3 +93,42 @@ def test_square_rule_sees_a_second_auto_grid_rule():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_only_auto_grid_builds_square_grids(path):
     assert _square_calls(ast.parse(path.read_text()), path.stem) == []
+
+
+# A kind's names, and the modules where they are text: --kind's choices,
+# contours_<name>.json and the SVG labels.
+KIND_NAMES = {"condition", "pseudo", "both"}
+NAME_EDGES = {"cli", "svgplot"}
+
+
+def _is_kind_name(node) -> bool:
+    """A "condition"/"pseudo"/"both" literal, a KIND_* name, or a tuple,
+    list or set holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_is_kind_name(e) for e in node.elts)
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and node.value in KIND_NAMES
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+    return name.startswith("KIND_")
+
+
+def _name_comparisons(tree) -> list:
+    """Lines of the comparisons with a kind name."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and any(_is_kind_name(x) for x in [node.left, *node.comparators]))
+
+
+def test_kind_rule_sees_a_name_comparison():
+    source = ("def auto_grid(A, eps, n, kind=CONDITION):\n"
+              "    if kind != KIND_CONDITION:\n        pass\n"
+              "    if kind.name == 'pseudo' or spectra.KIND_PSEUDO == kind.name:\n        pass\n"
+              "    if kind in ('both', PSEUDO):\n        pass\n"
+              "    if kind == CONDITION or kind.name in names or kind.name == 'jordan':\n"
+              "        pass\n")
+    assert _name_comparisons(ast.parse(source)) == [2, 4, 4, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem not in NAME_EDGES],
+                         ids=lambda p: p.stem)
+def test_only_the_edges_compare_kind_names(path):
+    assert _name_comparisons(ast.parse(path.read_text())) == []

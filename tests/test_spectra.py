@@ -1,24 +1,26 @@
 """Membership predicates, grid fields, radii, distances, components."""
 
 import dataclasses
+import importlib
 import inspect
 import io
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from condspec import spectra
+import condspec
+from condspec import spectra, theorems
 from condspec.errors import GridResolutionError, GridTooSmallError
 from condspec.matrixio import generate
-from condspec.numkernel import as_matrix, eigenvalues
+from condspec.numkernel import as_matrix, eigenvalues, spectral_norm
 from condspec.spectra import (
     CONDITION,
     PSEUDO,
-    Epsilon,
     GridSpec,
     SpectralField,
     auto_grid,
@@ -32,7 +34,6 @@ from condspec.spectra import (
     in_pseudospectrum,
     read_field_csv,
     read_field_grid,
-    spectrum_kind,
     write_field_csv,
 )
 
@@ -44,19 +45,19 @@ def random_complex(n, seed):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-# --- Epsilon / GridSpec validation -------------------------------------------
+# --- eps / GridSpec validation -----------------------------------------------
 
 def test_epsilon_validation():
-    assert Epsilon(0.3).value == 0.3
-    with pytest.raises(ValueError):
-        Epsilon(0.0)
-    with pytest.raises(ValueError):
-        Epsilon(-0.1)
+    for kind in (CONDITION, PSEUDO):
+        assert kind.eps(0.3) == 0.3
+        assert type(kind.eps(np.float32(0.25))) is float and kind.eps(np.float32(0.25)) == 0.25
+        for bad in (0.0, -0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="eps must be finite and > 0"):
+                kind.eps(bad)
     # condition range excludes 1, pseudospectrum admits any positive value
-    with pytest.raises(ValueError):
-        spectrum_kind("condition").eps(1.5)
-    assert spectrum_kind("pseudo").eps(1.5) == 1.5
-    assert spectrum_kind("condition").eps(Epsilon(0.25)) == 0.25
+    with pytest.raises(ValueError, match="condition-spectrum eps must satisfy 0 < eps < 1"):
+        CONDITION.eps(1.5)
+    assert PSEUDO.eps(1.5) == 1.5
 
 
 def test_gridspec_validation():
@@ -102,7 +103,7 @@ def test_eigenvalues_always_members():
 def test_condition_membership_examples():
     assert not in_condition_spectrum(DIAG, 3.0, 0.4)  # kappa 2 < 2.5
     assert not in_condition_spectrum(np.zeros((3, 3)), 0.7, 0.5)  # kappa 1 < 2
-    assert in_condition_spectrum(DIAG, 3.0, Epsilon(0.5))  # Epsilon objects accepted
+    assert in_condition_spectrum(DIAG, 3.0, 0.5)  # kappa 2 reaches 1/eps
 
 
 def test_pseudo_membership_examples():
@@ -154,11 +155,88 @@ def test_membership_monotone_in_eps():
 
 def test_bounding_region_formulas():
     q = generate("rotation", 3, angle=0.3)  # norm exactly 1
-    assert bounding_region(q, 0.5, "condition") == pytest.approx(3.0)
-    assert bounding_region(q, 0.5, "pseudo") == pytest.approx(1.5)
+    assert bounding_region(q, 0.5, CONDITION) == pytest.approx(3.0)
+    assert bounding_region(q, 0.5, PSEUDO) == pytest.approx(1.5)
     # eps -> 0 limit: both radii reduce to ||A||
-    assert bounding_region(q, 1e-9, "condition") == pytest.approx(1.0, abs=1e-8)
-    assert bounding_region(q, 1e-9, "pseudo") == pytest.approx(1.0, abs=1e-8)
+    assert bounding_region(q, 1e-9, CONDITION) == pytest.approx(1.0, abs=1e-8)
+    assert bounding_region(q, 1e-9, PSEUDO) == pytest.approx(1.0, abs=1e-8)
+
+
+# --- kinds are records ----------------------------------------------------------
+
+def test_auto_grid_widens_for_every_kind_but_the_condition_record():
+    # diag(0.05, -0.05) at eps = 0.8: the condition disk has radius 0.45,
+    # under the 0.5 floor; the pseudospectrum's 0.85 widens to 0.935.
+    A = np.diag([0.05, -0.05])
+    assert auto_grid(A, 0.8, 21).re_max == 0.5
+    assert auto_grid(A, 0.8, 21, CONDITION).re_max == 0.5
+    assert auto_grid(A, 0.8, 21, PSEUDO).re_max == pytest.approx(0.935)
+    for name in ("condition", "pseudo", "bogus"):
+        with pytest.raises(AttributeError):
+            auto_grid(A, 0.8, 21, name)
+
+
+def _functions_taking_a_kind() -> dict:
+    """'<module or class>.<name>': the kind parameter's default, for every
+    public function and method of the package with a `kind` parameter
+    (but matrixio.generate, whose kind names a generator)."""
+    found = {}
+    for path in Path(condspec.__file__).parent.glob("*.py"):
+        if path.stem in ("__main__", "matrixio"):
+            continue
+        module = importlib.import_module(f"condspec.{path.stem}")
+        owners = [module] + [c for c in vars(module).values()
+                             if inspect.isclass(c) and c.__module__ == module.__name__]
+        for owner in owners:
+            for name, f in vars(owner).items():
+                if (inspect.isfunction(f) and f.__module__ == module.__name__
+                        and not name.startswith("_") and "kind" in inspect.signature(f).parameters):
+                    key = f"{owner.__name__.rpartition('.')[2]}.{name}"
+                    found[key] = inspect.signature(f).parameters["kind"].default
+    return found
+
+
+@pytest.mark.parametrize("kind", [CONDITION, PSEUDO], ids=["condition", "pseudo"])
+def test_every_function_taking_a_kind_takes_the_record(kind):
+    A = random_complex(3, 4)
+    field = compute_field(A, GridSpec(-4, 4, -4, 4, 41, 41))
+    eps, far = 0.3, 50.0
+    nodes = field.grid.nodes()
+    q = field.sigma_min if kind is PSEUDO else field.ratio
+    mask = q <= eps if kind is PSEUDO else q >= 1.0 / eps
+    band = nodes[(q >= kind.level(eps, 0.5)) & (q <= kind.level(eps, 2.0))]
+    norm = spectral_norm(A)
+    radius = norm + eps if kind is PSEUDO else (1 + eps) / (1 - eps) * norm
+    candidates = np.concatenate([nodes[mask], eigenvalues(A)])
+    checks = {
+        "SpectralField.quantity": lambda k: np.array_equal(field.quantity(k), q),
+        "SpectralField.member_mask": lambda k: np.array_equal(field.member_mask(eps, k), mask),
+        "SpectralField.member_nodes": lambda k: np.array_equal(field.member_nodes(eps, k),
+                                                               nodes[mask]),
+        "SpectralField.band_nodes": lambda k: np.array_equal(field.band_nodes(eps, k), band),
+        "spectra.in_spectrum": lambda k: [spectra.in_spectrum(A, z, eps, k)
+                                          for z in (eigenvalues(A)[0], far)] == [True, False],
+        "spectra.auto_grid": lambda k: auto_grid(A, eps, 41, k).re_max == pytest.approx(
+            1.1 * max(radius, (1 + eps) / (1 - eps) * norm)),
+        "spectra.bounding_region": lambda k: bounding_region(A, eps, k) == pytest.approx(radius),
+        "spectra.extract_contours": lambda k: [
+            (lv.eps, lv.kind) for lv in spectra.extract_contours(field, [eps], k).levels
+        ] == [(eps, kind.name)],
+        "spectra.member_radius": lambda k: spectra.member_radius(field, eps, k)
+        == np.abs(nodes[mask]).max(),
+        "spectra.member_distances": lambda k: spectra.member_distances(A, field, eps, [far], k)[0]
+        == pytest.approx(np.abs(candidates - far).min()),
+        "theorems.sample_points": lambda k: np.isin(
+            theorems.sample_points(field, eps, 8, 0, k)[:6], band).all(),
+    }
+    for name, check in checks.items():
+        assert check(kind), name
+        with pytest.raises(AttributeError):
+            check(kind.name)
+    found = _functions_taking_a_kind()
+    assert set(found) == set(checks)
+    assert {name for name, default in found.items() if default is not CONDITION} == {
+        "SpectralField.quantity"}
 
 
 # --- compute_field -----------------------------------------------------------------
@@ -433,14 +511,14 @@ def test_grid_axes_and_nodes_cached_read_only():
     assert grid == GridSpec(-2, 2, -1, 1, 5, 3)  # the cache is not part of the value
 
 
-@pytest.mark.parametrize("kind", ["condition", "pseudo"])
+@pytest.mark.parametrize("kind", [CONDITION, PSEUDO], ids=["condition", "pseudo"])
 def test_member_sets_cached_per_eps_and_kind(kind):
     field = compute_field(random_complex(3, 4), GridSpec(-4, 4, -4, 4, 41, 41))
     for eps in (0.2, 0.5):
         mask = field.member_mask(eps, kind)
         assert mask is field.member_mask(eps, kind)
-        q = field.sigma_min if kind == "pseudo" else field.ratio
-        fresh = q <= eps if kind == "pseudo" else q >= 1.0 / eps
+        q = field.sigma_min if kind is PSEUDO else field.ratio
+        fresh = q <= eps if kind is PSEUDO else q >= 1.0 / eps
         assert np.array_equal(mask, fresh)
         nodes = field.member_nodes(eps, kind)
         assert nodes is field.member_nodes(eps, kind)
@@ -639,13 +717,13 @@ def test_half_field_only_for_real_matrix_on_mirrored_grid(monkeypatch, A, grid, 
     _assert_read_only(field.sigma_min, field.sigma_max, field.ratio)
 
 
-@pytest.mark.parametrize("kind", ["condition", "pseudo"])
+@pytest.mark.parametrize("kind", [CONDITION, PSEUDO], ids=["condition", "pseudo"])
 def test_band_nodes_cached_per_eps_and_kind(kind):
     field = compute_field(random_complex(3, 4), GridSpec(-4, 4, -4, 4, 41, 41))
     for eps in (0.2, 0.5):
         band = field.band_nodes(eps, kind)
         assert band is field.band_nodes(eps, kind)
-        q = field.sigma_min if kind == "pseudo" else field.ratio
-        lo, hi = (0.5 * eps, 2.0 * eps) if kind == "pseudo" else (0.5 / eps, 2.0 / eps)
+        q = field.sigma_min if kind is PSEUDO else field.ratio
+        lo, hi = (0.5 * eps, 2.0 * eps) if kind is PSEUDO else (0.5 / eps, 2.0 / eps)
         assert band.size and band.tobytes() == field.grid.nodes()[(q >= lo) & (q <= hi)].tobytes()
         _assert_read_only(band)
