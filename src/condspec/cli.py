@@ -7,10 +7,13 @@
                       --matrix A.json --out fig.svg
 
 Verify exit codes: 0 all checks passed, 1 at least one failed, 2 a
-precondition was violated (also used for malformed inputs).  With
-`--theorems all` the sweep skips (eps, theorem) combinations whose
-preconditions do not hold and reports them as skipped; naming theorems
-explicitly makes precondition violations fatal (exit 2).
+precondition was violated (also used, by every command, for malformed
+inputs and for a file that cannot be read or written).  With `--theorems
+all` the sweep skips (eps, theorem) combinations whose preconditions do
+not hold and reports them as skipped; naming theorems explicitly makes
+precondition violations fatal (exit 2).
+
+Only verify imports theorems, witness and report, and only plot svgplot.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import jsonio, matrixio, svgplot
+from . import jsonio, matrixio
 from .errors import CondspecError, GridTooSmallError, ParseError, PreconditionError
 from .numkernel import ComplexMatrix, eigenvalues
-from .report import TheoremReport
 from .spectra import (
     CONDITION,
     PSEUDO,
@@ -37,8 +39,6 @@ from .spectra import (
     read_field_grid,
     write_field_csv,
 )
-from .theorems import SIGMA_CHECKS, TransientConfig, run_suite
-from .witness import membership_from_perturbation, witness_from_json_obj
 
 DEFAULT_EPS = (0.1, 0.2, 0.3)
 
@@ -99,8 +99,15 @@ def cmd_compute(config: RunConfig) -> list[Path]:
 def cmd_verify(config: RunConfig) -> int:
     """Run the selected checks, write the report JSON, return exit code.
     A certificate is loaded before the suite runs, so a malformed one
-    fails fast; its membership is checked after the suite."""
+    fails fast, and so does a report path whose directory cannot be made;
+    its membership is checked after the suite."""
+    from .theorems import TransientConfig, run_suite
+
     witness = None if config.certificate is None else _load_certificate(config)
+    out = Path(config.out)
+    if out.suffix != ".json":
+        out = out / "report.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
     reports = run_suite(
         config.matrix, config.eps_list,
         theorems=config.theorems or None,
@@ -113,10 +120,6 @@ def cmd_verify(config: RunConfig) -> int:
     )
     if witness is not None:
         reports.append(_certificate_report(config, witness))
-    out = Path(config.out)
-    if out.suffix != ".json":
-        out = out / "report.json"
-        out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fp:
         jsonio.dump([r.to_dict() for r in reports], fp)
     failed = [r for r in reports if not r.passed]
@@ -131,6 +134,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _load_certificate(config: RunConfig):
+    from .witness import witness_from_json_obj
+
     try:
         obj = jsonio.loads(Path(config.certificate).read_text())
     except ValueError as exc:
@@ -143,6 +148,9 @@ def _load_certificate(config: RunConfig):
 
 
 def _certificate_report(config: RunConfig, w):
+    from .report import TheoremReport
+    from .witness import membership_from_perturbation
+
     eps = config.eps_list[0]
     ok = membership_from_perturbation(config.matrix, w.z, w.E, eps)
     return TheoremReport("CERT", bool(ok), None, None, 0.0,
@@ -152,7 +160,10 @@ def _certificate_report(config: RunConfig, w):
 
 def cmd_plot(field_path, contour_paths, matrix: ComplexMatrix | None,
              out_path, width: int = 640, height: int = 640) -> Path:
-    """Render contour JSON (plus optional eigenvalue markers) to SVG."""
+    """Render contour JSON (plus optional eigenvalue markers) to SVG.  Each
+    level's eps is checked against the kind its file name gives."""
+    from . import svgplot
+
     bounds = None
     if field_path is not None:
         with open(field_path) as fp:
@@ -161,7 +172,7 @@ def cmd_plot(field_path, contour_paths, matrix: ComplexMatrix | None,
     groups = []
     for cpath in contour_paths:
         name = Path(cpath).stem
-        kind = PSEUDO.name if PSEUDO.name in name else CONDITION.name
+        kind = PSEUDO if PSEUDO.name in name else CONDITION
         data = jsonio.loads(Path(cpath).read_text())
         if not isinstance(data, list):
             raise ParseError(f"{cpath}: contour JSON must be a list of levels")
@@ -172,16 +183,19 @@ def cmd_plot(field_path, contour_paths, matrix: ComplexMatrix | None,
                 raise ParseError(f"{cpath}: each contour level must be an object with "
                                  "a numeric 'eps' and a 'polylines' list")
             try:
-                eps = float(level["eps"])
                 polys = [np.asarray(p, dtype=np.float64).reshape(-1, 2)
                          for p in level["polylines"]]
             except OverflowError as exc:
                 raise ParseError(f"{cpath}: a number is beyond the float64 range") from exc
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{cpath}: polylines must be lists of [re, im] pairs") from exc
-            if not (np.isfinite(eps) and all(np.isfinite(p).all() for p in polys)):
-                raise ParseError(f"{cpath}: 'eps' and every [re, im] point must be finite")
-            groups.append((kind, eps, polys))
+            if not all(np.isfinite(p).all() for p in polys):
+                raise ParseError(f"{cpath}: every [re, im] point must be finite")
+            try:
+                eps = kind.eps(level["eps"])
+            except (OverflowError, ValueError) as exc:
+                raise ParseError(f"{cpath}: {exc}") from exc
+            groups.append((kind.name, eps, polys))
     eig = eigenvalues(matrix) if matrix is not None else None
     svg = svgplot.render_svg(groups, eigenvalues=eig, bounds=bounds,
                              width=width, height=height)
@@ -235,7 +249,16 @@ def _value_list(text: str) -> str:
     return text
 
 
+def _plot_side(text: str) -> int:
+    """argparse type for plot --width/--height: at least svgplot.MIN_SIZE."""
+    from . import svgplot
+
+    return _bounded_int(svgplot.MIN_SIZE)(text)
+
+
 def _parse_theorems(text: str) -> tuple:
+    from .theorems import SIGMA_CHECKS
+
     if text.strip().lower() == "all":
         return ()
     names = tuple(tok.strip().lower() for tok in text.split(",") if tok.strip())
@@ -290,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--matrix", default=None, help="matrix file for eigenvalue markers")
     p_plot.add_argument("--format", default=None)
     p_plot.add_argument("--out", default="condspec.svg")
-    p_plot.add_argument("--width", type=_bounded_int(svgplot.MIN_SIZE), default=640)
-    p_plot.add_argument("--height", type=_bounded_int(svgplot.MIN_SIZE), default=640)
+    p_plot.add_argument("--width", type=_plot_side, default=640)
+    p_plot.add_argument("--height", type=_plot_side, default=640)
 
     p_gen = sub.add_parser("gen", help="generate an example matrix")
     p_gen.add_argument("--kind", choices=["jordan", "diag", "random", "rotation"],
@@ -343,14 +366,11 @@ def main(argv=None) -> int:
                 k_max=args.k_max, M=args.M, n_angles=args.angles, samples=args.samples,
                 certificate=Path(args.certificate) if args.certificate else None)
             return cmd_verify(config)
-    except (ParseError, PreconditionError, GridTooSmallError, ValueError) as exc:
+    except (ParseError, PreconditionError, GridTooSmallError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CondspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
         return 1
     return 0
 

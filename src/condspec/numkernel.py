@@ -21,7 +21,6 @@ import ctypes
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,6 +274,7 @@ def _run_chunks(count: int, n: int, fill) -> None:
     starts = range(0, count, _chunk_size(n))
     workers = _thread_count()  # read on every call, so a bad value always raises
     if len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded by the first pool only
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
     else:

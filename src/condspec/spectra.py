@@ -29,7 +29,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridResolutionError, GridTooSmallError
-from .geometry import distance_to_disks
 from .numkernel import (  # _thread_count: condbench's environment record reads it here
     ComplexMatrix,
     _memo,
@@ -488,6 +487,8 @@ def member_distances(A, field: SpectralField, eps: float, zs,
     """min |c - z| for each z in zs over the candidates c: the member nodes
     of field, then the eigenvalues of A.  Eigenvalues are members at every
     eps, so the distance stays meaningful when no node classifies."""
+    from .geometry import distance_to_disks
+
     candidates = np.concatenate([field.member_nodes(eps, kind).ravel(), as_matrix(A).eigvals])
     return distance_to_disks(np.asarray(zs, np.complex128), candidates)
 
@@ -511,6 +512,8 @@ def component_count(field: SpectralField, eps) -> int:
     eigenvalue within one grid diagonal, else the grid is too coarse to
     trust and GridResolutionError is raised.
     """
+    from .geometry import distance_to_disks
+
     if field.matrix is None:
         raise ValueError("field was not computed from a matrix; component_count needs eigenvalues")
     A = field.matrix

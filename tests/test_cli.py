@@ -282,6 +282,55 @@ def test_cli_import_leaves_out_scipy_spatial():
     assert _cli_import_output("scipy.spatial") == "False"
 
 
+# Modules that only verify (or a multi-chunk pool) needs; compute, plot and
+# gen start without them.
+VERIFY_ONLY = ["condspec.theorems", "condspec.witness", "condspec.report",
+               "condspec.geometry", "concurrent.futures"]
+
+
+def test_cli_import_leaves_verify_layers_and_the_pool_unloaded(diag_file, tmp_path):
+    script = f"""
+import json, sys
+import condspec
+bare = sorted(m for m in sys.modules if m.startswith("condspec."))
+from condspec.cli import main
+loaded = lambda: [m for m in {VERIFY_ONLY!r} if m in sys.modules]
+after_import = loaded()
+base, matrix = {str(tmp_path)!r}, {str(diag_file)!r}
+assert main(["compute", "--matrix", matrix, "--eps", "0.2", "--kind", "both",
+             "--grid", "41", "--out", base + "/c"]) == 0
+assert main(["plot", "--field", base + "/c/field.csv", "--contours",
+             base + "/c/contours_condition.json", "--matrix", matrix,
+             "--width", "300", "--out", base + "/p.svg"]) == 0
+print(json.dumps([bare, after_import, loaded()]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    bare, after_import, after_commands = jsonio.loads(out.stdout.splitlines()[-1])
+    assert bare == [] and after_import == []
+    # a 41 x 41 field takes several chunks, so compute starts the pool
+    assert after_commands == ["concurrent.futures"]
+
+
+def test_package_names_are_the_defining_modules_objects():
+    import importlib
+
+    import condspec
+
+    assert len(set(condspec.__all__)) == len(condspec.__all__)
+    assert set(condspec.__all__) <= set(dir(condspec))
+    for name in condspec.__all__:
+        obj = getattr(condspec, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    namespace = {}
+    exec("from condspec import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(condspec.__all__)
+    assert all(namespace[n] is getattr(condspec, n) for n in condspec.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'spectrum_kind'"):
+        condspec.spectrum_kind
+
+
 def test_verify_reports_overflowing_power_bound(tmp_path, capsys):
     path = tmp_path / "big.json"
     write_matrix(np.array([[1e200, 1.0], [0.0, 1e200]]), path)
@@ -384,9 +433,14 @@ def _field_csv_2x2(values):
     ("contours_condition.json", '[{"eps": true, "polylines": []}]'),
     ("contours_condition.json", '[{"eps": NaN, "polylines": []}]'),
     ("contours_condition.json", '[{"eps": -Infinity, "polylines": []}]'),
+    ("contours_condition.json", '[{"eps": -1, "polylines": []}, {"eps": 5, "polylines": []}]'),
+    ("contours_condition.json", '[{"eps": 0.1, "polylines": []}, {"eps": 5, "polylines": []}]'),
+    ("contours_condition.json", '[{"eps": 1, "polylines": []}]'),
+    ("contours_pseudo.json", '[{"eps": 0, "polylines": []}]'),
 ], ids=["header-only", "4-columns", "6-columns", "duplicated-node", "level-not-object", "no-polylines",
         "not-a-list", "polyline-not-list", "point-past-float64", "eps-past-float64", "point-nan",
-        "point-infinite", "eps-true", "eps-nan", "eps-infinite"])
+        "point-infinite", "eps-true", "eps-nan", "eps-infinite", "eps-negative",
+        "condition-eps-past-1", "condition-eps-1", "pseudo-eps-0"])
 def test_plot_rejects_malformed_inputs_with_exit_2(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -396,6 +450,48 @@ def test_plot_rejects_malformed_inputs_with_exit_2(tmp_path, capsys, name, text)
     assert err.startswith("error: " if flag == "--field" else f"error: {path}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "fig.svg").exists()
+
+
+def test_plot_takes_pseudo_levels_past_1(tmp_path):
+    # eps >= 1 is out of range for a condition spectrum only
+    path = tmp_path / "contours_pseudo.json"
+    path.write_text('[{"eps": 5, "polylines": [[[0, 0], [1, 1]]]}]')
+    assert main(["plot", "--contours", str(path), "--out", str(tmp_path / "fig.svg")]) == 0
+    assert "eps=5" in (tmp_path / "fig.svg").read_text()
+
+
+def test_verify_checks_its_output_path_before_the_suite(diag_file, tmp_path, capsys,
+                                                        monkeypatch):
+    from condspec import theorems
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("run_suite called before the output path was checked")
+
+    monkeypatch.setattr(theorems, "run_suite", no_suite)
+    blocker = tmp_path / "D.json"
+    blocker.write_text("{}")
+    code = main(["verify", "--matrix", str(diag_file), "--eps", "0.5", "--grid", "21",
+                 "--out", str(blocker / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_creates_the_directory_of_its_report(diag_file, tmp_path):
+    report = tmp_path / "new" / "sub" / "r.json"
+    assert main(["verify", "--matrix", str(diag_file), "--eps", "0.5", "--grid", "21",
+                 "--theorems", "t1", "--out", str(report)]) == 0
+    assert jsonio.loads(report.read_text())[0]["theorem_id"] == "T1σ"
+
+
+def test_compute_onto_a_file_exits_2(diag_file, tmp_path, capsys):
+    blocker = tmp_path / "D.json"
+    blocker.write_text("{}")
+    assert main(["compute", "--matrix", str(diag_file), "--grid", "11",
+                 "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert blocker.read_text() == "{}"
 
 
 @pytest.fixture()
@@ -463,12 +559,12 @@ def test_verify_rejects_malformed_certificate_with_exit_2(diag_file, tmp_path, c
 
 def test_verify_rejects_malformed_certificate_before_the_suite(diag_file, tmp_path, capsys,
                                                                monkeypatch):
-    import condspec.cli as cli
+    from condspec import theorems
 
     def no_suite(*args, **kwargs):
         raise AssertionError("run_suite called before the certificate was checked")
 
-    monkeypatch.setattr(cli, "run_suite", no_suite)
+    monkeypatch.setattr(theorems, "run_suite", no_suite)
     cert = tmp_path / "cert.json"
     cert.write_text("null")
     code = main(["verify", "--matrix", str(diag_file), "--eps", "0.5", "--grid", "21",

@@ -225,6 +225,32 @@ def test_t6_needs_no_grid_covering_the_bounding_disk():
     assert r.rhs < r.lhs <= bounding_region(A, 0.05)
 
 
+def _field_certifying_radius_3(A):
+    """A hand-built field of A on [-3, 3]^2 whose only members (ratio = inf)
+    are the nodes with 2.8 <= |z| <= 3, so it certifies a condition-
+    spectral radius near 3 whatever A is."""
+    grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 31, 31)
+    ratio = np.where((np.abs(grid.nodes()) >= 2.8) & (np.abs(grid.nodes()) <= 3.0),
+                     np.inf, 1.0)
+    ones = np.ones(ratio.shape)
+    return SpectralField(grid, ones, ones, ratio, matrix=as_matrix(A))
+
+
+@pytest.mark.parametrize("scale, passed, status", [
+    (0.5, False, "decay observed with sup <= M"),
+    (1.0, True, "horizon-insufficient"),
+])
+def test_t6_certified_radius_without_growth(scale, passed, status):
+    # The antecedent holds (radius about 3 - 0.28 > (1 + 4*0.1)/(1 - 0.2)),
+    # yet no power of A exceeds M = 2: powers of 0.5*I decay, so the
+    # supremum is ||A^0|| = 1 and the check fails; those of I stay at 1,
+    # so a longer horizon might still grow and the check passes.
+    A = scale * np.eye(2)
+    r = check_t6(A, 0.1, TransientConfig(M=2.0, k_max=20), grid=_field_certifying_radius_3(A))
+    assert r.lhs > r.rhs == pytest.approx(1.75)
+    assert r.passed is passed and r.details["status"] == status
+
+
 def test_t6e_growth_observed():
     A = np.array([[0.9, 5.0], [0.0, 0.9]])
     r = check_t6e(A, 0.05, TransientConfig(M=2.0, k_max=50), grid=201)
