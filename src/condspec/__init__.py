@@ -36,7 +36,7 @@ _EXPORTS = {
                  "numerical_range_boundary", "run_suite"),
     "witness": ("Witness", "check_equivalence", "membership_from_perturbation",
                 "witness_perturbation"),
-    "matrixio": ("MatrixSource", "generate", "parse_matrix"),
+    "matrixio": ("generate", "parse_matrix"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -46,6 +46,16 @@ DEFAULT_EPS = (0.1, 0.2, 0.3)
 KIND_CHOICES = {CONDITION.name: (CONDITION,), PSEUDO.name: (PSEUDO,),
                 "both": (CONDITION, PSEUDO)}
 
+FORMAT_CHOICES = (matrixio.FORMAT_JSON, matrixio.FORMAT_CSV, matrixio.FORMAT_MATRIX_MARKET)
+
+# Each integer flag's range, low to high (None: no upper bound), checked
+# when the flags are parsed.  A 4096^2 grid's node array alone takes
+# 256 MiB; --n is the largest matrix the parser reads; a plot side below
+# 2 * svgplot.MARGIN + 1 = 97 leaves the plot frame no interior.
+INT_RANGES = {"--grid": (2, 4096), "--seed": (0, None), "--k-max": (1, 100_000),
+              "--angles": (8, 65536), "--samples": (1, 65536),
+              "--n": (1, matrixio.MAX_DIMENSION), "--width": (97, None), "--height": (97, None)}
+
 
 @dataclass
 class RunConfig:
@@ -64,6 +74,12 @@ class RunConfig:
     samples: int = 48
     certificate: Path | None = None
 
+    def check_eps(self) -> None:
+        """Each eps checked by each kind's rule, before anything is written."""
+        for e in self.eps_list:
+            for kind in self.kinds:
+                kind.eps(e)
+
     def resolve_grid(self) -> GridSpec:
         """The auto grid, widened for the pseudospectrum when it is computed."""
         kind = PSEUDO if PSEUDO in self.kinds else CONDITION
@@ -72,12 +88,11 @@ class RunConfig:
 
 def cmd_compute(config: RunConfig) -> list[Path]:
     """Write field.csv plus one contour JSON per requested kind."""
-    for e in config.eps_list:
-        for kind in config.kinds:
-            kind.eps(e)
+    config.check_eps()
+    grid = config.resolve_grid()
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    field = compute_field(config.matrix, config.resolve_grid())
+    field = compute_field(config.matrix, grid)
     written = []
     field_path = out / "field.csv"
     with open(field_path, "w") as fp:
@@ -98,26 +113,28 @@ def cmd_compute(config: RunConfig) -> list[Path]:
 
 def cmd_verify(config: RunConfig) -> int:
     """Run the selected checks, write the report JSON, return exit code.
-    A certificate is loaded before the suite runs, so a malformed one
-    fails fast, and so does a report path whose directory cannot be made;
-    its membership is checked after the suite."""
+    Every input, and then the report path, is checked before the suite
+    runs; a suite that raises removes the directories made for the report."""
     from .theorems import TransientConfig, run_suite
 
+    config.check_eps()
+    grid = config.resolve_grid()
+    transient = TransientConfig(M=config.M, k_max=config.k_max)
     witness = None if config.certificate is None else _load_certificate(config)
     out = Path(config.out)
     if out.suffix != ".json":
         out = out / "report.json"
+    made = [p for p in out.parents if not p.exists()]  # innermost first
     out.parent.mkdir(parents=True, exist_ok=True)
-    reports = run_suite(
-        config.matrix, config.eps_list,
-        theorems=config.theorems or None,
-        grid=config.resolve_grid(),
-        transient=TransientConfig(M=config.M, k_max=config.k_max),
-        n_angles=config.n_angles,
-        seed=config.seed,
-        samples=config.samples,
-        strict=bool(config.theorems),
-    )
+    try:
+        reports = run_suite(config.matrix, config.eps_list, theorems=config.theorems or None,
+                            grid=grid, transient=transient, n_angles=config.n_angles,
+                            seed=config.seed, samples=config.samples,
+                            strict=bool(config.theorems))
+    except BaseException:
+        for p in made:
+            p.rmdir()
+        raise
     if witness is not None:
         reports.append(_certificate_report(config, witness))
     with open(out, "w") as fp:
@@ -226,34 +243,41 @@ def _parse_eps_list(text: str) -> tuple:
     return eps
 
 
-def _bounded_int(low: int, high: int | None = None):
-    """argparse type: an integer from low to high (no upper bound if None)."""
+def _int_flag(parser, flag: str, default: int, what: str) -> None:
+    """Add an integer flag; its argparse type and its help text both read
+    the flag's INT_RANGES row."""
+    low, high = INT_RANGES[flag]
+    bound = f">= {low}" if high is None else f"from {low} to {high}"
+
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            if low <= (value := int(text)) and (high is None or value <= high):
+                return value
         except ValueError:
-            value = None
-        if value is None or value < low or (high is not None and value > high):
-            bound = f">= {low}" if high is None else f"from {low} to {high}"
-            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text!r}")
-        return value
-    return parse
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text!r}")
+
+    parser.add_argument(flag, type=parse, default=default,
+                        help=f"{what}, an integer {bound} (default {default})")
 
 
 def _value_list(text: str) -> str:
-    """argparse type for gen --values: at most MAX_DIMENSION entries."""
+    """argparse type for gen --values: at most as many entries as --n allows."""
+    high = INT_RANGES["--n"][1]
     count = text.count(",") + 1
-    if count > matrixio.MAX_DIMENSION:
-        raise argparse.ArgumentTypeError(
-            f"must list at most {matrixio.MAX_DIMENSION} values, got {count}")
+    if count > high:
+        raise argparse.ArgumentTypeError(f"must list at most {high} values, got {count}")
     return text
 
 
-def _plot_side(text: str) -> int:
-    """argparse type for plot --width/--height: at least svgplot.MIN_SIZE."""
-    from . import svgplot
-
-    return _bounded_int(svgplot.MIN_SIZE)(text)
+def _threshold(text: str) -> float:
+    """argparse type for verify --M: a finite number > 0."""
+    try:
+        if 0.0 < (value := float(text)) < np.inf:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
 
 
 def _parse_theorems(text: str) -> tuple:
@@ -278,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--matrix", required=True, help="matrix file (.json/.csv/.mtx)")
-        p.add_argument("--format", default=None, help="override matrix format detection")
+        p.add_argument("--format", default=None, choices=FORMAT_CHOICES,
+                       help="override matrix format detection")
         p.add_argument("--eps", type=_parse_eps_list, default=DEFAULT_EPS,
                        help="comma-separated eps values (default 0.1,0.2,0.3)")
-        p.add_argument("--grid", type=_bounded_int(2, matrixio.MAX_GRID_NODES), default=161,
-                       help=f"grid nodes per axis, 2 to {matrixio.MAX_GRID_NODES}")
+        _int_flag(p, "--grid", 161, "grid nodes per axis")
 
     p_comp = sub.add_parser("compute", help="write the field CSV and contour JSON")
     add_common(p_comp)
@@ -291,17 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run theorem checks and write a report")
     add_common(p_ver)
-    p_ver.add_argument("--seed", type=_bounded_int(0), default=0,
-                       help="seed of the sampled points")
+    _int_flag(p_ver, "--seed", 0, "seed of the sampled points")
     p_ver.add_argument("--theorems", type=_parse_theorems, default=(),
                        help="'all' (default) or comma-separated t1..t10")
-    p_ver.add_argument("--k-max", type=_bounded_int(1, matrixio.MAX_K_MAX), default=50,
-                       help=f"T6 power horizon, 1 to {matrixio.MAX_K_MAX}")
-    p_ver.add_argument("--M", type=float, default=2.0)
-    p_ver.add_argument("--angles", type=_bounded_int(8, matrixio.MAX_ANGLES), default=256,
-                       help=f"T9 support angles, 8 to {matrixio.MAX_ANGLES}")
-    p_ver.add_argument("--samples", type=_bounded_int(1, matrixio.MAX_SAMPLES), default=48,
-                       help=f"points per sampled check, 1 to {matrixio.MAX_SAMPLES}")
+    _int_flag(p_ver, "--k-max", 50, "T6 power horizon")
+    p_ver.add_argument("--M", type=_threshold, default=2.0,
+                       help="T6 power-norm threshold, a finite number > 0 (default 2)")
+    _int_flag(p_ver, "--angles", 256, "T9 support angles")
+    _int_flag(p_ver, "--samples", 48, "points per sampled check")
     p_ver.add_argument("--certificate", default=None,
                        help="witness JSON to validate as a membership certificate")
     p_ver.add_argument("--out", default="report.json")
@@ -311,22 +332,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--contours", action="append", default=[],
                         help="contour JSON from compute (repeatable)")
     p_plot.add_argument("--matrix", default=None, help="matrix file for eigenvalue markers")
-    p_plot.add_argument("--format", default=None)
+    p_plot.add_argument("--format", default=None, choices=FORMAT_CHOICES)
     p_plot.add_argument("--out", default="condspec.svg")
-    p_plot.add_argument("--width", type=_plot_side, default=640)
-    p_plot.add_argument("--height", type=_plot_side, default=640)
+    _int_flag(p_plot, "--width", 640, "image width in px")
+    _int_flag(p_plot, "--height", 640, "image height in px")
 
     p_gen = sub.add_parser("gen", help="generate an example matrix")
     p_gen.add_argument("--kind", choices=["jordan", "diag", "random", "rotation"],
                        required=True)
-    p_gen.add_argument("--n", type=_bounded_int(1, matrixio.MAX_DIMENSION), default=2,
-                       help=f"dimension, 1 to {matrixio.MAX_DIMENSION}")
+    _int_flag(p_gen, "--n", 2, "dimension")
     p_gen.add_argument("--value", default="0", help="jordan eigenvalue, e.g. 0.9 or 1+2i")
     p_gen.add_argument("--values", type=_value_list, default=None,
-                       help=f"diag entries, e.g. 1,-1; at most {matrixio.MAX_DIMENSION}")
+                       help=f"diag entries, e.g. 1,-1; at most {INT_RANGES['--n'][1]}")
     p_gen.add_argument("--angle", type=float, default=0.5)
-    p_gen.add_argument("--seed", type=_bounded_int(0), default=0)
-    p_gen.add_argument("--format", default=None, choices=["json", "csv", "matrix-market"])
+    _int_flag(p_gen, "--seed", 0, "seed of the random generator")
+    p_gen.add_argument("--format", default=None, choices=FORMAT_CHOICES)
     p_gen.add_argument("--out", required=True)
     return parser
 

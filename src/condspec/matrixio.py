@@ -8,8 +8,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +16,8 @@ from . import jsonio
 from .errors import ParseError
 from .numkernel import ComplexMatrix, as_matrix
 
-# Largest matrix dimension parse_matrix accepts, and the most grid nodes per
-# axis the CLI accepts (a 4096^2 grid's node array alone takes 256 MiB).
-# verify's W(A) support angles, sampled points per check and T6 power
-# horizon are capped likewise.
+# Largest matrix dimension parse_matrix accepts.
 MAX_DIMENSION = 512
-MAX_GRID_NODES = 4096
-MAX_ANGLES = 65536
-MAX_SAMPLES = 65536
-MAX_K_MAX = 100_000
 
 FORMAT_MATRIX_MARKET = "matrix-market"
 FORMAT_JSON = "json"
@@ -36,30 +27,12 @@ _EXTENSIONS = {".mtx": FORMAT_MATRIX_MARKET, ".mm": FORMAT_MATRIX_MARKET,
                ".json": FORMAT_JSON, ".csv": FORMAT_CSV}
 
 
-@dataclass(frozen=True)
-class MatrixSource:
-    """Where a matrix comes from: a file path or an inline payload."""
-
-    format: str | None = None
-    path: Path | None = None
-    text: str | None = None
-
-    def read_text(self) -> str:
-        if self.text is not None:
-            return self.text
-        if self.path is None:
-            raise ValueError("MatrixSource needs a path or inline text")
-        return Path(self.path).read_text()
-
-
-def detect_format(source: MatrixSource) -> str:
-    if source.format:
-        return source.format
-    if source.path is not None:
-        ext = Path(source.path).suffix.lower()
-        if ext in _EXTENSIONS:
-            return _EXTENSIONS[ext]
-    text = source.read_text().lstrip()
+def detect_format(text: str, path: Path | None = None) -> str:
+    """The format the file extension names, else the one the text looks like."""
+    ext = path.suffix.lower() if path is not None else ""
+    if ext in _EXTENSIONS:
+        return _EXTENSIONS[ext]
+    text = text.lstrip()
     if text.startswith("%%MatrixMarket"):
         return FORMAT_MATRIX_MARKET
     if text.startswith(("{", "[")):
@@ -67,28 +40,21 @@ def detect_format(source: MatrixSource) -> str:
     return FORMAT_CSV
 
 
-def parse_matrix(source, fmt: str | None = None, max_n: int = MAX_DIMENSION) -> ComplexMatrix:
-    """Parse a square complex matrix from a path, inline text, or MatrixSource."""
-    if isinstance(source, MatrixSource):
-        src = source if fmt is None else MatrixSource(fmt, source.path, source.text)
-    elif isinstance(source, Path):
-        src = MatrixSource(fmt, source, None)
+def parse_matrix(source: Path | str, fmt: str | None = None) -> ComplexMatrix:
+    """Parse a square complex matrix from a file (a Path) or from text (a str)."""
+    if isinstance(source, Path):
+        text, path = source.read_text(), source
     elif isinstance(source, str):
-        looks_like_path = "\n" not in source and len(source) < 4096
-        if looks_like_path and os.path.exists(source):  # False, not OSError, for a long name
-            src = MatrixSource(fmt, Path(source), None)
-        else:
-            src = MatrixSource(fmt, None, source)
+        text, path = source, None
     else:
         raise TypeError(f"cannot parse a matrix from {type(source).__name__}")
-    fmt = detect_format(src)
-    text = src.read_text()
+    fmt = fmt or detect_format(text, path)
     if fmt == FORMAT_JSON:
         entries = _parse_json(text)
     elif fmt == FORMAT_CSV:
         entries = _parse_csv(text)
     elif fmt == FORMAT_MATRIX_MARKET:
-        entries = _parse_matrix_market(text, max_n)
+        entries = _parse_matrix_market(text)
     else:
         raise ParseError(f"unknown matrix format {fmt!r}")
     rows = len(entries)
@@ -97,8 +63,8 @@ def parse_matrix(source, fmt: str | None = None, max_n: int = MAX_DIMENSION) -> 
     if any(len(r) != rows for r in entries):
         cols = len(entries[0])
         raise ParseError(f"matrix must be square, got {rows} rows x {cols} columns")
-    if rows > max_n:
-        raise ParseError(f"matrix dimension {rows} exceeds the configured maximum {max_n}")
+    if rows > MAX_DIMENSION:
+        raise ParseError(f"matrix dimension {rows} exceeds the configured maximum {MAX_DIMENSION}")
     a = np.array(entries, dtype=np.complex128)
     if not np.isfinite(a).all():
         raise ParseError("matrix entries must be finite")
@@ -197,7 +163,7 @@ _MM_MIRRORS = {"symmetric": lambda v: v, "hermitian": complex.conjugate,
                "skew-symmetric": lambda v: -v}
 
 
-def _parse_matrix_market(text: str, max_n: int) -> list[list[complex]]:
+def _parse_matrix_market(text: str) -> list[list[complex]]:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ParseError("missing %%MatrixMarket header", line=1)
@@ -238,9 +204,9 @@ def _parse_matrix_market(text: str, max_n: int) -> list[list[complex]]:
 
     def check_dims(nrow, ncol):
         # before anything is allocated for the declared size
-        if max(nrow, ncol) > max_n:
+        if max(nrow, ncol) > MAX_DIMENSION:
             raise ParseError(f"matrix dimension {max(nrow, ncol)} exceeds the configured "
-                             f"maximum {max_n}", line=size_lineno)
+                             f"maximum {MAX_DIMENSION}", line=size_lineno)
         if symmetry != "general" and nrow != ncol:  # the mirror would index past the array
             raise ParseError(f"a {symmetry} matrix must be square, got {nrow} x {ncol}",
                              line=size_lineno)

@@ -252,7 +252,7 @@ def condition_ratio(smin, smax, n: int) -> np.ndarray:
     below the singularity threshold.  A finite result is always below
     1/(n*U_MACH), so +inf marks exactly the numerically singular entries."""
     smin, smax = np.asarray(smin), np.asarray(smax)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = smax / smin
     return np.where(smin <= singularity_threshold(n, smax), np.inf, ratio)
 

@@ -10,10 +10,8 @@ import numpy as np
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#17becf")
 
-# Pixels between the image edge and the plot frame; a side shorter than
-# MIN_SIZE leaves the frame no interior.
+# Pixels between the image edge and the plot frame.
 MARGIN = 48
-MIN_SIZE = 2 * MARGIN + 1
 
 
 def _fmt(x: float) -> str:
@@ -72,7 +70,9 @@ def render_svg(contour_groups, eigenvalues=None, bounds=None,
         ys.extend(eigenvalues.imag)
         if not xs:
             xs, ys = [-1.0, 1.0], [-1.0, 1.0]
-        pad = 0.1 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-6)
+        # relative to the largest coordinate, so one point at 1e150 keeps a frame
+        pad = 0.1 * max(max(xs) - min(xs), max(ys) - min(ys),
+                        1e-6 * np.abs(xs + ys).max(initial=1.0))
         bounds = (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
 
     m = _Mapper(bounds, width, height, MARGIN)

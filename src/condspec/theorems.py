@@ -394,7 +394,7 @@ def _power_bound_report(kind, rule, A, eps, k_list, grid, z_samples, count,
                     bound = mod ** k - k * s * norm_a ** (k - 1) / (1.0 - ks_ratio)
                     slack = 1e-10 * max(1.0, mod ** k)
                     margin = norms[k] - bound + slack
-            except OverflowError:
+            except ArithmeticError:  # overflow, or k*s/||A|| rounding to 1
                 margin = np.nan
             if not np.isfinite(margin):
                 overflowed += 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from condspec import jsonio
-from condspec.cli import main
+from condspec.cli import INT_RANGES, main
 from condspec.matrixio import parse_matrix, write_matrix
 from condspec.numkernel import singular_values, as_matrix, spectral_norm
 from condspec.witness import witness_perturbation
@@ -84,13 +84,14 @@ def test_verify_exit_zero(diag_file, tmp_path):
 
 def test_verify_explicit_t5_precondition_exits_2(diag_file, tmp_path, capsys):
     # kappa(S)^2 * eps = 4 * 0.4 >= 1: main's one exit-2 handler reports it.
+    # The suite made the report's directory; it is removed again.
     code = main(["verify", "--matrix", str(diag_file), "--eps", "0.4",
                  "--theorems", "t5", "--grid", "81",
-                 "--out", str(tmp_path / "r.json")])
+                 "--out", str(tmp_path / "d1" / "d2" / "r.json")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: kappa(S)^2 * eps = 1.6 >= 1") and err.count("\n") == 1
-    assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "d1").exists()
 
 
 def test_verify_explicit_selection_runs_only_named(diag_file, tmp_path):
@@ -127,9 +128,10 @@ def test_verify_all_skips_t3_past_the_auto_grid(diag_file, tmp_path):
 
 def test_verify_t3_past_the_auto_grid_exits_2(diag_file, tmp_path, capsys):
     assert main(["verify", "--matrix", str(diag_file), "--eps", "0.95", "--grid", "21",
-                 "--theorems", "t3", "--out", str(tmp_path / "r.json")]) == 2
+                 "--theorems", "t3", "--out", str(tmp_path / "d1" / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: grid [-20.9") and _DISK_MISSED in err
+    assert not (tmp_path / "d1").exists()
 
 
 def test_verify_tampered_certificate_exits_1(diag_file, tmp_path):
@@ -201,22 +203,25 @@ def test_verify_rejects_samples_below_one_at_parse_time(diag_file, tmp_path, cap
     ["gen", "--kind", "diag", "--values", ",".join(["1"] * 513)],
     ["verify", "--matrix", "A.json", "--seed", "-1"],
     ["gen", "--kind", "random", "--seed", "-1"],
+    *(["verify", "--matrix", "A.json", "--M", m] for m in ("-1", "0", "nan", "inf")),
+    ["compute", "--matrix", "A.json", "--format", "xml"],
+    ["verify", "--matrix", "A.json", "--format", "xml"],
 ], ids=["plot-width-0", "plot-width-negative", "plot-height-inside-margins", "compute-grid-1",
         "compute-grid-100000", "compute-grid-not-integer", "verify-grid-1",
         "verify-grid-100000", "verify-grid-not-integer", "verify-angles-7",
         "verify-angles-65537", "verify-angles-10**12", "verify-k-max-0",
         "verify-k-max-100001", "verify-k-max-10**12", "verify-samples-65537", "gen-n-0", "gen-n-513",
-        "gen-n-100000", "gen-values-513", "verify-seed--1", "gen-seed--1"])
+        "gen-n-100000", "gen-values-513", "verify-seed--1", "gen-seed--1", "verify-M--1",
+        "verify-M-0", "verify-M-nan", "verify-M-inf", "compute-format-xml", "verify-format-xml"])
 def test_rejects_out_of_range_sizes_at_parse_time(tmp_path, capsys, argv):
-    # Rejected before any file is read or any array allocated.
+    # Rejected before any file is read, any array allocated or any
+    # directory made.
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    flag = next(a for a in argv
-                if a in ("--width", "--height", "--grid", "--angles", "--k-max", "--samples", "--n",
-                         "--values", "--seed"))
+    flag = next(a for a in argv if a in INT_RANGES or a in ("--values", "--M", "--format"))
     assert f"argument {flag}:" in err and "Traceback" not in err
     assert not out.exists()
 
@@ -364,8 +369,11 @@ def test_illegal_eps_per_kind(diag_file, tmp_path):
                  "--kind", "pseudo", "--grid", "41", "--out", str(tmp_path / "a")]) == 0
     assert main(["compute", "--matrix", str(diag_file), "--eps", "1.5",
                  "--kind", "condition", "--grid", "41", "--out", str(tmp_path / "b")]) == 2
-    assert main(["verify", "--matrix", str(diag_file), "--eps", "0",
-                 "--grid", "41", "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "b").exists()
+    for eps in ("0", "-1", "1.5", "0.2,1"):  # checked before the report's directory is made
+        assert main(["verify", "--matrix", str(diag_file), "--eps", eps,
+                     "--grid", "41", "--out", str(tmp_path / "d1" / "r.json")]) == 2
+        assert not (tmp_path / "d1").exists()
 
 
 def test_pipeline_survives_generator_matrices(tmp_path):
@@ -612,6 +620,7 @@ def test_auto_grid_past_float64_exits_2_without_warnings(tmp_path):
     assert out.returncode == 2
     [line] = out.stderr.splitlines()
     assert line.startswith("error: grid [-1.34444e+308, 1.34444e+308]") and "spans inf" in line
+    assert not (tmp_path / "out").exists()  # the grid is sized before the directory is made
 
 
 # eps = 1e-320 makes smin / eps overflow in the pseudospectrum's distance

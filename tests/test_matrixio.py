@@ -1,6 +1,7 @@
 """Matrix parsing, emission round-trips, and generators."""
 
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from condspec.matrixio import (
     FORMAT_CSV,
     FORMAT_JSON,
     FORMAT_MATRIX_MARKET,
-    MatrixSource,
+    MAX_DIMENSION,
     detect_format,
     emit_matrix,
     generate,
@@ -168,10 +169,10 @@ def test_non_square_rejected():
 
 
 def test_dimension_cap():
-    big = np.eye(5)
-    text = emit_matrix(big, FORMAT_JSON)
-    with pytest.raises(ParseError, match="maximum"):
-        parse_matrix(text, max_n=4)
+    n = MAX_DIMENSION + 1
+    with pytest.raises(ParseError, match=f"dimension {n} exceeds the configured maximum 512"):
+        parse_matrix(json.dumps([[0] * n] * n))
+    assert parse_matrix(json.dumps([[0] * (n - 1)] * (n - 1))).n == MAX_DIMENSION
 
 
 def test_nonfinite_rejected():
@@ -182,20 +183,33 @@ def test_nonfinite_rejected():
 
 
 def test_blank_text_is_csv_with_no_rows():
-    assert detect_format(MatrixSource(text=" \n")) == FORMAT_CSV
+    assert detect_format(" \n") == FORMAT_CSV
     with pytest.raises(ParseError, match="no rows"):
-        parse_matrix(MatrixSource(text=" \n"))
+        parse_matrix(" \n")
 
 
 def test_json_cell_beyond_float64_names_the_entry():
     with pytest.raises(ParseError, match="row 2, entry 1"):
-        parse_matrix(MatrixSource(FORMAT_JSON, None, f"[[1, 0], [[0, {10**400}], 1]]"))
+        parse_matrix(f"[[1, 0], [[0, {10**400}], 1]]", FORMAT_JSON)
 
 
-def test_long_one_line_text_parsed_inline():
-    # Too long for a file name, so not looked up as one.
-    m = parse_matrix("[[" + " " * 300 + "1]]")
-    assert m.entries[0, 0] == 1
+def test_a_str_is_always_text(tmp_path, monkeypatch):
+    # A file named like the text is never read in its place.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "1"
+    path.write_text("5")
+    assert parse_matrix("1").entries.tolist() == [[1]]
+    assert parse_matrix(path).entries.tolist() == [[5]]
+    with pytest.raises(ParseError, match="cannot parse complex entry"):
+        parse_matrix(str(path))
+
+
+def test_detect_format_prefers_the_extension():
+    assert detect_format("[[1]]", Path("m.csv")) == FORMAT_CSV
+    assert detect_format("1\n", Path("m.MTX")) == FORMAT_MATRIX_MARKET
+    assert detect_format("[[1]]", Path("m.txt")) == FORMAT_JSON
+    with pytest.raises(TypeError, match="from bytes"):
+        parse_matrix(b"[[1]]")
 
 
 # Cells of every JSON type, integers past the float64 range among them.
@@ -222,7 +236,7 @@ _csv_texts = st.lists(st.lists(_csv_tokens, min_size=1, max_size=3), max_size=3)
        st.sampled_from([FORMAT_JSON, FORMAT_CSV, None]))
 def test_parse_matrix_raises_only_parse_error(text, fmt):
     try:
-        m = parse_matrix(MatrixSource(fmt, None, text))
+        m = parse_matrix(text, fmt)
     except ParseError:
         return
     assert np.isfinite(m.entries).all()
@@ -273,8 +287,8 @@ def test_parse_from_path(tmp_path):
 
 
 def test_matrix_source_inline():
-    src = MatrixSource(format=FORMAT_CSV, text="1,0\n0,1\n")
-    assert np.array_equal(parse_matrix(src).entries, np.eye(2, dtype=complex))
+    assert np.array_equal(parse_matrix("1,0\n0,1\n", FORMAT_CSV).entries,
+                          np.eye(2, dtype=complex))
 
 
 # --- round trips ---------------------------------------------------------------

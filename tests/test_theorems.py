@@ -269,8 +269,9 @@ def test_t6e_vacuous_antecedent():
 def test_transient_config_validation():
     with pytest.raises(ValueError):
         TransientConfig(M=0.0, k_max=5)
-    with pytest.raises(ValueError):
-        TransientConfig(M=1.0, k_max=0)
+    assert TransientConfig(M=2.0, k_max=1).k_max == 1  # the CLI's --k-max low edge
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        TransientConfig(M=2.0, k_max=0)
 
 
 # --- T7 ------------------------------------------------------------------------
@@ -408,8 +409,10 @@ def test_t3_and_t8_memory_is_bounded_by_the_members():
 
 
 def test_disk_validation():
-    with pytest.raises(ValueError):
-        Disk(0j, -1.0)
+    assert Disk(0, 0.0).contains(0j) and not Disk(0, 0.0).contains(1e-300)
+    for radius in (-1.0, -5e-324):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            Disk(0j, radius)
 
 
 # --- numerical range -------------------------------------------------------------
@@ -457,8 +460,10 @@ def test_range_invariants():
 
 
 def test_range_rejects_few_angles():
-    with pytest.raises(ValueError):
-        numerical_range_boundary(DIAG, 4)
+    assert len(numerical_range_boundary(DIAG, 8).angles) == 8  # the CLI's --angles low edge
+    for n_angles in (4, 7):
+        with pytest.raises(ValueError, match="n_angles must be >= 8"):
+            numerical_range_boundary(DIAG, n_angles)
 
 
 # --- T9 ------------------------------------------------------------------------
