@@ -31,6 +31,7 @@ from .errors import CondspecError, GridTooSmallError, ParseError, PreconditionEr
 from .numkernel import ComplexMatrix, eigenvalues
 from .spectra import (
     CONDITION,
+    DEFAULT_GRID_NODES,
     PSEUDO,
     GridSpec,
     auto_grid,
@@ -63,7 +64,7 @@ class RunConfig:
 
     matrix: ComplexMatrix
     eps_list: tuple = DEFAULT_EPS
-    grid_nodes: int = 161
+    grid_nodes: int = DEFAULT_GRID_NODES
     kinds: tuple = (CONDITION,)
     out: Path = Path(".")
     seed: int = 0
@@ -81,7 +82,7 @@ class RunConfig:
                 kind.eps(e)
 
     def resolve_grid(self) -> GridSpec:
-        """The auto grid, widened for the pseudospectrum when it is computed."""
+        """The auto grid, widened for the pseudospectrum when it is computed or checked."""
         kind = PSEUDO if PSEUDO in self.kinds else CONDITION
         return auto_grid(self.matrix, max(self.eps_list), self.grid_nodes, kind)
 
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override matrix format detection")
         p.add_argument("--eps", type=_parse_eps_list, default=DEFAULT_EPS,
                        help="comma-separated eps values (default 0.1,0.2,0.3)")
-        _int_flag(p, "--grid", 161, "grid nodes per axis")
+        _int_flag(p, "--grid", DEFAULT_GRID_NODES, "grid nodes per axis")
 
     p_comp = sub.add_parser("compute", help="write the field CSV and contour JSON")
     add_common(p_comp)
@@ -380,8 +381,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            config = RunConfig(
-                matrix=matrix, eps_list=args.eps, grid_nodes=args.grid,
+            config = RunConfig(  # the checks read both spectra from one field
+                matrix=matrix, eps_list=args.eps, grid_nodes=args.grid, kinds=(CONDITION, PSEUDO),
                 out=Path(args.out), seed=args.seed, theorems=args.theorems,
                 k_max=args.k_max, M=args.M, n_angles=args.angles, samples=args.samples,
                 certificate=Path(args.certificate) if args.certificate else None)

@@ -41,7 +41,7 @@ from .numkernel import (  # _thread_count: condbench's environment record reads 
 )
 
 # Default node count per axis and margin factor for auto-sized grids.
-DEFAULT_GRID_NODES = 401
+DEFAULT_GRID_NODES = 161
 GRID_MARGIN = 1.1
 
 # Relative half-width of the band around the membership level (ratio =
@@ -77,8 +77,7 @@ class SpectrumKind:
     off_level: Callable  # (quantity, eps) -> relative distance from the level
     depth: Callable      # (quantity, eps) -> margin, >= 1 inside level eps
     radius: Callable     # (eps, ||A||) -> radius of a disk about 0 holding the spectrum
-    pad: Callable        # (eps, () -> ||A||, scale=1.0) -> scale times the pad of T4, T7-T9;
-                         # ||A|| is taken only by the kind whose pad uses it
+    pad: Callable        # (eps, ||A||, scale=1.0) -> scale times the pad of T4, T7-T9
 
     def eps(self, eps: float) -> float:
         """eps as a float, checked for this kind: finite, > 0 and below eps_limit."""
@@ -107,7 +106,7 @@ CONDITION = SpectrumKind(
                                 else np.where(ratio == np.inf, np.inf, 1.0)),
     depth=lambda ratio, e: ratio * e if e else np.where(ratio == np.inf, np.inf, 0.0),
     radius=lambda e, norm: (1.0 + e) / (1.0 - e) * norm,
-    pad=lambda e, norm, scale=1.0: scale * 2.0 * e / (1.0 - e) * norm(),
+    pad=lambda e, norm, scale=1.0: scale * 2.0 * e / (1.0 - e) * norm,
 )
 
 PSEUDO = SpectrumKind(
@@ -154,7 +153,7 @@ class GridSpec:
             raise ValueError("grid needs at least 2 nodes per axis")
 
     @classmethod
-    def square(cls, radius: float, n: int = DEFAULT_GRID_NODES) -> "GridSpec":
+    def square(cls, radius: float, n: int) -> "GridSpec":
         r = float(radius)
         return cls(-r, r, -r, r, n, n)
 
@@ -455,7 +454,7 @@ def _require_covering(A, eps, grid: GridSpec):
 def field_for(A, grid, eps) -> SpectralField:
     """`grid` itself when it is a SpectralField of A (or of no known
     matrix, as read from CSV), else the field of A on a GridSpec, or on an
-    auto_grid of `grid` nodes per axis (None: the default count)."""
+    auto_grid of `grid` nodes per axis (None: the default) holding both spectra."""
     if isinstance(grid, SpectralField):
         source = grid.matrix
         if source is not None and source is not A and not np.array_equal(
@@ -463,7 +462,7 @@ def field_for(A, grid, eps) -> SpectralField:
             raise ValueError("the given field was computed from another matrix")
         return grid
     if grid is None or isinstance(grid, int):
-        grid = auto_grid(A, eps, DEFAULT_GRID_NODES if grid is None else grid)
+        grid = auto_grid(A, eps, DEFAULT_GRID_NODES if grid is None else grid, PSEUDO)
     return compute_field(A, grid)
 
 

@@ -50,7 +50,6 @@ from .spectra import (
     component_count,
     compute_field,  # unused here; condbench's tracer test reads theorems.compute_field
     field_for,
-    in_spectrum,
     member_distances,
     member_radius,
 )
@@ -138,23 +137,30 @@ def _points(m, grid, e, z_samples, count, seed, kind) -> np.ndarray:
     return np.asarray(z_samples, dtype=np.complex128)
 
 
+def _clear_members(kind, m, zs, e) -> np.ndarray:
+    """Which of zs are members of m's eps-spectrum outside the boundary band."""
+    q = kind.at(m, zs)[1]
+    return kind.inside(q, e) & (kind.off_level(q, e) > BOUNDARY_BAND)
+
+
 # ---------------------------------------------------------------------------
 # T1: membership of 0 vs condition number of A
 
 def _zero_membership_report(kind, A, eps) -> TheoremReport:
     e = kind.eps(eps)
     m = as_matrix(A)
-    s = m.svals
+    s = m.svals  # those of 0*I - A
     smin, ratio = float(s[-1]), float(condition_ratio(s[-1], s[0], m.n))
-    member = in_spectrum(m, 0.0, e, kind)
+    q = kind.quantity(smin, ratio)
+    member = bool(kind.inside(q, e))
     if np.isinf(ratio):
         return TheoremReport(f"T1{kind.suffix}", member, float("inf"), 1.0 / e, 0.0,
                              {"status": "singular short-circuit"})
     lhs = kind.measure(smin, ratio)
-    boundary = kind.off_level(kind.quantity(smin, ratio), e) <= FLOAT_SLACK
+    boundary = kind.off_level(q, e) <= FLOAT_SLACK
     passed = (lhs >= 1.0 / e) == member or boundary
     return TheoremReport(f"T1{kind.suffix}", bool(passed), lhs, 1.0 / e, FLOAT_SLACK,
-                         {"member": bool(member), "boundary": bool(boundary)})
+                         {"member": member, "boundary": bool(boundary)})
 
 
 def check_t1(A, eps) -> TheoremReport:
@@ -226,7 +232,7 @@ def _resolvent_bound_report(kind, A, eps, grid, z_samples, count, seed) -> Theor
     m = as_matrix(A)
     field = field_for(m, grid, e)
     zs = _points(m, field, e, z_samples, count, seed, kind)
-    pad_term = kind.pad(e, lambda: m.norm)
+    pad_term = kind.pad(e, m.norm)
     diag = field.grid.cell_diagonal()
     smins, ratios = CONDITION.at(m, zs)
     finite = ratios != np.inf  # else z is in the spectrum: resolvent undefined
@@ -271,8 +277,7 @@ def _similarity_report(kind, target, A, S, eps, grid, z_samples, count, seed) ->
     m = as_matrix(A)
     b = similarity_transform(S, m)
     z_samples = np.concatenate([_points(m, grid, e, z_samples, count, seed, kind), m.eigvals])
-    qa = kind.at(m, z_samples)[1]
-    keep = kind.inside(qa, e) & (kind.off_level(qa, e) > BOUNDARY_BAND)
+    keep = _clear_members(kind, m, z_samples, e)
     qb = kind.at(b, z_samples[keep])[1]
     checked = int(keep.sum())
     worst = float(np.min(kind.depth(qb, e2), initial=np.inf))
@@ -282,14 +287,14 @@ def _similarity_report(kind, target, A, S, eps, grid, z_samples, count, seed) ->
                          {"kappa_S": kappa, "target_eps": e2, "members_checked": checked})
 
 
-def check_t5(A, S, eps, grid=161, z_samples=None, count: int = 64, seed: int = 0) -> TheoremReport:
+def check_t5(A, S, eps, grid=None, z_samples=None, count: int = 64, seed: int = 0) -> TheoremReport:
     """With A = S B S^{-1}: membership of z at level eps for A implies
     membership at level kappa(S)^2*eps for B.  Requires kappa(S)^2*eps < 1."""
     return _similarity_report(CONDITION, lambda kappa, e: kappa * kappa * e,
                               A, S, eps, grid, z_samples, count, seed)
 
 
-def check_t5e(A, S, eps, grid=161, z_samples=None, count: int = 64, seed: int = 0) -> TheoremReport:
+def check_t5e(A, S, eps, grid=None, z_samples=None, count: int = 64, seed: int = 0) -> TheoremReport:
     """Companion inclusion into the kappa(S)*eps pseudospectrum of B."""
     return _similarity_report(PSEUDO, lambda kappa, e: kappa * e,
                               A, S, eps, grid, z_samples, count, seed)
@@ -370,14 +375,12 @@ def _power_bound_report(kind, rule, A, eps, k_list, grid, z_samples, count,
         if k > 0 and not value(k, e, norm_a) < limit(norm_a):
             raise PreconditionError(
                 f"k = {k} inadmissible: {name} = {value(k, e, norm_a):.6g} >= {limit_name}")
-    s = kind.pad(e, lambda: norm_a)
+    s = kind.pad(e, norm_a)
     if norm_a == 0.0 and s == 0.0:
         return TheoremReport(f"T7{kind.suffix}", True, None, 0.0, 0.0,
                              {"status": "vacuous: A = 0, members reduce to {0}"})
     z_samples = _points(m, grid, e, z_samples, count, seed, kind)
-    q = kind.at(m, z_samples)[1]
-    keep = kind.inside(q, e) & (kind.off_level(q, e) > BOUNDARY_BAND)
-    members = np.concatenate([z_samples[keep], m.eigvals])
+    members = np.concatenate([z_samples[_clear_members(kind, m, z_samples, e)], m.eigvals])
 
     norms = m.power_norms_to(max(k_list))
     worst = np.inf
@@ -434,7 +437,7 @@ def check_t7e(A, eps, k_list=None, grid=None, z_samples=None,
 def _gerschgorin_disks(kind, m, e) -> tuple[np.ndarray, np.ndarray]:
     """(centers, radii) of the disks D(a_jj, r_j + sqrt(N)*pad) with row
     sums r_j = sum_{k != j} |a_jk|."""
-    pad = kind.pad(e, lambda: m.norm, np.sqrt(m.n))
+    pad = kind.pad(e, m.norm, np.sqrt(m.n))
     absA = np.abs(m.entries)
     return np.diag(m.entries), absA.sum(axis=1) - np.diag(absA) + pad
 
@@ -497,7 +500,7 @@ def _range_cover_report(kind, A, eps, grid, n_angles) -> TheoremReport:
     members = field.member_nodes(e, kind)
     diag = field.grid.cell_diagonal()
     norm_a = m.norm
-    pad = kind.pad(e, lambda: norm_a)
+    pad = kind.pad(e, norm_a)
     slack = diag + _sagitta(norm_a, n_angles) + 1e-8 * (1.0 + norm_a)
     if members.size == 0:
         return TheoremReport(f"T9{kind.suffix}", True, 0.0, pad + slack, slack,
@@ -505,6 +508,11 @@ def _range_cover_report(kind, A, eps, grid, n_angles) -> TheoremReport:
     poly = _memo(m._facts, ("W", n_angles),  # a fact of m: once per suite, never if vacuous
                  lambda: _read_only(numerical_range_boundary(m, n_angles).polygon()))
     pts = np.column_stack([members.real, members.imag])
+    # The kernels square coordinates.  Scaled below 1 by a power of two,
+    # which is exact, each distance scaled back keeps its bits, and no
+    # square overflows.
+    exp = int(np.frexp(max(np.abs(pts).max(), np.abs(poly).max()))[1])
+    pts, poly = np.ldexp(pts, -exp), np.ldexp(poly, -exp)
     # Distance to a convex set is convex, so its maximum over a point set
     # is reached at a vertex of that set's hull.  That is exact in exact
     # arithmetic; in floating point a point between two vertices could read
@@ -512,13 +520,13 @@ def _range_cover_report(kind, A, eps, grid, n_angles) -> TheoremReport:
     # the bits against all members, also where a hull edge runs parallel to
     # an edge of W(A).
     hull = convex_hull(pts)
-    worst = float(distance_to_polygon(hull, poly).max())
+    worst = float(np.ldexp(distance_to_polygon(hull, poly).max(), exp))
     claim_ok = worst <= pad + slack
 
-    depths = hull_depths(pts, hull)
+    depths = np.ldexp(hull_depths(pts, hull), exp)
     eroded = pts[depths >= pad]
     if eroded.size:
-        eroded_worst = float(distance_to_polygon(convex_hull(eroded), poly).max())
+        eroded_worst = float(np.ldexp(distance_to_polygon(convex_hull(eroded), poly).max(), exp))
         erosion_ok = eroded_worst <= slack
     else:
         eroded_worst = 0.0
@@ -634,15 +642,14 @@ def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConf
     m = as_matrix(A)
     names = list(theorems) if theorems else list(SIGMA_CHECKS)
     eps_vals = [CONDITION.eps(e) for e in eps_list]
+    unknown = [n for n in names if n not in SIGMA_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown theorem selector(s): {unknown}")
     field = field_for(m, grid, max(eps_vals))
     transient = transient or TransientConfig(M=2.0, k_max=50)
     rng = np.random.default_rng(seed)
     alpha = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     beta = complex(rng.uniform(0.5, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-
-    unknown = [n for n in names if n not in SIGMA_CHECKS]
-    if unknown:
-        raise ValueError(f"unknown theorem selector(s): {unknown}")
 
     shared = dict(A=m, grid=field, config=transient, n_angles=n_angles,
                   S=as_matrix(default_similarity(m.n)), alpha=alpha, beta=beta, count=samples)

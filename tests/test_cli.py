@@ -642,6 +642,38 @@ def test_verify_overflow_to_inf_prints_no_warning(tmp_path, diagonal, eps, diges
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
+def test_verify_on_an_entry_of_1e300_passes_t9(tmp_path):
+    # T9 squared coordinates near 1e300 in its hull and polygon distances:
+    # numpy warned of an overflow, and T9σ and T9ε failed at every eps.
+    matrix, report = tmp_path / "A.json", tmp_path / "r.json"
+    write_matrix(np.diag([0.0, 0.0, 1e300]), matrix)
+    assert main(["verify", "--matrix", str(matrix), "--grid", "11", "--out", str(report)]) == 0
+    t9 = [e for e in jsonio.loads(report.read_text()) if e["theorem_id"].startswith("T9")]
+    assert len(t9) == 6 and all(e["passed"] for e in t9)
+
+
+def test_verify_field_holds_the_pseudospectrum_of_a_small_matrix(tmp_path, monkeypatch):
+    # ||A|| = 0.2: the condition spectrum's disk at eps 0.4 has radius
+    # 1.4/0.6 * 0.2 = 0.467, the pseudospectrum's 0.6.  verify sizes its
+    # field for both, so no eps-member node lies on the grid's edge and
+    # T2ε's largest member is the node nearest max |z| = 0.6.
+    from condspec import theorems
+    from condspec.spectra import PSEUDO, compute_field
+
+    grids, run_suite = [], theorems.run_suite
+    monkeypatch.setattr(theorems, "run_suite",
+                        lambda A, eps, **kw: grids.append(kw["grid"]) or run_suite(A, eps, **kw))
+    matrix, report = tmp_path / "A.json", tmp_path / "r.json"
+    write_matrix(np.diag([0.2, -0.2]), matrix)
+    assert main(["verify", "--matrix", str(matrix), "--eps", "0.4", "--grid", "41",
+                 "--theorems", "t2", "--out", str(report)]) == 0
+    [t2e] = [e for e in jsonio.loads(report.read_text()) if e["theorem_id"] == "T2ε"]
+    assert t2e["lhs"] == pytest.approx(0.5977, abs=1e-4)
+    mask = compute_field(parse_matrix(matrix), grids[0]).member_mask(0.4, PSEUDO)
+    assert mask.any() and not (mask[0].any() or mask[-1].any()
+                               or mask[:, 0].any() or mask[:, -1].any())
+
+
 def _command_sequence(matrix, base):
     def out(name):
         return str(base / name)

@@ -88,12 +88,12 @@ def test_gen_values_reads_the_n_row(tmp_path, capsys):
 
 # The largest value of each flag the property runs; the table's high edge
 # only parses (above), since a 4096^2 grid is no test input.  Matrix
-# entries stay within 1e+-150, where their squares are finite: past that,
-# T9's polygon distance overflows (a magnitude item of its own).
+# entries reach 1e+-300, whose squares are past float64.
 RUN_CAPS = {"--grid": 11, "--k-max": 30, "--angles": 64, "--samples": 16, "--n": 4,
             "--width": 400, "--height": 400, "--seed": 10**30}
 
-_ENTRIES = [0.0, 1.0, -1.0, 0.5, 2.5, 1j, -2 + 1j, 1e-3, 1e150, 1e-150, 5e-324]
+_ENTRIES = [0.0, 1.0, -1.0, 0.5, 2.5, 1j, -2 + 1j, 1e-3, 1e150, 1e-150, 1e300, -1e300j,
+            1e-300, 5e-324]
 _EPS_TOKENS = ["0.05", "0.1", "0.3", "0.5", "0.9", "0.99", "1e-300",
                "0", "-0.1", "1", "1.5", "nan", "inf", "-inf"]
 

@@ -2,7 +2,8 @@
 calls LAPACK (any np.linalg routine but norm), pins BLAS or builds a thread
 pool, so the batched sigma(zI - A) primitive, the W(A) sweep, the BLAS pin
 and the pool have one home; spectra.auto_grid is the only caller of
-GridSpec.square, so auto grids have one rule; and only cli and svgplot,
+GridSpec.square, so auto grids have one rule; every default node count
+is spectra.DEFAULT_GRID_NODES (or None, which reads it); and only cli and svgplot,
 where kind names are text read or written, compare a value with a kind
 name, so inside the library a kind is its SpectrumKind record."""
 
@@ -93,6 +94,68 @@ def test_square_rule_sees_a_second_auto_grid_rule():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_only_auto_grid_builds_square_grids(path):
     assert _square_calls(ast.parse(path.read_text()), path.stem) == []
+
+
+# The names a grid's node count is bound to: a check's grid and
+# RunConfig.grid_nodes, and n in the grid builders (elsewhere n is a
+# matrix dimension).
+NODE_COUNT_NAMES = {"grid", "grid_nodes"}
+GRID_BUILDERS = {"auto_grid", "square"}
+
+
+def _reads_default_count(node) -> bool:
+    """None, or the name DEFAULT_GRID_NODES (bare or as an attribute)."""
+    if isinstance(node, ast.Constant):
+        return node.value is None
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+    return name == "DEFAULT_GRID_NODES"
+
+
+def _node_count_defaults(node) -> list:
+    """The defaults that a def, lambda, class field or --grid flag gives a
+    node count."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        names = NODE_COUNT_NAMES | ({"n"} if getattr(node, "name", "") in GRID_BUILDERS else set())
+        a = node.args
+        positional = a.posonlyargs + a.args
+        pairs = [*zip(positional[len(positional) - len(a.defaults):], a.defaults),
+                 *zip(a.kwonlyargs, a.kw_defaults)]
+        return [d for arg, d in pairs if d is not None and arg.arg in names]
+    if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            and node.target.id in NODE_COUNT_NAMES and node.value):
+        return [node.value]
+    if isinstance(node, ast.Call):
+        flags = [i for i, x in enumerate(node.args)
+                 if isinstance(x, ast.Constant) and x.value == "--grid"]
+        if flags:  # add_argument's default=, else _int_flag's next argument
+            given = [k.value for k in node.keywords if k.arg == "default"]
+            return given or node.args[flags[0] + 1:flags[0] + 2]
+    return []
+
+
+def _literal_node_counts(tree) -> list:
+    """Lines of the node-count defaults that do not read DEFAULT_GRID_NODES."""
+    return sorted(d.lineno for node in ast.walk(tree) for d in _node_count_defaults(node)
+                  if not _reads_default_count(d))
+
+
+def test_node_count_rule_sees_a_literal_default():
+    source = ("def auto_grid(A, eps_max, n: int = 401, kind=CONDITION):\n    pass\n"
+              "def square(cls, radius, n=spectra.DEFAULT_GRID_NODES):\n    pass\n"
+              "def check_t5(A, S, eps, grid=161, *, seed=0):\n    pass\n"
+              "def check_t2(A, eps, grid=None, count=48):\n    pass\n"
+              "class RunConfig:\n    grid_nodes: int = 161\n    seed: int = 0\n"
+              "_int_flag(p, '--grid', 161, 'grid nodes per axis')\n"
+              "_int_flag(p, '--grid', DEFAULT_GRID_NODES, 'grid nodes per axis')\n"
+              "p.add_argument('--grid', type=int, default=401)\n"
+              "f = lambda *, grid=41: grid\n"
+              "def generate(kind, n=2, seed=0):\n    pass\n")
+    assert _literal_node_counts(ast.parse(source)) == [1, 5, 10, 12, 14, 15]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_node_count_defaults_read_the_one_default(path):
+    assert _literal_node_counts(ast.parse(path.read_text())) == []
 
 
 # A kind's names, and the modules where they are text: --kind's choices,

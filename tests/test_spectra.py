@@ -121,7 +121,7 @@ _RULES_AT_EPS_ZERO = {  # rule: (its call at eps = 0, condition value, pseudo va
     "off_level": (lambda f, q: f(q, 0.0), [np.inf, 1.0], [1.0, np.inf]),
     "depth": (lambda f, q: f(q, 0.0), [np.inf, 0.0], [np.inf, 0.0]),
     "radius": (lambda f, q: f(0.0, 3.0), 3.0, 3.0),
-    "pad": (lambda f, q: f(0.0, lambda: 3.0, 2.0), 0.0, 0.0),
+    "pad": (lambda f, q: f(0.0, 3.0, 2.0), 0.0, 0.0),
 }
 
 

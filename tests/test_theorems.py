@@ -114,6 +114,23 @@ def test_t2e_companion(diag_field):
     assert r.passed and r.rhs == pytest.approx(1.5 + diag_field.grid.cell_diagonal())
 
 
+def _on_grid_edge(mask) -> bool:
+    return bool(mask[0].any() or mask[-1].any() or mask[:, 0].any() or mask[:, -1].any())
+
+
+def test_t2e_default_field_holds_the_pseudospectrum_of_a_small_matrix():
+    # ||A|| = 0.2: the condition spectrum's disk at eps 0.4 has radius
+    # 1.4/0.6 * 0.2 = 0.467, the pseudospectrum's 0.6.  The field a check
+    # sizes for itself holds both, so no eps-member lies on its edge and
+    # T2ε's largest member is within a grid diagonal of 0.6.
+    A = np.diag([0.2, -0.2])
+    field = theorems.field_for(A, None, 0.4)
+    mask = field.member_mask(0.4, PSEUDO)
+    assert mask.any() and not _on_grid_edge(mask)
+    r = check_t2e(A, 0.4)
+    assert r.passed and 0.6 - field.grid.cell_diagonal() <= r.lhs <= 0.6
+
+
 # --- T3 ------------------------------------------------------------------------
 
 def test_t3_diag_two_components(diag_field):
@@ -341,7 +358,7 @@ def test_eps_to_zero_limit_of_pad_radius_and_disks(kind):
     pads = []
     for k in range(1, 61):
         e = 2.0 ** -k
-        pads.append(kind.pad(e, lambda: m.norm))
+        pads.append(kind.pad(e, m.norm))
         assert 0.0 < pads[-1] <= 4.0 * e * m.norm
         assert 0.0 <= kind.radius(e, m.norm) - m.norm <= pads[-1] + 4.0 * U_MACH * m.norm
         radii = theorems._gerschgorin_disks(kind, m, e)[1]
@@ -553,7 +570,7 @@ def test_suite_calls_companions_by_module_name(monkeypatch):
 
     calls = []
 
-    def fake_t5e(A, S, eps, grid=161, z_samples=None, count=64, seed=0):
+    def fake_t5e(A, S, eps, grid=None, z_samples=None, count=64, seed=0):
         calls.append((eps, count))
         return TheoremReport("T5ε", True, None, None, 0.0, {"status": "patched"})
 
@@ -582,8 +599,12 @@ def test_suite_samples_through_each_check(A):
     assert [r.to_dict() for r in suite] == [r.to_dict() for r in direct]
 
 
-def test_suite_rejects_unknown_selector():
-    with pytest.raises(ValueError):
+def test_suite_rejects_unknown_selector(monkeypatch):
+    def no_field(*args):
+        raise AssertionError("the field was sized before the selectors were checked")
+
+    monkeypatch.setattr(theorems, "field_for", no_field)
+    with pytest.raises(ValueError, match="t11"):
         run_suite(DIAG, [0.2], theorems=["t11"])
 
 
