@@ -33,6 +33,7 @@ from .spectra import (
     CONDITION,
     DEFAULT_GRID_NODES,
     PSEUDO,
+    ContourSet,
     GridSpec,
     auto_grid,
     compute_field,
@@ -187,35 +188,16 @@ def cmd_plot(field_path, contour_paths, matrix: ComplexMatrix | None,
         with open(field_path) as fp:
             grid = read_field_grid(fp)
         bounds = (grid.re_min, grid.re_max, grid.im_min, grid.im_max)
-    groups = []
+    levels = []
     for cpath in contour_paths:
-        name = Path(cpath).stem
-        kind = PSEUDO if PSEUDO.name in name else CONDITION
+        kind = PSEUDO if PSEUDO.name in Path(cpath).stem else CONDITION
         data = jsonio.loads(Path(cpath).read_text())
-        if not isinstance(data, list):
-            raise ParseError(f"{cpath}: contour JSON must be a list of levels")
-        for level in data:
-            if not (isinstance(level, dict) and isinstance(level.get("polylines"), list)
-                    and isinstance(level.get("eps"), (int, float))
-                    and not isinstance(level["eps"], bool)):
-                raise ParseError(f"{cpath}: each contour level must be an object with "
-                                 "a numeric 'eps' and a 'polylines' list")
-            try:
-                polys = [np.asarray(p, dtype=np.float64).reshape(-1, 2)
-                         for p in level["polylines"]]
-            except OverflowError as exc:
-                raise ParseError(f"{cpath}: a number is beyond the float64 range") from exc
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{cpath}: polylines must be lists of [re, im] pairs") from exc
-            if not all(np.isfinite(p).all() for p in polys):
-                raise ParseError(f"{cpath}: every [re, im] point must be finite")
-            try:
-                eps = kind.eps(level["eps"])
-            except (OverflowError, ValueError) as exc:
-                raise ParseError(f"{cpath}: {exc}") from exc
-            groups.append((kind.name, eps, polys))
+        try:
+            levels += ContourSet.from_json_obj(data, kind).levels
+        except ValueError as exc:
+            raise ParseError(f"{cpath}: {exc}") from None
     eig = eigenvalues(matrix) if matrix is not None else None
-    svg = svgplot.render_svg(groups, eigenvalues=eig, bounds=bounds,
+    svg = svgplot.render_svg(levels, eigenvalues=eig, bounds=bounds,
                              width=width, height=height)
     out = Path(out_path)
     out.write_text(svg)

@@ -41,16 +41,28 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
+    lower = half(pts.tolist())
+    upper = half(pts[::-1].tolist())
     hull = np.array(lower[:-1] + upper[:-1])
     if len(hull) < 2:  # all points coincident after dedupe
         return pts[:1]
     return hull
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _cross(o, a, b):
+    """(a - o) x (b - o) of Python floats, exact in sign (Shewchuk 1997): the
+    float result where it exceeds its rounding error bound (plus 2**-1022 for
+    underflow; never inf or nan), else the exact value in integers."""
+    left, right = (a[0] - o[0]) * (b[1] - o[1]), (a[1] - o[1]) * (b[0] - o[0])
+    if abs(left - right) > ((3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53 * (abs(left) + abs(right))
+                            + 2.0 ** -1022):
+        return left - right
+    if (a[0] == o[0] or b[1] == o[1]) and (a[1] == o[1] or b[0] == o[0]):
+        return 0.0  # each product has an exact zero factor: points on one row or column
+    # Each coordinate times 2**1074 is an integer.
+    (ox, oy), (ax, ay), (bx, by) = ([n << (1075 - d.bit_length()) for n, d in
+                                     map(float.as_integer_ratio, p)] for p in (o, a, b))
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 def polygon_signed_area(poly: np.ndarray) -> float:

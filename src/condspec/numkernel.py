@@ -343,10 +343,14 @@ def numerical_range_points(A, thetas) -> np.ndarray:
 
 @_lapack("similarity solve failed")
 def similarity_transform(S, A) -> ComplexMatrix:
-    """S^{-1} A S, by one solve and one product."""
+    """S^{-1} A S: entry (i, j) of A times s_j / s_i for a diagonal S, which
+    scales by powers of 2 exactly, else one solve and one product."""
     s, a = _entries(S), _entries(A)
     if s.shape != a.shape:
         raise ValueError("S is %d x %d, A is %d x %d" % (*s.shape, *a.shape))
+    d = np.diagonal(s)
+    if d.all() and np.count_nonzero(s) == len(d):
+        return as_matrix(a * (d / d[:, None]))
     return as_matrix(np.linalg.solve(s, a) @ s)
 
 

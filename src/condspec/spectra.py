@@ -21,8 +21,8 @@ bit-identical at any CONDSPEC_THREADS and OPENBLAS_NUM_THREADS.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -327,6 +327,31 @@ class ContourSet:
             for lv in self.levels
         ]
 
+    @classmethod
+    def from_json_obj(cls, obj, kind: SpectrumKind) -> "ContourSet":
+        """Inverse of to_json_obj for levels of `kind`: ValueError unless obj is a list of
+        {"eps": a number in the kind's range, "polylines": lists of finite [re, im] pairs}."""
+        if not isinstance(obj, list):
+            raise ValueError("contour JSON must be a list of levels")
+        levels = []
+        for level in obj:
+            if not (isinstance(level, dict) and isinstance(level.get("polylines"), list)
+                    and type(level.get("eps")) in (int, float)):  # bool is not a number here
+                raise ValueError("each contour level must be an object with "
+                                 "a numeric 'eps' and a 'polylines' list")
+            try:
+                float(level["eps"])  # OverflowError for an int past float64
+                polys = tuple(np.asarray(p, dtype=np.float64).reshape(-1, 2)
+                              for p in level["polylines"])
+            except OverflowError:
+                raise ValueError("a number is beyond the float64 range") from None
+            except (TypeError, ValueError):
+                raise ValueError("polylines must be lists of [re, im] pairs") from None
+            if not all(np.isfinite(p).all() for p in polys):
+                raise ValueError("every [re, im] point must be finite")
+            levels.append(ContourLevel(kind.eps(level["eps"]), kind.name, polys))
+        return cls(tuple(levels))
+
 
 # Segment table for marching squares.  Corner bits: 0=(i,j), 1=(i+1,j),
 # 2=(i+1,j+1), 3=(i,j+1); edges: 0 bottom, 1 right, 2 top, 3 left.  The
@@ -597,86 +622,85 @@ def write_field_csv(field: SpectralField, fp) -> None:
 
 
 def read_field_csv(fp) -> SpectralField:
-    """Inverse of write_field_csv (the source matrix is not recoverable)."""
-    header = fp.readline().strip()
-    if header != _FIELD_CSV_HEADER:
-        raise ValueError(f"unexpected field CSV header: {header!r}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # no data rows: raised below
-        rows = np.loadtxt(fp, delimiter=",", ndmin=2)
-    if rows.shape[0] == 0:
-        raise ValueError("field CSV has no data rows")
-    if rows.shape[1] != 5:
-        raise ValueError(f"field CSV rows need 5 columns, got {rows.shape[1]}")
-    re = np.unique(rows[:, 0])
-    im = np.unique(rows[:, 1])
-    nx, ny = len(re), len(im)
-    if nx * ny != len(rows):
-        raise ValueError("field CSV is not a complete rectangular grid")
-    grid = GridSpec(float(re[0]), float(re[-1]), float(im[0]), float(im[-1]), nx, ny)
-    order = np.lexsort((rows[:, 1], rows[:, 0]))
-    rows = rows[order]
-    bad = np.flatnonzero((rows[:, 0] != np.repeat(re, ny)) | (rows[:, 1] != np.tile(im, nx)))
-    if bad.size:  # some node is repeated, so another one is missing
-        i = bad[0]
-        raise ValueError(f"field CSV data row {order[i] + 1} (re {rows[i, 0]:.17g}, im "
-                         f"{rows[i, 1]:.17g}) is where node (re {re[i // ny]:.17g}, im "
-                         f"{im[i % ny]:.17g}) belongs")
-    smin, smax, ratio = (_read_only(rows[:, c].reshape(nx, ny)) for c in (2, 3, 4))
-    return SpectralField(grid, smin, smax, ratio, None)
+    """Inverse of write_field_csv (the source matrix is not recoverable):
+    read_field_grid's rule, then np.loadtxt over the rows in grid order."""
+    _read_field_header(fp)
+    grid, lines = _grid_and_lines(fp.readlines())
+    values = np.loadtxt(lines, delimiter=",", usecols=(2, 3, 4), ndmin=2)
+    return SpectralField(grid, *map(_read_only, values.T.reshape(3, grid.nx, grid.ny)), None)
 
 
 def read_field_grid(fp) -> GridSpec:
-    """The grid of a field CSV, read without parsing the node values.
-
-    A file in compute's own row order is streamed, keeping only its axis
-    tokens: re blocks in ascending order, each holding the first block's
-    ascending im tokens, exactly 5 fields per row, and re and im tokens that
-    parse as finite floats.  Any other file is read again from the start
-    (fp must be seekable) by read_field_csv, so rows in any order still
-    work and every file that read_field_csv rejects is still rejected,
-    with one narrowing: in compute's order the three value tokens of a row
-    are not parsed, so non-numeric values pass.
-    """
+    """The grid of a field CSV by the format's one rule, never parsing node
+    values: rows of 5 fields in write_field_csv's order, re blocks ascending,
+    each holding the first block's ascending im tokens, finite axis values,
+    at least 2 per axis.  Rows in that order are streamed; rows in any other
+    order are read again (fp must be seekable), sorted by (re, im) and checked
+    by the same rule.  ValueError names the first offending data row."""
+    _read_field_header(fp)
     start = fp.tell()
-    grid = _grid_in_compute_order(fp)
-    if grid is None:
+    try:
+        return _grid_in_order(map(str.split, fp, itertools.repeat(",")))
+    except ValueError:
         fp.seek(start)
-        grid = read_field_csv(fp).grid
-    return grid
+        return _grid_and_lines(fp.readlines())[0]
 
 
-def _grid_in_compute_order(fp) -> GridSpec | None:
-    """read_field_grid's streaming pass; None on any deviation."""
-    if fp.readline().strip() != _FIELD_CSV_HEADER:
-        return None
+def _read_field_header(fp) -> None:
+    if (header := fp.readline().strip()) != _FIELD_CSV_HEADER:
+        raise ValueError(f"unexpected field CSV header: {header!r}")
+
+
+def _grid_and_lines(lines: list) -> tuple[GridSpec, list]:
+    """(grid, the data lines in grid order): as given, else sorted by (re,
+    im).  Errors name rows by their place in the file."""
+    try:
+        return _grid_in_order(map(str.split, lines, itertools.repeat(","))), lines
+    except ValueError:
+        pass
+    re, im = (_axis([(line.split(",", 2) + [""])[c] for line in lines], name, ascending=False)
+              for c, name in enumerate(("re", "im")))  # a line with no comma has im ""
+    order = np.lexsort((im, re))
+    lines = [lines[k] for k in order]
+    place = np.append(order, len(order)).__getitem__  # and a missing last row after the last
+    return _grid_in_order(map(str.split, lines, itertools.repeat(",")), place), lines
+
+
+def _grid_in_order(rows, place=lambda k: k) -> GridSpec:
+    """The grid of field CSV data rows (lists of fields) in write_field_csv's
+    order, one re block at a time.  A row that breaks it raises ValueError
+    naming data row place(k) + 1, its 0-based position k found only then."""
     re_tokens, im_tokens = [], None
-    rows = map(str.split, fp, itertools.repeat(","))
     for re_token, block in itertools.groupby(rows, operator.itemgetter(0)):
-        tokens = [f[1] if len(f) == 5 else None for f in block]
+        tokens = [f[1] if len(f) == 5 else f"<{len(f)} fields>" for f in block]
         if im_tokens is None:
-            im_tokens = tokens
-        if tokens != im_tokens or None in tokens:
-            return None
+            im_tokens, im = tokens, _axis(tokens, "im", place)
+        if tokens != im_tokens:
+            ny = len(im_tokens)
+            _axis(re_tokens + [re_token], "re", lambda b: place(b * ny))  # a re fault comes first
+            j = next(j for j in range(len(tokens) + 1) if tokens[j:j + 1] != im_tokens[j:j + 1])
+            raise ValueError(f"field CSV data row {place(len(re_tokens) * ny + j) + 1}: the block "
+                             f"of re {re_token} holds im {tokens[j:j + 1]} where the first "
+                             f"block holds {im_tokens[j:j + 1]}")
         re_tokens.append(re_token)
     if im_tokens is None:
-        return None
-    re, im = _axis_values(re_tokens), _axis_values(im_tokens)
-    if re is None or im is None:
-        return None
+        raise ValueError("field CSV has no data rows")
+    re = _axis(re_tokens, "re", lambda b: place(b * len(im)))
     return GridSpec(float(re[0]), float(re[-1]), float(im[0]), float(im[-1]), len(re), len(im))
 
 
-def _axis_values(tokens: list) -> np.ndarray | None:
-    """Floats of axis tokens by read_field_csv's own parser; None unless
-    there are at least 2, all finite and strictly ascending."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # all tokens blank
-            values = np.loadtxt(tokens, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        return None
-    if (len(values) < 2 or len(values) != len(tokens) or not np.isfinite(values).all()
-            or not (np.diff(values) > 0.0).all()):
-        return None
-    return values
+def _axis(tokens: list, name: str, place=lambda k: k, ascending: bool = True) -> np.ndarray:
+    """Floats of axis tokens (for decimal text, the bits of np.loadtxt), each
+    finite and, if `ascending`, above the one before it, else ValueError
+    naming data row place(k) + 1 for the first token k that is not."""
+    values = []
+    for k, token in enumerate(tokens):
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or ascending and values and value <= values[-1]:
+            raise ValueError(f"field CSV data row {place(k) + 1}: {name} {token!r} is not a finite "
+                             "number" + (f" above the {name} before it" if ascending else ""))
+        values.append(value)
+    return np.array(values)

@@ -1,8 +1,10 @@
 """The CLI's input edge, read from `cli.INT_RANGES`: each integer flag's
-range at its edges, and one property over `cli.main` in process.  Every
+range at its edges, and two properties over `cli.main` in process.  Every
 argv ends in exit 0, 1 or 2 without a traceback; a parse-time rejection
 names its flag; an exit 2 leaves no file or directory behind; and a run
-that succeeds writes the same bytes when run again."""
+that succeeds writes the same bytes when run again.  Every input file
+(field CSV, contour JSON, Matrix Market or JSON matrix, certificate) ends
+in exit 0, 1 or 2 without a traceback, and an exit 2 writes nothing."""
 
 import argparse
 import contextlib
@@ -15,9 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from condspec import matrixio, svgplot
+from condspec import jsonio, matrixio, svgplot
 from condspec.cli import FORMAT_CHOICES, INT_RANGES, build_parser, main
+from condspec.spectra import GridSpec, compute_field, write_field_csv
 from condspec.theorems import TransientConfig, numerical_range_boundary
+from condspec.witness import witness_perturbation
 
 # The arguments each command needs besides the flag under test.
 BASE_ARGV = {"compute": ["--matrix", "A.json"], "verify": ["--matrix", "A.json"],
@@ -229,6 +233,169 @@ def test_main_ends_in_0_1_or_2_and_leaves_nothing_on_2(case):
             assert _tree(base) == written
 
 
+# --- the input files ----------------------------------------------------------------
+#
+# One property over the files the commands read: field CSVs and contour
+# JSON for plot, Matrix Market and JSON matrices for compute, certificates
+# for verify.  Every file ends in exit 0, 1 or 2 without a traceback, and an
+# exit 2 prints one error line and writes nothing.  Each run is a grid of at
+# most 5 nodes per axis.
+
+def _field_rows():
+    buf = io.StringIO()
+    write_field_csv(compute_field(np.diag([1.0, -1.0]), GridSpec(-2.0, 2.0, -1.0, 1.0, 4, 3)), buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+_FIELD_HEADER, *_FIELD_ROWS = _field_rows()
+_DAMAGES = {"drop": lambda rows, k: rows[:k] + rows[k + 1:],
+            "duplicate": lambda rows, k: rows[:k + 1] + rows[k:],
+            "4-field": lambda rows, k: rows[:k] + [rows[k].rsplit(",", 1)[0] + "\n"] + rows[k + 1:],
+            "blank": lambda rows, k: rows[:k] + ["\n"] + rows[k:],
+            "non-numeric": lambda rows, k: rows[:k] + ["x" + rows[k][rows[k].index(","):]]
+            + rows[k + 1:]}
+
+
+@st.composite
+def _field_file(draw):
+    rows = list(_FIELD_ROWS)
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        damage = _DAMAGES[draw(st.sampled_from(sorted(_DAMAGES)))]
+        rows = damage(rows, draw(st.integers(0, len(rows) - 1)))
+    return _FIELD_HEADER + "".join(rows)
+
+
+_json_leaves = (st.none() | st.booleans() | st.sampled_from([0, 1, -1, 0.5, 10**400, "x", "1"])
+                | st.floats(allow_nan=True, allow_infinity=True))
+_json_values = st.recursive(_json_leaves, lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(st.sampled_from(["eps", "polylines", "n", "entries",
+                                                               "z", "E", "u"]), inner, max_size=3),
+                            max_leaves=8)
+
+
+def _mostly(draw, good, bad):
+    """A draw from `good`, or from `bad` about one time in four."""
+    return draw(bad) if draw(st.sampled_from([False, False, False, True])) else draw(good)
+
+
+@st.composite
+def _levels(draw):
+    coordinate = st.floats(-3, 3)
+    levels = []
+    for _ in range(draw(st.integers(0, 3))):
+        polylines = draw(st.lists(st.lists(st.tuples(coordinate, coordinate).map(list),
+                                           max_size=5), max_size=2))
+        polylines = _mostly(draw, st.just(polylines),
+                            st.lists(st.lists(_json_leaves, max_size=3), max_size=2))
+        level = {"eps": _mostly(draw, st.sampled_from([0.05, 0.1, 0.5, 2.0]), _json_leaves),
+                 "polylines": polylines}
+        levels.append(_mostly(draw, st.just(level), _json_values))
+    return _mostly(draw, st.just(levels), _json_values)
+
+
+@st.composite
+def _matrix_market(draw):
+    """A Matrix Market file with at most one fault: in its header, size line,
+    entry count, an index or a value."""
+    fault = draw(st.sampled_from([None, "header", "size", "count", "index", "value"]))
+    header = [draw(st.sampled_from(["coordinate", "array"])),
+              draw(st.sampled_from(["real", "complex", "integer"])),
+              draw(st.sampled_from(["general", "symmetric", "skew-symmetric", "hermitian"]))]
+    if fault == "header":
+        header[draw(st.integers(0, 2))] = draw(st.sampled_from(["sparse", "pattern", "diagonal"]))
+    layout, field, symmetry = header
+    n = draw(st.integers(1, 3))
+    values = ["0", "1", "-2.5", "0.25", "1e300"]
+    if fault == "value":
+        values += ["1e400", "nan", "x", ""]
+    width = 2 if field == "complex" else 1
+    value = st.lists(st.sampled_from(values), min_size=width, max_size=width).map(" ".join)
+    if layout == "array":
+        count = (n * n if symmetry == "general" else
+                 n * (n - 1) // 2 if symmetry == "skew-symmetric" else n * (n + 1) // 2)
+        lines = [f"{n} {n + (fault == 'size')}"]
+        lines += [draw(value) for _ in range(count + (fault == "count"))]
+    else:
+        entries = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n), value),
+                                max_size=n * n))
+        if symmetry == "skew-symmetric":
+            entries = [(i, j, v) for i, j, v in entries if i != j]
+        if fault == "index" and entries:
+            entries[0] = (n + 1, 0, entries[0][2])
+        lines = [f"{n} {n + (fault == 'size')} {len(entries) + (fault == 'count')}"]
+        lines += [f"{i} {j} {v}" for i, j, v in entries]
+    return "\n".join(["%%MatrixMarket matrix " + " ".join(header), "% a comment"] + lines) + "\n"
+
+
+@st.composite
+def _json_matrix(draw):
+    n = draw(st.integers(1, 3))
+    cell = _mostly(draw, st.sampled_from([0, 1, -0.5, 2.5, 1e300, [0, 1], [1, -1]]),
+                   _json_leaves | st.tuples(_json_leaves, _json_leaves).map(list))
+    rows = [[cell] * n for _ in range(n)]
+    rows = _mostly(draw, st.just(rows), st.lists(st.lists(_json_leaves | st.just([0, 1]),
+                                                          min_size=1, max_size=3), max_size=3))
+    obj = _mostly(draw, st.sampled_from([rows, {"n": n, "entries": rows}, {"entries": rows}]),
+                  st.fixed_dictionaries({"n": _json_leaves, "entries": st.just(rows)})
+                  | _json_values)
+    return jsonio.dumps(obj)
+
+
+_CERTIFICATE = jsonio.loads(jsonio.dumps(
+    witness_perturbation(np.diag([1.0, -1.0]), 0.9, 0.5).to_json_obj()))
+
+
+# The certificate as written, with one value replaced, or any JSON value.
+_certificates = st.one_of(
+    st.just(_CERTIFICATE),
+    st.tuples(st.sampled_from(sorted(_CERTIFICATE)), _json_values).map(
+        lambda kv: {**_CERTIFICATE, kv[0]: kv[1]}),
+    _json_values,
+).map(jsonio.dumps)
+
+
+# (argv with "{base}" for the run's directory, files to write first), per file kind.
+INPUT_FILE_CASES = {
+    "field-csv": _field_file().map(lambda text: (
+        ["plot", "--field", "{base}/field.csv", "--contours", "{base}/contours_pseudo.json",
+         "--out", "{base}/fig.svg"], {"field.csv": text, "contours_pseudo.json": "[]"})),
+    "contours": st.tuples(st.sampled_from(["contours_condition.json", "contours_pseudo.json"]),
+                          _levels()).map(lambda case: (
+        ["plot", "--contours", "{base}/" + case[0], "--out", "{base}/fig.svg"],
+        {case[0]: jsonio.dumps(case[1])})),
+    "matrix-market": _matrix_market().map(lambda text: (
+        ["compute", "--matrix", "{base}/A.mtx", "--grid", "5", "--eps", "0.1", "--out",
+         "{base}/o/c"], {"A.mtx": text})),
+    "json-matrix": _json_matrix().map(lambda text: (
+        ["compute", "--matrix", "{base}/A.json", "--grid", "5", "--eps", "0.1", "--out",
+         "{base}/o/c"], {"A.json": text})),
+    "certificate": _certificates.map(lambda text: (
+        ["verify", "--matrix", "{base}/A.json", "--eps", "0.5", "--grid", "5", "--theorems", "t1",
+         "--certificate", "{base}/cert.json", "--out", "{base}/o/r.json"],
+        {"A.json": "[[1, 0], [0, -1]]", "cert.json": text})),
+}
+
+
+@pytest.mark.parametrize("kind", list(INPUT_FILE_CASES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_input_files_end_in_0_1_or_2_and_leave_nothing_on_2(kind, data):
+    argv_template, files = data.draw(INPUT_FILE_CASES[kind])
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        for name, content in files.items():
+            (base / name).write_text(content)
+        argv = [a.replace("{base}", tmp) for a in argv_template]
+        before = _tree(base)
+        code, parse_time, err = _run(argv)
+        assert code in (0, 1, 2) and not parse_time and "Traceback" not in err, err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert _tree(base) == before
+
+
 # --- counterexamples the property found -------------------------------------------
 
 def _write(path, entries):
@@ -257,3 +424,14 @@ def test_verify_on_a_subnormal_entry_exits_with_a_report(tmp_path, entries):
     assert _run(["verify", "--matrix", _write(tmp_path / "A.json", entries), "--grid", "2",
                  "--out", str(report)])[0] in (0, 1)
     assert {e["theorem_id"] for e in json.loads(report.read_text())} >= {"T7σ", "T7ε"}
+
+
+def test_verify_t5_on_a_subnormal_1x1_matrix(tmp_path):
+    # B = S^-1 A S with S = [[2]] was solve(S, A) @ S: 5e-324 / 2 rounds to 0,
+    # so B's eigenvalue left A's and all three T5σ reports failed.  A
+    # diagonal S now scales each entry by s_j / s_i, exactly for powers of 2.
+    report = tmp_path / "r.json"
+    assert _run(["verify", "--matrix", _write(tmp_path / "A.json", [[5e-324]]), "--grid", "11",
+                 "--out", str(report)])[0] == 0
+    t5 = [r for r in json.loads(report.read_text()) if r["theorem_id"] == "T5σ"]
+    assert len(t5) == 3 and all(r["passed"] and r["details"]["members_checked"] for r in t5)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from condspec.matrixio import generate
+from condspec import jsonio
 from condspec.spectra import (
     CONDITION,
     PSEUDO,
+    ContourSet,
     GridSpec,
     SpectralField,
     _marching_squares,
@@ -110,6 +112,30 @@ def test_contour_json_shape():
     assert [lv["eps"] for lv in obj] == [0.2, 0.4]
     first = obj[0]["polylines"][0]
     assert isinstance(first[0], list) and len(first[0]) == 2
+
+
+@pytest.mark.parametrize("kind", [CONDITION, PSEUDO], ids=["condition", "pseudo"])
+def test_contour_json_reads_back_bit_for_bit(kind):
+    field = compute_field(generate("jordan", 3, value=0.5), GridSpec(-3, 3, -2.5, 3, 61, 53))
+    contours = extract_contours(field, [0.05, 0.2, 0.4], kind)
+    back = ContourSet.from_json_obj(jsonio.loads(jsonio.dumps(contours.to_json_obj())), kind)
+    assert len(back.levels) == 3 and all(lv.polylines for lv in back.levels)
+    for lv, orig in zip(back.levels, contours.levels):
+        assert (lv.eps, lv.kind) == (orig.eps, kind.name)
+        assert [p.tobytes() for p in lv.polylines] == [p.tobytes() for p in orig.polylines]
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"eps": 0.1, "polylines": []}, "must be a list of levels"),
+    ([{"eps": True, "polylines": []}], "a numeric 'eps' and a 'polylines' list"),
+    ([{"eps": 0.1, "polylines": [[1, 2, 3]]}], r"lists of \[re, im\] pairs"),
+    ([{"eps": 10**400, "polylines": []}], "beyond the float64 range"),
+    ([{"eps": 0.1, "polylines": [[[0, float("inf")]]]}], "must be finite"),
+    ([{"eps": 1.0, "polylines": []}], "0 < eps < 1"),
+])
+def test_contour_json_rule_rejects(obj, message):
+    with pytest.raises(ValueError, match=message):
+        ContourSet.from_json_obj(obj, CONDITION)
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.5])

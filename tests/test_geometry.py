@@ -6,6 +6,9 @@ eigenvalue reach and T8's disk cover used before `distance_to_disks` took a
 running minimum; every comparison is bit for bit.
 """
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,14 +36,16 @@ from condspec.theorems import (
 
 
 def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    """The cross product (a - o) x (b - o) in exact rational arithmetic."""
+    (ox, oy), (ax, ay), (bx, by) = ((Fraction(float(x)), Fraction(float(y))) for x, y in (o, a, b))
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 def reference_hull(points):
-    """Andrew monotone chain over the two ends of each row of equal y,
-    found with a loop over the distinct points.  The inner points of a row
-    are never vertices, and convex_hull drops them first: left in, a float
-    cross product can round a true vertex's turn to 0 and pop it."""
+    """Andrew monotone chain with exact orientation over the two ends of
+    each row of equal y, found with a loop over the distinct points.  The
+    inner points of a row are never vertices, and convex_hull drops them
+    first."""
     pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     rows = {}
@@ -175,8 +180,23 @@ def test_hull_matches_reference_on_grid_subsets(pts):
 @given(float_points)
 # With (0, 1) in the chain, the turn at the true vertex (4.57e-295, 1) rounds to 0.
 @example(np.array([(0, 1), (1, 0), (4.5720912806716025e-295, 1), (-1, 1)]))
+# A nearly flat triangle: in floats 4.15e-30 - 1 is -1, and the turn at
+# (0, 4.15e-30) rounds to 0.
+@example(np.array([(0, 0), (0, 4.1510189851625356e-30), (1, 1)]))
 def test_hull_matches_reference_on_float_points(pts):
     assert np.array_equal(convex_hull(pts), reference_hull(pts))
+
+
+@pytest.mark.parametrize("pts", [
+    [(0, 0), (0, 4.1510189851625356e-30), (1, 1)],
+    [(-1e300, -1e300), (1e300, -1e300), (0, 1e300), (0, 0)],  # products past float64
+    [(0, 0), (1e-200, 1e-200), (2e-200, 2.0000000000000002e-200)],  # products underflow
+], ids=["nearly-flat", "overflow", "underflow"])
+def test_hull_turns_are_exact_without_warnings(pts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hull = convex_hull(np.array(pts))
+    assert np.array_equal(hull, reference_hull(pts))
 
 
 def _with_duplicates(draw, pts):

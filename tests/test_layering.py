@@ -5,7 +5,9 @@ and the pool have one home; spectra.auto_grid is the only caller of
 GridSpec.square, so auto grids have one rule; every default node count
 is spectra.DEFAULT_GRID_NODES (or None, which reads it); and only cli and svgplot,
 where kind names are text read or written, compare a value with a kind
-name, so inside the library a kind is its SpectrumKind record."""
+name, so inside the library a kind is its SpectrumKind record; and only
+spectra, which writes them, knows the formats of the files plot reads
+back (the field CSV header and the contour keys)."""
 
 import ast
 from pathlib import Path
@@ -195,3 +197,49 @@ def test_kind_rule_sees_a_name_comparison():
                          ids=lambda p: p.stem)
 def test_only_the_edges_compare_kind_names(path):
     assert _name_comparisons(ast.parse(path.read_text())) == []
+
+
+# The field CSV header and the contour keys.  "eps" is also a key of the
+# verify report's details, which cli and theorems write as dict literals,
+# so for it only a read (a subscript or .get) counts.
+FORMAT_HOME = "spectra"
+FIELD_CSV_HEADER = "re,im,sigma_min,sigma_max,ratio"
+
+
+def _is_key_read(node, key: str) -> bool:
+    """x["key"] or x.get("key")."""
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.slice, ast.Constant) and node.slice.value == key
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and bool(node.args)
+            and isinstance(node.args[0], ast.Constant) and node.args[0].value == key)
+
+
+def _format_uses(tree) -> list:
+    """Lines that hold the field CSV header or the "polylines" key, or read the "eps" key."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and (FIELD_CSV_HEADER in node.value or node.value == "polylines")
+                   or _is_key_read(node, "eps")})
+
+
+def test_format_rule_sees_a_second_reader():
+    source = ("HEADER = 're,im,sigma_min,sigma_max,ratio'\n"
+              "for level in data:\n"
+              "    polys = level['polylines']\n"
+              "    eps = level.get('eps')\n"
+              "    eps = level['eps']\n"
+              "report = {'eps': 0.1, 'z': [0, 0]}\n"
+              "args = dict(eps=0.1)\n"
+              "value = args[name]\n")
+    assert _format_uses(ast.parse(source)) == [1, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != FORMAT_HOME],
+                         ids=lambda p: p.stem)
+def test_only_spectra_knows_the_formats_plot_reads(path):
+    assert _format_uses(ast.parse(path.read_text())) == []
+
+
+def test_spectra_holds_both_formats():
+    assert len(_format_uses(ast.parse((SOURCES[0].parent / "spectra.py").read_text()))) >= 4

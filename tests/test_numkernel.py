@@ -23,6 +23,7 @@ from condspec.numkernel import (
     eigenvalues,
     power_norms,
     shifted_extremes,
+    similarity_transform,
     singular_values,
     spectral_norm,
     svd,
@@ -518,3 +519,18 @@ def test_lapack_failure_raises_convergence_error(monkeypatch, routine, call, mes
         call()
     assert str(exc.value) == f"{message}: no convergence"
     assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("s, a, b", [
+    ([[2.0]], [[5e-324]], [[5e-324]]),
+    ([[1.0, 0], [0, 4.0]], [[5e-324, 1 + 2j], [8e-323, -3.0]], [[5e-324, 4 + 8j], [2e-323, -3.0]]),
+], ids=["1x1-subnormal", "2x2-diag"])
+def test_similarity_transform_scales_by_a_diagonal_s_exactly(s, a, b):
+    # entry (i, j) times s_j / s_i: one exact product for powers of 2
+    assert np.array_equal(similarity_transform(np.array(s), np.array(a)).entries, b)
+
+
+def test_similarity_transform_solves_for_a_non_diagonal_s():
+    s = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)
+    a = np.array([[1.0, 2.0j], [3.0, 4.0]])
+    assert similarity_transform(s, a).entries.tobytes() == (np.linalg.solve(s, a) @ s).tobytes()

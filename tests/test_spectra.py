@@ -621,10 +621,84 @@ _DUPLICATED_NODE = "re,im,sigma_min,sigma_max,ratio\n" + "".join(
 
 @pytest.mark.parametrize("reader", [read_field_csv, read_field_grid])
 def test_field_csv_with_a_duplicated_node_is_rejected(reader):
-    # Two re and two im values over four rows, but node (0, 1) is missing.
-    with pytest.raises(ValueError, match=r"data row 2 \(re 0, im 0\) is where node "
-                                         r"\(re 0, im 1\) belongs"):
+    # Two re and two im values over four rows, but node (0, 0) is repeated
+    # where (0, 1) belongs: the first block's im tokens do not ascend.
+    with pytest.raises(ValueError, match=r"data row 2: im '0' is not a finite number above "
+                                         r"the im before it"):
         reader(io.StringIO(_DUPLICATED_NODE))
+
+
+def test_field_csv_reads_any_row_order_bit_for_bit():
+    field = compute_field(random_complex(3, 32), GridSpec(-2.0, 2.0, -0.0, 1.5, 9, 6))
+    header, *rows = field_csv(field).splitlines(keepends=True)
+    for order in (rows, rows[::-1], random.Random(4).sample(rows, len(rows))):
+        back = read_field_csv(io.StringIO(header + "".join(order)))
+        assert back.grid == field.grid
+        for name in ("sigma_min", "sigma_max", "ratio"):
+            assert getattr(back, name).tobytes() == getattr(field, name).tobytes()
+
+
+def test_field_grid_leaves_value_tokens_unparsed_in_any_order():
+    rows = [f"{re},{im},x,y,z\n" for re in (0, 1, 2) for im in (-1, 1)]
+    text = "re,im,sigma_min,sigma_max,ratio\n" + "".join(random.Random(5).sample(rows, 6))
+    assert read_field_grid(io.StringIO(text)) == GridSpec(0.0, 2.0, -1.0, 1.0, 3, 2)
+
+
+def test_field_grid_never_reads_the_values(monkeypatch):
+    def no_full_parse(fp):
+        raise AssertionError("read_field_grid called read_field_csv")
+
+    monkeypatch.setattr(spectra, "read_field_csv", no_full_parse)
+    field = compute_field(DIAG, GridSpec(-2.0, 2.0, -1.0, 1.0, 5, 4))
+    header, *rows = field_csv(field).splitlines(keepends=True)
+    assert read_field_grid(io.StringIO(header + "".join(rows[::-1]))) == field.grid
+
+
+_ROWS_3x2 = [f"{re},{im},1,1,1\n" for re in (0, 1, 2) for im in (-1, 1)]
+
+
+def _swap(rows, i, j):
+    rows = list(rows)
+    rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+# Each file breaks the rule first at the named data row, in compute's
+# order or, after sorting by (re, im), in another; the message names that
+# row by its place in the file (one past the last when the file ends early).
+@pytest.mark.parametrize("rows, message", [
+    (_ROWS_3x2[:3] + _ROWS_3x2[4:], r"data row 4: the block of re 1 holds im \[\] where "
+                                    r"the first block holds \['1'\]"),
+    (_ROWS_3x2[:5], r"data row 6: the block of re 2 holds im \[\] where the first block "
+                    r"holds \['1'\]"),
+    # The first block defines the im axis, so the next block's first row is named.
+    (_ROWS_3x2[::-1][:5], r"data row 4: the block of re 1 holds im \['-1'\] where the first "
+                          r"block holds \['1'\]"),
+    (_ROWS_3x2[:3] + ["1,1,1,1\n"] + _ROWS_3x2[4:],
+     r"data row 4: the block of re 1 holds im \['<4 fields>'\] where the first block holds"),
+    (_ROWS_3x2[:2] + ["\n"] + _ROWS_3x2[2:], r"data row 3: re '\\n' is not a finite number"),
+    (_swap(_ROWS_3x2[:2] + ["# note\n"] + _ROWS_3x2[2:], 0, 6),
+     r"data row 3: re '# note\\n' is not a finite number"),
+    (_ROWS_3x2[:4] + ["x,-1,1,1,1\n"] + _ROWS_3x2[5:], r"data row 5: re 'x' is not a finite"),
+    (_swap(_ROWS_3x2[:1] + ["0,nan,1,1,1\n"] + _ROWS_3x2[2:], 1, 5),
+     r"data row 6: im 'nan' is not a finite number"),
+    (_ROWS_3x2[:2] + ["1.0,-1,1,1,1\n"] + _ROWS_3x2[3:],
+     r"data row 4: the block of re 1.0 holds im \[\] where the first block holds \['1'\]"),
+    ([r.replace("2,", "1.0,", 1) if r.startswith("2,") else r for r in _ROWS_3x2],
+     r"data row 5: the block of re 1 holds im \[\] where the first block holds \['1'\]"),
+    # Sorted, the re blocks run 0, 0.0, 0, 0.0, 1: the re at data row 3 is the
+    # first fault, before the short blocks after it.
+    (["0,-1,1,1,1\n", "0,1,1,1,1\n", "0.0,-1,1,1,1\n", "0.0,1,1,1,1\n", "1,-1,1,1,1\n"],
+     r"data row 3: re '0.0' is not a finite number above the re before it"),
+    (["0,0,1,1,1\n", "1,0,1,1,1\n"], r"grid rectangle must have positive extent"),
+], ids=["dropped-row", "dropped-last-row", "reversed-dropped-first-block-row", "4-fields",
+        "blank-line", "comment-line-shuffled", "non-numeric-re", "nan-im-shuffled",
+        "two-spellings-in-a-block", "two-spellings-of-a-value", "re-fault-before-a-short-block",
+        "one-im-value"])
+@pytest.mark.parametrize("reader", [read_field_csv, read_field_grid])
+def test_field_csv_rule_names_the_first_offending_row(reader, rows, message):
+    with pytest.raises(ValueError, match=message):
+        reader(io.StringIO("re,im,sigma_min,sigma_max,ratio\n" + "".join(rows)))
 
 
 def test_field_grid_keeps_only_the_axes_in_memory(tmp_path):

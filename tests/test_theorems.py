@@ -1,5 +1,6 @@
 """Per-theorem checks: worked examples, limit reductions, preconditions."""
 
+import dataclasses
 import io
 import tracemalloc
 
@@ -528,6 +529,25 @@ def test_t10e_companion():
     A = random_complex(3, 93)
     r = check_t10e(A, 1.0 - 2.0j, 0.5j, 0.4, seed=13)
     assert r.passed and r.lhs <= 1e-10
+
+
+@pytest.mark.parametrize("kind", [CONDITION, PSEUDO], ids=["sigma", "eps"])
+def test_t10_membership_half_counts_clear_disagreements(kind):
+    # Scaled by the wrong power of |beta| (1.5), the two sides disagree on
+    # membership at clear sample points, which the membership half counts
+    # besides the relative-value bound.
+    wrong = dataclasses.replace(kind, degree=1 - kind.degree)
+    r = theorems._affine_report(wrong, generate("jordan", 4, value=0.9), 0.3 + 0.1j,
+                                1.5 * np.exp(0.7j), 0.2, None, 100, 0)
+    assert not r.passed and r.details["membership_mismatches"] > 0
+
+
+def test_t10_poles_on_both_sides_agree():
+    # z = +-2 = alpha + beta * (+-1) are eigenvalues of alpha*I + beta*A exactly,
+    # and (z - alpha) / beta = +-1 those of A: both sides are poles there,
+    # which is agreement; only the third point is compared by value.
+    r = check_t10(np.diag([1.0, -1.0]), 0.0, 2.0, 0.2, z_samples=[2.0, -2.0, 0.5 + 1j])
+    assert r.passed and r.details == {"compared": 1, "membership_mismatches": 0}
 
 
 # --- suite ------------------------------------------------------------------------
