@@ -48,7 +48,7 @@ DEFAULT_EPS = (0.1, 0.2, 0.3)
 KIND_CHOICES = {CONDITION.name: (CONDITION,), PSEUDO.name: (PSEUDO,),
                 "both": (CONDITION, PSEUDO)}
 
-FORMAT_CHOICES = (matrixio.FORMAT_JSON, matrixio.FORMAT_CSV, matrixio.FORMAT_MATRIX_MARKET)
+FORMAT_CHOICES = tuple(matrixio.READERS)
 
 # Each integer flag's range, low to high (None: no upper bound), checked
 # when the flags are parsed.  A 4096^2 grid's node array alone takes

@@ -49,23 +49,19 @@ def parse_matrix(source: Path | str, fmt: str | None = None) -> ComplexMatrix:
     else:
         raise TypeError(f"cannot parse a matrix from {type(source).__name__}")
     fmt = fmt or detect_format(text, path)
-    if fmt == FORMAT_JSON:
-        entries = _parse_json(text)
-    elif fmt == FORMAT_CSV:
-        entries = _parse_csv(text)
-    elif fmt == FORMAT_MATRIX_MARKET:
-        entries = _parse_matrix_market(text)
-    else:
+    if fmt not in READERS:
         raise ParseError(f"unknown matrix format {fmt!r}")
+    entries = READERS[fmt](text)
     rows = len(entries)
     if rows == 0:
         raise ParseError("matrix has no rows")
-    if any(len(r) != rows for r in entries):
-        cols = len(entries[0])
-        raise ParseError(f"matrix must be square, got {rows} rows x {cols} columns")
+    for i, row in enumerate(entries, start=1):
+        if len(row) != rows:
+            raise ParseError(f"matrix must be square, got {rows} row(s) and row {i} "
+                             f"of length {len(row)}")
     if rows > MAX_DIMENSION:
         raise ParseError(f"matrix dimension {rows} exceeds the configured maximum {MAX_DIMENSION}")
-    a = np.array(entries, dtype=np.complex128)
+    a = np.asarray(entries, dtype=np.complex128)
     if not np.isfinite(a).all():
         raise ParseError("matrix entries must be finite")
     return ComplexMatrix(a)
@@ -149,21 +145,17 @@ def _parse_csv(text: str) -> list[list[complex]]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        vals = []
-        for col, tok in enumerate(line.split(","), start=1):
-            vals.append(parse_complex_token(tok, lineno, col))
-        rows.append(vals)
+        rows.append([parse_complex_token(tok, lineno, col)
+                     for col, tok in enumerate(line.split(","), start=1)])
     return rows
 
 
 # -- Matrix Market ---------------------------------------------------------
 
-# The entry (j, i) implied by a stored (i, j) = v, i != j, per symmetry.
-_MM_MIRRORS = {"symmetric": lambda v: v, "hermitian": complex.conjugate,
-               "skew-symmetric": lambda v: -v}
-
-
-def _parse_matrix_market(text: str) -> list[list[complex]]:
+def _parse_matrix_market(text: str) -> np.ndarray:
+    """`array` gives each data line its (i, j) in column-major order, `coordinate`
+    reads it from the line; then one rule: `width` value tokens, a zero
+    skew-symmetric diagonal, each position (mirrors included) set once."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ParseError("missing %%MatrixMarket header", line=1)
@@ -182,16 +174,8 @@ def _parse_matrix_market(text: str) -> list[list[complex]]:
             if ln.strip() and not ln.lstrip().startswith("%")]
     if not body:
         raise ParseError("missing size line", line=len(lines))
-    size_lineno, size_line = body[0]
+    (size_lineno, size_line), data = body[0], body[1:]
     sizes = size_line.split()
-
-    def to_value(parts, lineno):
-        try:
-            if field == "complex":
-                return complex(float(parts[0]), float(parts[1]))
-            return complex(float(parts[0]))
-        except (ValueError, IndexError):
-            raise ParseError(f"bad numeric data {' '.join(parts)!r}", line=lineno)
 
     def to_int(token, lineno, minimum=None):
         try:
@@ -202,63 +186,61 @@ def _parse_matrix_market(text: str) -> list[list[complex]]:
             raise ParseError(f"expected an integer >= {minimum}, got {v}", line=lineno)
         return v
 
-    def check_dims(nrow, ncol):
-        # before anything is allocated for the declared size
-        if max(nrow, ncol) > MAX_DIMENSION:
-            raise ParseError(f"matrix dimension {max(nrow, ncol)} exceeds the configured "
-                             f"maximum {MAX_DIMENSION}", line=size_lineno)
-        if symmetry != "general" and nrow != ncol:  # the mirror would index past the array
-            raise ParseError(f"a {symmetry} matrix must be square, got {nrow} x {ncol}",
-                             line=size_lineno)
+    coordinate = layout == "coordinate"
+    if len(sizes) != 2 + coordinate:
+        raise ParseError("coordinate size line needs 'rows cols nnz'" if coordinate
+                         else "array size line needs 'rows cols'", line=size_lineno)
+    nrow, ncol, *nnz = (to_int(t, size_lineno, m) for t, m in zip(sizes, (1, 1, 0)))
+    # before anything is allocated for the declared size
+    if max(nrow, ncol) > MAX_DIMENSION:
+        raise ParseError(f"matrix dimension {max(nrow, ncol)} exceeds the configured "
+                         f"maximum {MAX_DIMENSION}", line=size_lineno)
+    if symmetry != "general" and nrow != ncol:  # the mirror would index past the array
+        raise ParseError(f"a {symmetry} matrix must be square, got {nrow} x {ncol}",
+                         line=size_lineno)
+    skew = symmetry == "skew-symmetric"  # its zero diagonal is not stored in an array
+    coords = None if coordinate else [(i, j) for j in range(ncol) for i in range(nrow)
+                                      if symmetry == "general" or i >= j + skew]
+    count = nnz[0] if coordinate else len(coords)
+    if len(data) != count:
+        raise ParseError(f"expected {count} data lines, found {len(data)}", line=size_lineno)
 
-    vals_per_entry = 2 if field == "complex" else 1
-
-    if layout == "array":
-        if len(sizes) != 2:
-            raise ParseError("array size line needs 'rows cols'", line=size_lineno)
-        nrow, ncol = (to_int(t, size_lineno, 1) for t in sizes)
-        check_dims(nrow, ncol)
-        # array data is column-major; symmetric variants store the lower triangle
-        if symmetry == "general":
-            coords = [(i, j) for j in range(ncol) for i in range(nrow)]
-        else:  # the zero diagonal of a skew-symmetric matrix is not stored
-            below = int(symmetry == "skew-symmetric")
-            coords = [(i, j) for j in range(ncol) for i in range(j + below, nrow)]
-        data = body[1:]
-        if len(data) != len(coords):
-            raise ParseError(f"expected {len(coords)} data lines, found {len(data)}",
-                             line=size_lineno)
-        cells = [(i, j, to_value(ln.split(), lineno))
-                 for (i, j), (lineno, ln) in zip(coords, data)]
-    else:
-        if len(sizes) != 3:
-            raise ParseError("coordinate size line needs 'rows cols nnz'", line=size_lineno)
-        nrow, ncol, nnz = (to_int(t, size_lineno, m) for t, m in zip(sizes, (1, 1, 0)))
-        check_dims(nrow, ncol)
-        data = body[1:]
-        if len(data) != nnz:
-            raise ParseError(f"declared {nnz} entries, found {len(data)}", line=size_lineno)
-        cells = []
-        for lineno, ln in data:
-            parts = ln.split()
-            if len(parts) != 2 + vals_per_entry:
-                raise ParseError(f"expected 'i j value' with {vals_per_entry} numeric field(s)",
-                                 line=lineno)
+    width = 2 if field == "complex" else 1
+    a = np.zeros((nrow, ncol), dtype=np.complex128)
+    # the entry (j, i) implied by a stored (i, j) = v, i != j
+    mirror = {"symmetric": lambda v: v, "hermitian": complex.conjugate,
+              "skew-symmetric": lambda v: -v}.get(symmetry)
+    filled = set()
+    for k, (lineno, ln) in enumerate(data):
+        parts = ln.split()
+        if len(parts) != 2 * coordinate + width:
+            raise ParseError(f"expected '{'i j ' * coordinate}value' with {width} numeric "
+                             "field(s)", line=lineno)
+        if coordinate:
             i, j = to_int(parts[0], lineno) - 1, to_int(parts[1], lineno) - 1
             if not (0 <= i < nrow and 0 <= j < ncol):
                 raise ParseError(f"index ({i + 1}, {j + 1}) out of range", line=lineno)
-            v = to_value(parts[2:], lineno)
-            if i == j and v and symmetry == "skew-symmetric":
-                raise ParseError(f"diagonal entry ({i + 1}, {j + 1}) of a skew-symmetric "
-                                 f"matrix must be 0, got {' '.join(parts[2:])}", line=lineno)
-            cells.append((i, j, v))
-    a = np.zeros((nrow, ncol), dtype=np.complex128)
-    mirror = _MM_MIRRORS.get(symmetry)
-    for i, j, v in cells:
-        a[i, j] = v
-        if i != j and mirror:
-            a[j, i] = mirror(v)
-    return a.tolist()
+            parts = parts[2:]
+        else:
+            i, j = coords[k]
+        try:
+            v = complex(*map(float, parts))
+        except ValueError:
+            raise ParseError(f"bad numeric data {' '.join(parts)!r}", line=lineno) from None
+        if i == j and v and skew:
+            raise ParseError(f"diagonal entry ({i + 1}, {j + 1}) of a skew-symmetric "
+                             f"matrix must be 0, got {' '.join(parts)}", line=lineno)
+        for r, c, x in [(i, j, v)] + ([(j, i, mirror(v))] if mirror and i != j else []):
+            if (r, c) in filled:
+                raise ParseError(f"position ({r + 1}, {c + 1}) is set twice", line=lineno)
+            filled.add((r, c))
+            a[r, c] = x
+    return a
+
+
+# The reader of each format parse_matrix accepts; cli's --format choices.
+READERS = {FORMAT_JSON: _parse_json, FORMAT_CSV: _parse_csv,
+           FORMAT_MATRIX_MARKET: _parse_matrix_market}
 
 
 # -- Emission ---------------------------------------------------------------

@@ -343,6 +343,8 @@ class ContourSet:
                 float(level["eps"])  # OverflowError for an int past float64
                 polys = tuple(np.asarray(p, dtype=np.float64).reshape(-1, 2)
                               for p in level["polylines"])
+                if any(len(q) != len(p) for q, p in zip(polys, level["polylines"])):
+                    raise ValueError  # not one [re, im] row per point: flat or nested deeper
             except OverflowError:
                 raise ValueError("a number is beyond the float64 range") from None
             except (TypeError, ValueError):

@@ -4,7 +4,8 @@ argv ends in exit 0, 1 or 2 without a traceback; a parse-time rejection
 names its flag; an exit 2 leaves no file or directory behind; and a run
 that succeeds writes the same bytes when run again.  Every input file
 (field CSV, contour JSON, Matrix Market or JSON matrix, certificate) ends
-in exit 0, 1 or 2 without a traceback, and an exit 2 writes nothing."""
+in exit 0, 1 or 2 without a traceback, an exit 2 writes nothing, and a
+run that succeeds writes the same bytes when run again."""
 
 import argparse
 import contextlib
@@ -237,9 +238,10 @@ def test_main_ends_in_0_1_or_2_and_leaves_nothing_on_2(case):
 #
 # One property over the files the commands read: field CSVs and contour
 # JSON for plot, Matrix Market and JSON matrices for compute, certificates
-# for verify.  Every file ends in exit 0, 1 or 2 without a traceback, and an
-# exit 2 prints one error line and writes nothing.  Each run is a grid of at
-# most 5 nodes per axis.
+# for verify.  Every file ends in exit 0, 1 or 2 without a traceback; an
+# exit 2 prints one error line and writes nothing, and any other exit writes
+# the same bytes when run again.  Each run is a grid of at most 5 nodes per
+# axis.
 
 def _field_rows():
     buf = io.StringIO()
@@ -394,6 +396,10 @@ def test_input_files_end_in_0_1_or_2_and_leave_nothing_on_2(kind, data):
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert _tree(base) == before
+        else:
+            written = _tree(base)
+            assert _run(argv)[0] == code
+            assert _tree(base) == written
 
 
 # --- counterexamples the property found -------------------------------------------

@@ -132,6 +132,9 @@ def test_contour_json_reads_back_bit_for_bit(kind):
     ([{"eps": 10**400, "polylines": []}], "beyond the float64 range"),
     ([{"eps": 0.1, "polylines": [[[0, float("inf")]]]}], "must be finite"),
     ([{"eps": 1.0, "polylines": []}], "0 < eps < 1"),
+    ([{"eps": 0.1, "polylines": [[0, 0, 1, 1]]}], r"lists of \[re, im\] pairs"),
+    ([{"eps": 0.1, "polylines": [[[[0, 0], [1, 1]], [[2, 2], [3, 3]]]]}],
+     r"lists of \[re, im\] pairs"),
 ])
 def test_contour_json_rule_rejects(obj, message):
     with pytest.raises(ValueError, match=message):

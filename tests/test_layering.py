@@ -5,16 +5,19 @@ and the pool have one home; spectra.auto_grid is the only caller of
 GridSpec.square, so auto grids have one rule; every default node count
 is spectra.DEFAULT_GRID_NODES (or None, which reads it); and only cli and svgplot,
 where kind names are text read or written, compare a value with a kind
-name, so inside the library a kind is its SpectrumKind record; and only
+name, so inside the library a kind is its SpectrumKind record; only
 spectra, which writes them, knows the formats of the files plot reads
-back (the field CSV header and the contour keys)."""
+back (the field CSV header and the contour keys); and only matrixio names
+the matrix formats, whose reader table is cli's --format choices."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
 
 import condspec
+from condspec import cli, matrixio
 
 SOURCES = sorted(Path(condspec.__file__).parent.glob("*.py"))
 
@@ -243,3 +246,35 @@ def test_only_spectra_knows_the_formats_plot_reads(path):
 
 def test_spectra_holds_both_formats():
     assert len(_format_uses(ast.parse((SOURCES[0].parent / "spectra.py").read_text()))) >= 4
+
+
+# A matrix format name.  "json" and "csv" are also file suffixes and module
+# names, so only "matrix-market" is sought.
+MATRIX_FORMAT_NAME = "matrix-market"
+
+
+def _matrix_format_names(tree) -> list:
+    """Lines of the strings that hold the Matrix Market format name."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and MATRIX_FORMAT_NAME in node.value)
+
+
+def test_matrix_format_rule_sees_a_second_definition():
+    source = ("FORMAT_CHOICES = ('json', 'csv', 'matrix-market')\n"
+              "p.add_argument('--format', help='json, csv or matrix-market')\n"
+              "fmt = matrixio.FORMAT_MATRIX_MARKET\n")
+    assert _matrix_format_names(ast.parse(source)) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "matrixio"],
+                         ids=lambda p: p.stem)
+def test_only_matrixio_names_the_matrix_formats(path):
+    assert _matrix_format_names(ast.parse(path.read_text())) == []
+
+
+def test_format_choices_are_the_reader_table():
+    assert _matrix_format_names(ast.parse(Path(matrixio.__file__).read_text()))
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    choices = [action.choices for parser in sub.choices.values() for action in parser._actions
+               if "--format" in action.option_strings]
+    assert len(choices) == 4 and all(c == tuple(matrixio.READERS) for c in choices)

@@ -128,6 +128,43 @@ def test_matrix_market_symmetric_must_be_square(header, size, data):
         parse_matrix(f"%%MatrixMarket matrix {header}\n{size}\n{data}\n")
 
 
+@pytest.mark.parametrize("header, data, line", [
+    ("array real general\n1 1", "1 9", 3),
+    ("array complex general\n1 1", "1 2 3", 3),
+    ("array complex general\n1 1", "1", 3),
+    ("coordinate real general\n1 1 1", "1 1 5 6", 3),
+    ("coordinate complex general\n1 1 1", "1 1 5", 3),
+])
+def test_matrix_market_data_line_holds_exactly_its_value_tokens(header, data, line):
+    # One rule for both layouts: 1 value token (2 for complex) after the
+    # coordinate layout's "i j", and no more.
+    with pytest.raises(ParseError, match=r"numeric field\(s\)") as err:
+        parse_matrix(f"%%MatrixMarket matrix {header}\n{data}\n")
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("layout, size, data, expected", [("array", "2 2", "1\n" * 3, 4),
+                                                     ("coordinate", "2 2 2", "1 1 1\n" * 3, 2)])
+def test_matrix_market_one_count_message_for_both_layouts(layout, size, data, expected):
+    with pytest.raises(ParseError, match=f"expected {expected} data lines, found 3") as err:
+        parse_matrix(f"%%MatrixMarket matrix {layout} real general\n{size}\n{data}")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("symmetry, data, position", [
+    ("general", "1 1 5\n2 2 1\n1 1 6", r"\(1, 1\)"),
+    ("symmetric", "2 1 5\n2 2 1\n1 2 6", r"\(1, 2\)"),  # (1, 2) holds (2, 1)'s mirror
+    ("hermitian", "2 1 5 1\n2 2 1 0\n2 1 5 1", r"\(2, 1\)"),
+    ("skew-symmetric", "2 1 5\n1 1 0\n1 1 0", r"\(1, 1\)"),
+])
+def test_matrix_market_sets_each_position_once(symmetry, data, position):
+    field = "complex" if symmetry == "hermitian" else "real"
+    text = f"%%MatrixMarket matrix coordinate {field} {symmetry}\n2 2 3\n{data}\n"
+    with pytest.raises(ParseError, match=f"position {position} is set twice") as err:
+        parse_matrix(text)
+    assert err.value.line == 5
+
+
 def test_malformed_json_reports_line():
     with pytest.raises(ParseError) as err:
         parse_matrix('[[1, 0],\n [0, oops]]', fmt=FORMAT_JSON)
@@ -166,6 +203,17 @@ def test_matrix_market_size_line_over_cap(layout, nnz, size_line):
 def test_non_square_rejected():
     with pytest.raises(ParseError, match="square"):
         parse_matrix("[[1, 2, 3], [4, 5, 6]]")
+
+
+@pytest.mark.parametrize("text, fmt, message", [
+    ("1,2\n3\n", FORMAT_CSV, r"2 row\(s\) and row 2 of length 1"),
+    ("[[1, 2], [3, 4], [5]]", FORMAT_JSON, r"3 row\(s\) and row 1 of length 2"),
+    ("%%MatrixMarket matrix array real general\n1 2\n1\n2\n", FORMAT_MATRIX_MARKET,
+     r"1 row\(s\) and row 1 of length 2"),
+])
+def test_non_square_names_the_first_row_that_differs(text, fmt, message):
+    with pytest.raises(ParseError, match=f"matrix must be square, got {message}"):
+        parse_matrix(text, fmt)
 
 
 def test_dimension_cap():
