@@ -154,8 +154,8 @@ def _parse_csv(text: str) -> list[list[complex]]:
 
 def _parse_matrix_market(text: str) -> np.ndarray:
     """`array` gives each data line its (i, j) in column-major order, `coordinate`
-    reads it from the line; then one rule: `width` value tokens, a zero
-    skew-symmetric diagonal, each position (mirrors included) set once."""
+    reads it from the line; then one rule: a position in the stored triangle,
+    set once, and `width` value tokens (ints for an `integer` field)."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ParseError("missing %%MatrixMarket header", line=1)
@@ -198,9 +198,14 @@ def _parse_matrix_market(text: str) -> np.ndarray:
     if symmetry != "general" and nrow != ncol:  # the mirror would index past the array
         raise ParseError(f"a {symmetry} matrix must be square, got {nrow} x {ncol}",
                          line=size_lineno)
-    skew = symmetry == "skew-symmetric"  # its zero diagonal is not stored in an array
+    skew = symmetry == "skew-symmetric"  # its zero diagonal is not stored
+    triangle = ("" if symmetry == "general"
+                else f" (a {symmetry} file stores i {'>' if skew else '>='} j)")
+
+    def stored(i, j):  # in the matrix and in the triangle a file of this symmetry holds
+        return 0 <= i < nrow and 0 <= j < ncol and (symmetry == "general" or i >= j + skew)
     coords = None if coordinate else [(i, j) for j in range(ncol) for i in range(nrow)
-                                      if symmetry == "general" or i >= j + skew]
+                                      if stored(i, j)]
     count = nnz[0] if coordinate else len(coords)
     if len(data) != count:
         raise ParseError(f"expected {count} data lines, found {len(data)}", line=size_lineno)
@@ -218,23 +223,21 @@ def _parse_matrix_market(text: str) -> np.ndarray:
                              "field(s)", line=lineno)
         if coordinate:
             i, j = to_int(parts[0], lineno) - 1, to_int(parts[1], lineno) - 1
-            if not (0 <= i < nrow and 0 <= j < ncol):
-                raise ParseError(f"index ({i + 1}, {j + 1}) out of range", line=lineno)
+            if not stored(i, j):
+                raise ParseError(f"index ({i + 1}, {j + 1}) out of range{triangle}", line=lineno)
             parts = parts[2:]
         else:
             i, j = coords[k]
         try:
-            v = complex(*map(float, parts))
-        except ValueError:
-            raise ParseError(f"bad numeric data {' '.join(parts)!r}", line=lineno) from None
-        if i == j and v and skew:
-            raise ParseError(f"diagonal entry ({i + 1}, {j + 1}) of a skew-symmetric "
-                             f"matrix must be 0, got {' '.join(parts)}", line=lineno)
-        for r, c, x in [(i, j, v)] + ([(j, i, mirror(v))] if mirror and i != j else []):
-            if (r, c) in filled:
-                raise ParseError(f"position ({r + 1}, {c + 1}) is set twice", line=lineno)
-            filled.add((r, c))
-            a[r, c] = x
+            v = complex(*map(int if field == "integer" else float, parts))
+        except (ValueError, OverflowError):  # OverflowError: an integer past float64
+            raise ParseError(f"bad {field} data {' '.join(parts)!r}", line=lineno) from None
+        if (i, j) in filled:  # a mirror lands outside the stored triangle, on no stored position
+            raise ParseError(f"position ({i + 1}, {j + 1}) is set twice", line=lineno)
+        filled.add((i, j))
+        a[i, j] = v
+        if mirror and i != j:
+            a[j, i] = mirror(v)
     return a
 
 

@@ -51,11 +51,11 @@ def _memo(facts: dict, key, make):
 class ComplexMatrix:
     """Immutable square matrix of finite complex numbers.
 
-    The facts of A that many checks share (singular values, norm,
-    eigenvalues, eigendecomposition, power norms; theorems adds the W(A)
-    polygon) are computed on first use and kept on the instance, read-only:
-    the instance is shared, so a caller writing into one would change every
-    later reader's answer.  A raw array wrapped anew starts with no facts.
+    Facts of A (singular values, norm, eigenvalues, eigendecomposition, power
+    norms; spectra adds a field per grid, theorems the W(A) polygon) are
+    computed on first use and kept on the instance, read-only: it is shared,
+    so a caller writing into one would change every later reader's answer.
+    A raw array wrapped anew starts with no facts.
     """
 
     entries: np.ndarray

@@ -15,7 +15,8 @@ rectangle of the complex plane; classification, contour extraction,
 radii, distances and component counts are all derived from that field.
 The field is one numkernel.shifted_extremes call over all nodes, which
 owns the thread pool and the OpenBLAS pin, so fields and auto grids are
-bit-identical at any CONDSPEC_THREADS and OPENBLAS_NUM_THREADS.
+bit-identical at any CONDSPEC_THREADS and OPENBLAS_NUM_THREADS.  A field
+holds no matrix: field_for keeps it among its ComplexMatrix's facts.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 
 from .errors import GridResolutionError, GridTooSmallError
 from .numkernel import (  # _thread_count: condbench's environment record reads it here
-    ComplexMatrix,
     _memo,
     _read_only,
     _thread_count,
@@ -206,17 +206,14 @@ class SpectralField:
     """Per-node sigma_min, sigma_max of z*I - A and their ratio.
 
     Arrays are (nx, ny), indexed [re, im]; ratio is +inf where z*I - A is
-    numerically singular.  The source matrix is kept (when known) so that
-    downstream checks can reach eigenvalues and the bounding disk; it is
-    not part of the serialized form.  Member masks, member nodes and band
-    nodes are built once per (eps, kind) and instance, and are read-only.
+    numerically singular.  Member masks, member nodes and band nodes are
+    built once per (eps, kind) and instance, and are read-only.
     """
 
     grid: GridSpec
     sigma_min: np.ndarray
     sigma_max: np.ndarray
     ratio: np.ndarray
-    matrix: ComplexMatrix | None = dc_field(default=None, repr=False)
     _facts: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def quantity(self, kind: SpectrumKind) -> np.ndarray:
@@ -263,7 +260,7 @@ def compute_field(A, grid: GridSpec) -> SpectralField:
         j = np.arange(grid.ny)
         smin, smax = (v[:, np.maximum(j, j[::-1]) - half] for v in (smin, smax))
     smin, smax = _read_only(smin), _read_only(smax)
-    return SpectralField(grid, smin, smax, _read_only(condition_ratio(smin, smax, m.n)), m)
+    return SpectralField(grid, smin, smax, _read_only(condition_ratio(smin, smax, m.n)))
 
 
 def condition_number_at(A, z: complex) -> float:
@@ -478,19 +475,22 @@ def _require_covering(A, eps, grid: GridSpec):
             f"does not contain the bounding disk D(0, {r:.6g})")
 
 
-def field_for(A, grid, eps) -> SpectralField:
-    """`grid` itself when it is a SpectralField of A (or of no known
-    matrix, as read from CSV), else the field of A on a GridSpec, or on an
-    auto_grid of `grid` nodes per axis (None: the default) holding both spectra."""
-    if isinstance(grid, SpectralField):
-        source = grid.matrix
-        if source is not None and source is not A and not np.array_equal(
-                source.entries, as_matrix(A).entries):
-            raise ValueError("the given field was computed from another matrix")
-        return grid
+def grid_for(A, grid, eps) -> GridSpec:
+    """`grid` when it is a GridSpec, else the auto_grid up to eps of `grid`
+    nodes per axis (None: the default) holding both spectra."""
     if grid is None or isinstance(grid, int):
-        grid = auto_grid(A, eps, DEFAULT_GRID_NODES if grid is None else grid, PSEUDO)
-    return compute_field(A, grid)
+        return auto_grid(A, eps, DEFAULT_GRID_NODES if grid is None else grid, PSEUDO)
+    if not isinstance(grid, GridSpec):
+        raise TypeError(f"grid must be None, an int or a GridSpec, got {type(grid).__name__}")
+    return grid
+
+
+def field_for(A, grid, eps) -> SpectralField:
+    """The field of A on grid_for(A, grid, eps), a fact of the ComplexMatrix
+    per grid.  Keyed by the grid's bits: GridSpec equality takes -0.0 for 0.0."""
+    grid = grid_for(m := as_matrix(A), grid, eps)
+    key = np.array([grid.re_min, grid.re_max, grid.im_min, grid.im_max, grid.nx, grid.ny], float)
+    return _memo(m._facts, ("field", key.tobytes()), lambda: compute_field(m, grid))
 
 
 def member_radius(field: SpectralField, eps: float, kind: SpectrumKind = CONDITION) -> float:
@@ -529,7 +529,7 @@ def distance_to_condition_spectrum(A, z: complex, eps, grid) -> float:
     return float(member_distances(A, field, eps, [z])[0])
 
 
-def component_count(field: SpectralField, eps) -> int:
+def component_count(A, field: SpectralField, eps) -> int:
     """Number of 4-connected components of the classified node set.
 
     The node nearest each eigenvalue is always included (eigenvalues belong
@@ -540,15 +540,12 @@ def component_count(field: SpectralField, eps) -> int:
     """
     from .geometry import distance_to_disks
 
-    if field.matrix is None:
-        raise ValueError("field was not computed from a matrix; component_count needs eigenvalues")
-    A = field.matrix
     _require_covering(A, eps, field.grid)
     mask = np.array(field.member_mask(eps))
 
     re = field.grid.re_axis()
     im = field.grid.im_axis()
-    eig = A.eigvals
+    eig = as_matrix(A).eigvals
     for lam in eig:
         ix = int(np.argmin(np.abs(re - lam.real)))
         iy = int(np.argmin(np.abs(im - lam.imag)))
@@ -624,12 +621,12 @@ def write_field_csv(field: SpectralField, fp) -> None:
 
 
 def read_field_csv(fp) -> SpectralField:
-    """Inverse of write_field_csv (the source matrix is not recoverable):
-    read_field_grid's rule, then np.loadtxt over the rows in grid order."""
+    """Inverse of write_field_csv: read_field_grid's rule, then np.loadtxt
+    over the rows in grid order."""
     _read_field_header(fp)
     grid, lines = _grid_and_lines(fp.readlines())
     values = np.loadtxt(lines, delimiter=",", usecols=(2, 3, 4), ndmin=2)
-    return SpectralField(grid, *map(_read_only, values.T.reshape(3, grid.nx, grid.ny)), None)
+    return SpectralField(grid, *map(_read_only, values.T.reshape(3, grid.nx, grid.ny)))
 
 
 def read_field_grid(fp) -> GridSpec:

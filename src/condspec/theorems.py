@@ -50,6 +50,7 @@ from .spectra import (
     component_count,
     compute_field,  # unused here; condbench's tracer test reads theorems.compute_field
     field_for,
+    grid_for,
     member_distances,
     member_radius,
 )
@@ -108,11 +109,11 @@ def _disk_draw(rng, radius: float, count: int, scale: float = 1.0) -> np.ndarray
     return r * np.exp(1j * th)
 
 
-def sample_points(field: SpectralField, eps: float, count: int, seed: int,
+def sample_points(A, field: SpectralField, eps: float, count: int, seed: int,
                   kind: SpectrumKind = CONDITION) -> np.ndarray:
-    """Boundary-biased z samples: grid nodes whose field value lies within
+    """Boundary-biased z samples: nodes of A's field whose value lies within
     a factor 2 of the membership level, topped up with 25% uniform draws
-    over the bounding disk.  Deterministic for a fixed seed."""
+    over A's bounding disk.  Deterministic for a fixed seed."""
     e = kind.eps(eps)
     band_nodes = field.band_nodes(e, kind)
 
@@ -124,16 +125,14 @@ def sample_points(field: SpectralField, eps: float, count: int, seed: int,
         take = min(n_band, band_nodes.size)
         idx = np.sort(rng.choice(band_nodes.size, size=take, replace=False))
         parts.append(band_nodes[idx])
-    radius = (bounding_region(field.matrix, e, kind) if field.matrix is not None
-              else max(abs(field.grid.re_max), abs(field.grid.im_max)))
-    parts.append(_disk_draw(rng, radius, count - sum(p.size for p in parts)))
+    parts.append(_disk_draw(rng, bounding_region(A, e, kind), count - sum(p.size for p in parts)))
     return np.concatenate(parts)
 
 
 def _points(m, grid, e, z_samples, count, seed, kind) -> np.ndarray:
     """A sampled check's points: z_samples, else sample_points on m's field."""
     if z_samples is None:
-        z_samples = sample_points(field_for(m, grid, e), e, count, seed, kind)
+        z_samples = sample_points(m, field_for(m, grid, e), e, count, seed, kind)
     return np.asarray(z_samples, dtype=np.complex128)
 
 
@@ -214,7 +213,7 @@ def check_t3(A, eps, grid=None) -> TheoremReport:
     e = CONDITION.eps(eps)
     m = as_matrix(A)
     field = field_for(m, grid, e)
-    count = component_count(field, e)
+    count = component_count(m, field, e)
     if count < m.n:
         return TheoremReport("T3σ", True, float(count), float(m.n), 0.0,
                              {"status": f"vacuous: {count} component(s) < N"})
@@ -231,7 +230,7 @@ def _resolvent_bound_report(kind, A, eps, grid, z_samples, count, seed) -> Theor
     e = kind.eps(eps)
     m = as_matrix(A)
     field = field_for(m, grid, e)
-    zs = _points(m, field, e, z_samples, count, seed, kind)
+    zs = _points(m, grid, e, z_samples, count, seed, kind)
     pad_term = kind.pad(e, m.norm)
     diag = field.grid.cell_diagonal()
     smins, ratios = CONDITION.at(m, zs)
@@ -630,7 +629,7 @@ def default_similarity(n: int) -> np.ndarray:
 def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConfig | None = None,
               n_angles: int = 256, seed: int = 0, samples: int = 48,
               strict: bool = False) -> list[TheoremReport]:
-    """Run the selected checks for each eps over one shared field.
+    """Run the selected checks for each eps on one grid; checks build its field on first read.
 
     In non-strict mode a precondition violation (for example
     kappa(S)^2*eps >= 1 for T5, or a grid too coarse or too small for
@@ -645,13 +644,13 @@ def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConf
     unknown = [n for n in names if n not in SIGMA_CHECKS]
     if unknown:
         raise ValueError(f"unknown theorem selector(s): {unknown}")
-    field = field_for(m, grid, max(eps_vals))
+    grid = grid_for(m, grid, max(eps_vals))
     transient = transient or TransientConfig(M=2.0, k_max=50)
     rng = np.random.default_rng(seed)
     alpha = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     beta = complex(rng.uniform(0.5, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
 
-    shared = dict(A=m, grid=field, config=transient, n_angles=n_angles,
+    shared = dict(A=m, grid=grid, config=transient, n_angles=n_angles,
                   S=as_matrix(default_similarity(m.n)), alpha=alpha, beta=beta, count=samples)
     reports: list[TheoremReport] = []
     for i_eps, e in enumerate(eps_vals):

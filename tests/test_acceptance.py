@@ -15,13 +15,14 @@ import pytest
 
 from condspec.errors import GridTooSmallError
 from condspec.matrixio import generate, write_matrix
-from condspec.numkernel import as_matrix, eigenvalues, singular_values, spectral_norm
+from condspec.numkernel import ComplexMatrix, as_matrix, eigenvalues, singular_values, spectral_norm
 from condspec.spectra import (
     GridSpec,
     auto_grid,
     compute_field,
     condition_number_at,
     condition_spectral_radius,
+    field_for,
     in_condition_spectrum,
 )
 from condspec.theorems import run_suite, sample_points, check_t5e
@@ -63,9 +64,10 @@ def corpus_results(corpus):
     t0 = time.perf_counter()
     results = []
     for i, (name, A) in enumerate(corpus):
-        field = compute_field(A, auto_grid(A, max(EPS_SWEEP), 161))
-        reports = run_suite(A, EPS_SWEEP, grid=field, samples=24, seed=i)
-        results.append((name, A, field, reports))
+        m = ComplexMatrix(A)
+        grid = auto_grid(m, max(EPS_SWEEP), 161)
+        reports = run_suite(m, EPS_SWEEP, grid=grid, samples=24, seed=i)
+        results.append((name, A, field_for(m, grid, max(EPS_SWEEP)), reports))
     elapsed = time.perf_counter() - t0
     return results, elapsed
 
@@ -81,7 +83,7 @@ def test_criterion_1_equivalence_suite():
         eps = float(rng.uniform(0.05, 0.5))
         field = compute_field(A, auto_grid(A, eps, 61))
         norm_a = spectral_norm(A)
-        for z in sample_points(field, eps, 20, seed=i):
+        for z in sample_points(A, field, eps, 20, seed=i):
             z = complex(z)
             rep = check_equivalence(A, z, eps)
             if not rep.passed:

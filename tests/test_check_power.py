@@ -21,7 +21,8 @@ import pytest
 from condspec import theorems
 from condspec.errors import GridResolutionError, PreconditionError
 from condspec.matrixio import generate
-from condspec.spectra import CONDITION, PSEUDO, field_for
+from condspec.numkernel import ComplexMatrix
+from condspec.spectra import CONDITION, PSEUDO, grid_for
 
 EPS = (0.05, 0.2, 0.4)
 ALPHA, BETA = 0.3 + 0.1j, 1.5 * np.exp(0.7j)
@@ -32,7 +33,8 @@ def _corpus():
     mats = [np.diag([1.0, -1.0])]
     mats += [generate("jordan", n, value=v).entries for n in (2, 4, 8) for v in (0.0, 0.9)]
     mats += [generate("random", n, seed=seed).entries for n, seed in ((4, 1), (5, 2))]
-    return [(A, field_for(A, 61, max(EPS))) for A in mats]
+    # Each matrix wrapped once: every check on it reads one field of the grid.
+    return [(m, grid_for(m, 61, max(EPS))) for m in map(ComplexMatrix, mats)]
 
 
 def _t5_target(kind):
@@ -43,60 +45,60 @@ def _check(name, kind):
     return getattr(theorems, f"check_{name}" + ("" if kind.suffix == "σ" else "e"))
 
 
-def _t1(kind, A, e, field):
+def _t1(kind, A, e, grid):
     return theorems._zero_membership_report(kind, A, e)
 
 
-def _t2(kind, A, e, field):
-    return theorems._modulus_bound_report(kind, A, e, field)
+def _t2(kind, A, e, grid):
+    return theorems._modulus_bound_report(kind, A, e, grid)
 
 
-def _t4(kind, A, e, field):
-    return theorems._resolvent_bound_report(kind, A, e, field, None, 24, 0)
+def _t4(kind, A, e, grid):
+    return theorems._resolvent_bound_report(kind, A, e, grid, None, 24, 0)
 
 
-def _t5(kind, A, e, field, target=None):
-    S = theorems.default_similarity(A.shape[0])
-    return theorems._similarity_report(kind, target or _t5_target(kind), A, S, e, field,
+def _t5(kind, A, e, grid, target=None):
+    S = theorems.default_similarity(A.n)
+    return theorems._similarity_report(kind, target or _t5_target(kind), A, S, e, grid,
                                        None, 24, 0)
 
 
-def _t3(kind, A, e, field):
-    return theorems.check_t3(A, e, field)
+def _t3(kind, A, e, grid):
+    return theorems.check_t3(A, e, grid)
 
 
-def _t3_from_n_minus_1(kind, A, e, field):
+def _t3_from_n_minus_1(kind, A, e, grid):
     """T3 demanding full rank from N - 1 components, not N."""
     count = theorems.component_count
-    with mock.patch.object(theorems, "component_count", lambda f, e: count(f, e) + 1):
-        return _t3(kind, A, e, field)
+    with mock.patch.object(theorems, "component_count", lambda A, f, e: count(A, f, e) + 1):
+        return _t3(kind, A, e, grid)
 
 
-def _t6(kind, A, e, field, factor=1.0):
+def _t6(kind, A, e, grid, factor=1.0):
     body = theorems._growth_report
 
     def scaled_threshold(kind, threshold, *rest):
         return body(kind, lambda M, e: factor * threshold(M, e), *rest)
     with mock.patch.object(theorems, "_growth_report", scaled_threshold):
-        return _check("t6", kind)(A, e, CONFIG, field)
+        return _check("t6", kind)(A, e, CONFIG, grid)
 
 
-def _t7(kind, A, e, field):
+def _t7(kind, A, e, grid):
     # check_t7/check_t7e hold the rule of admissible k, so the kind record
     # they read is the one patched in.
     with mock.patch.object(theorems, "CONDITION" if kind.suffix == "σ" else "PSEUDO", kind):
-        return _check("t7", kind)(A, e, grid=field, count=24)
+        return _check("t7", kind)(A, e, grid=grid, count=24)
 
 
-def _t8(kind, A, e, field):
-    return theorems._disk_cover_report(kind, A, e, field)
+def _t8(kind, A, e, grid):
+    return theorems._disk_cover_report(kind, A, e, grid)
 
 
-def _t9(kind, A, e, field):
-    return theorems._range_cover_report(kind, A, e, field, 256)
+def _t9(kind, A, e, grid):
+    return theorems._range_cover_report(kind, A, e, grid, 256)
 
 
-def _t10(kind, A, e, field):
+def _t10(kind, A, e, grid):
     return theorems._affine_report(kind, A, ALPHA, BETA, e, None, 24, 0)
 
 
@@ -111,7 +113,7 @@ def _twice_the_level(kind):
     return dataclasses.replace(kind, inside=lambda q, e: kind.inside(q, at(e)))
 
 
-# (body, how the bound is weakened): the weakened call takes (kind, A, e, field).
+# (body, how the bound is weakened): the weakened call takes (kind, A, e, grid).
 MUTATIONS = {
     "T1 membership at twice the level": (_t1, lambda k, *a: _t1(_twice_the_level(k), *a)),
     "T2 radius x 0.8": (_t2, lambda k, *a: _t2(_scaled(k, "radius", 0.8), *a)),
@@ -139,12 +141,12 @@ def corpus():
 def test_weakened_bound_fails_some_report(corpus, mutation, kind):
     body, weakened = MUTATIONS[mutation]
     failed = 0
-    for A, field in corpus:
+    for A, grid in corpus:
         for e in EPS:
             try:
-                report = body(kind, A, e, field)
+                report = body(kind, A, e, grid)
             except (PreconditionError, GridResolutionError):  # T5σ at kappa(S)^2 eps >= 1; T3σ
                 continue
-            assert report.passed, (report.theorem_id, e, A.shape)
-            failed += not weakened(kind, A, e, field).passed
+            assert report.passed, (report.theorem_id, e, A.n)
+            failed += not weakened(kind, A, e, grid).passed
     assert failed > 0, f"{mutation} ({kind.suffix}) fails no report"

@@ -17,13 +17,12 @@ from condspec import geometry, theorems
 from condspec.errors import GridResolutionError
 from condspec.geometry import convex_hull, distance_to_disks, distance_to_polygon, hull_depths
 from condspec.matrixio import generate
-from condspec.numkernel import _lapack, as_matrix, spectral_norm
+from condspec.numkernel import ComplexMatrix, _lapack, as_matrix, spectral_norm
 from condspec.spectra import (
     CONDITION,
     PSEUDO,
     auto_grid,
     component_count,
-    compute_field,
     field_for,
 )
 from condspec.theorems import (
@@ -282,7 +281,9 @@ def test_batched_range_matches_per_angle_loop(n):
                          ids=["diag(1,-1)", "J4(0.9)", "random5", "diag(1+i,-1+i,-i)"])
 @pytest.mark.parametrize("eps", [0.05, 0.3])
 def test_t9_worst_is_the_maximum_over_all_members(A, eps):
-    field = compute_field(A, auto_grid(A, eps, 81))
+    m = ComplexMatrix(A)
+    grid = auto_grid(m, eps, 81)
+    field = field_for(m, grid, eps)
     poly = _range_polygon(A)
     norm_a = spectral_norm(A)
     for check, kind, pad in ((check_t9, CONDITION, 2 * eps / (1 - eps) * norm_a),
@@ -290,7 +291,7 @@ def test_t9_worst_is_the_maximum_over_all_members(A, eps):
         members = field.member_nodes(eps, kind)
         pts = np.column_stack([members.real, members.imag])
         eroded = pts[hull_depths(pts, convex_hull(pts)) >= pad]
-        r = check(A, eps, field)
+        r = check(m, eps, grid)
         assert r.lhs == reference_distance(pts, poly).max()
         assert r.details["eroded_points"] == len(eroded)
         expected = reference_distance(eroded, poly).max() if len(eroded) else 0.0
@@ -328,14 +329,14 @@ def _recording(monkeypatch, module):
 
 @pytest.mark.parametrize("name", list(REACH_CASES))
 def test_t3_reach_and_t8_worst_match_the_broadcast_forms(name, monkeypatch):
-    A = REACH_CASES[name]
-    field = field_for(A, 21 if A.shape[0] > 8 else 61, 0.4)
+    A = ComplexMatrix(REACH_CASES[name])
+    field = field_for(A, 21 if A.n > 8 else 61, 0.4)
     diag = field.grid.cell_diagonal()
     reach_calls = _recording(monkeypatch, geometry)
     cover_calls = _recording(monkeypatch, theorems)
     for e in (0.05, 0.2, 0.4):
         try:
-            component_count(field, e)
+            component_count(A, field, e)
         except GridResolutionError:
             pass  # the reach was computed before the miss was reported
         [(points, eig, nearest)] = reach_calls
@@ -346,7 +347,7 @@ def test_t3_reach_and_t8_worst_match_the_broadcast_forms(name, monkeypatch):
         for check, kind in ((check_t8, CONDITION), (check_t8e, PSEUDO)):
             members = field.member_nodes(e, kind)
             centers, radii = theorems._gerschgorin_disks(kind, as_matrix(A), e)
-            r = check(A, e, field)
+            r = check(A, e, field.grid)
             if members.size == 0:
                 assert not cover_calls
                 continue

@@ -7,8 +7,10 @@ is spectra.DEFAULT_GRID_NODES (or None, which reads it); and only cli and svgplo
 where kind names are text read or written, compare a value with a kind
 name, so inside the library a kind is its SpectrumKind record; only
 spectra, which writes them, knows the formats of the files plot reads
-back (the field CSV header and the contour keys); and only matrixio names
-the matrix formats, whose reader table is cli's --format choices."""
+back (the field CSV header and the contour keys); only matrixio names
+the matrix formats, whose reader table is cli's --format choices; and only
+spectra builds a field (cli's compute aside, which writes one), so every
+other field is read through spectra.field_for as a fact of its matrix."""
 
 import argparse
 import ast
@@ -161,6 +163,32 @@ def test_node_count_rule_sees_a_literal_default():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_node_count_defaults_read_the_one_default(path):
     assert _literal_node_counts(ast.parse(path.read_text())) == []
+
+
+def _field_builds(tree, module: str) -> list:
+    """Lines of the calls of compute_field outside spectra and cli.cmd_compute."""
+    calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and _dotted(node.func).rpartition(".")[2] == "compute_field"}
+    allowed = {node for fn in ast.walk(tree) if module == "cli"
+               and isinstance(fn, ast.FunctionDef) and fn.name == "cmd_compute"
+               for node in ast.walk(fn)}
+    return sorted(node.lineno for node in calls - allowed) if module != "spectra" else []
+
+
+def test_field_rule_sees_a_direct_build():
+    source = ("from .spectra import compute_field, field_for\n"
+              "def cmd_compute(config, grid):\n    return compute_field(config.matrix, grid)\n"
+              "def check_t2(A, eps, grid=None):\n"
+              "    field = spectra.compute_field(A, grid)\n"
+              "    return field_for(A, grid, eps), compute_field\n")
+    assert _field_builds(ast.parse(source), "cli") == [5]
+    assert _field_builds(ast.parse(source), "theorems") == [3, 5]
+    assert _field_builds(ast.parse(source), "spectra") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_only_spectra_and_compute_build_fields(path):
+    assert _field_builds(ast.parse(path.read_text()), path.stem) == []
 
 
 # A kind's names, and the modules where they are text: --kind's choices,

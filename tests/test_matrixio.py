@@ -112,13 +112,49 @@ def test_matrix_market_skew_symmetric_array_stores_strictly_lower():
 
 
 def test_matrix_market_skew_symmetric_coordinate_rejects_nonzero_diagonal():
+    # A skew-symmetric coordinate file stores the strictly lower triangle,
+    # as its array layout does: every diagonal entry, 0 included, is outside it.
     header = "%%MatrixMarket matrix coordinate complex skew-symmetric\n% comment\n3 3 3\n"
-    m = parse_matrix(header + "2 1 1 0\n3 3 0 -0\n3 2 0 2\n")  # an explicit zero diagonal entry
+    m = parse_matrix(header + "2 1 1 0\n3 1 0 0\n3 2 0 2\n")
     assert np.array_equal(m.entries, [[0, -1, 0], [1, 0, -2j], [0, 2j, 0]])
-    for diagonal in ("3 3 0 1e-300", "3 3 -0.5 0"):
-        with pytest.raises(ParseError, match=r"diagonal entry \(3, 3\) of a skew-symmetric") as err:
+    for diagonal in ("3 3 0 1e-300", "3 3 -0.5 0", "3 3 0 -0"):
+        with pytest.raises(ParseError, match=r"index \(3, 3\) out of range \(a skew-symmetric "
+                                             r"file stores i > j\)") as err:
             parse_matrix(header + f"2 1 1 0\n{diagonal}\n3 2 0 2\n")
         assert err.value.line == 5
+
+
+@pytest.mark.parametrize("symmetry, data, line", [
+    ("symmetric", "2 1 5\n2 2 1\n1 2 6", 5),  # (1, 2) is (2, 1)'s mirror
+    ("symmetric", "1 2 5", 3),                 # alone, mirrored it would read [[0, 5], [5, 0]]
+    ("hermitian", "1 1 2 0\n1 3 1 1", 4),
+    ("skew-symmetric", "2 1 5\n1 1 0\n1 1 0", 4),
+    ("skew-symmetric", "2 1 5\n1 2 5", 4),
+])
+def test_matrix_market_stored_triangle(symmetry, data, line):
+    # The triangle the array layout reads: i >= j, and i > j when skew-symmetric.
+    field = "complex" if symmetry == "hermitian" else "real"
+    count = data.count("\n") + 1
+    text = f"%%MatrixMarket matrix coordinate {field} {symmetry}\n3 3 {count}\n{data}\n"
+    relation = ">" if symmetry == "skew-symmetric" else ">="
+    with pytest.raises(ParseError, match=rf"out of range \(a {symmetry} file stores "
+                                         rf"i {relation} j\)") as err:
+        parse_matrix(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("layout, head, index", [
+    ("array", "1 1", ""), ("coordinate", "1 1 1", "1 1 ")])
+def test_matrix_market_integer_field_reads_integers(layout, head, index):
+    # An integer field's tokens are read with int, where a real field's are
+    # read with float: a point, an exponent or an integer past float64 exits 2.
+    text = f"%%MatrixMarket matrix {layout} {{}} general\n{head}\n% c\n{index}{{}}\n"
+    assert parse_matrix(text.format("integer", "-7")).entries.tolist() == [[-7]]
+    for token in ("2.5", "1e300", "1.0", "0x10", "1" + "0" * 400):
+        with pytest.raises(ParseError, match=f"bad integer data '{token[:8]}") as err:
+            parse_matrix(text.format("integer", token))
+        assert err.value.line == 4
+    assert parse_matrix(text.format("real", "2.5")).entries.tolist() == [[2.5]]
 
 
 @pytest.mark.parametrize("header, size, data", [("array real symmetric", "3 2", "1\n2\n3\n4\n5"),
@@ -153,9 +189,7 @@ def test_matrix_market_one_count_message_for_both_layouts(layout, size, data, ex
 
 @pytest.mark.parametrize("symmetry, data, position", [
     ("general", "1 1 5\n2 2 1\n1 1 6", r"\(1, 1\)"),
-    ("symmetric", "2 1 5\n2 2 1\n1 2 6", r"\(1, 2\)"),  # (1, 2) holds (2, 1)'s mirror
     ("hermitian", "2 1 5 1\n2 2 1 0\n2 1 5 1", r"\(2, 1\)"),
-    ("skew-symmetric", "2 1 5\n1 1 0\n1 1 0", r"\(1, 1\)"),
 ])
 def test_matrix_market_sets_each_position_once(symmetry, data, position):
     field = "complex" if symmetry == "hermitian" else "real"

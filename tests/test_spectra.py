@@ -17,7 +17,7 @@ import condspec
 from condspec import spectra, theorems
 from condspec.errors import GridResolutionError, GridTooSmallError
 from condspec.matrixio import generate
-from condspec.numkernel import as_matrix, eigenvalues, spectral_norm
+from condspec.numkernel import eigenvalues, spectral_norm
 from condspec.spectra import (
     CONDITION,
     PSEUDO,
@@ -227,7 +227,7 @@ def test_every_function_taking_a_kind_takes_the_record(kind):
         "spectra.member_distances": lambda k: spectra.member_distances(A, field, eps, [far], k)[0]
         == pytest.approx(np.abs(candidates - far).min()),
         "theorems.sample_points": lambda k: np.isin(
-            theorems.sample_points(field, eps, 8, 0, k)[:6], band).all(),
+            theorems.sample_points(A, field, eps, 8, 0, k)[:6], band).all(),
     }
     for name, check in checks.items():
         assert check(kind), name
@@ -373,20 +373,20 @@ def test_distance_grid_too_small():
 
 def test_components_diag_small_eps():
     field = compute_field(DIAG, auto_grid(DIAG, 0.2, 201))
-    assert component_count(field, 0.2) == 2
+    assert component_count(DIAG, field, 0.2) == 2
 
 
 def test_components_identity():
     # sigma_eps(I) = {1}: grid with a node exactly at 1 reports one component
     field = compute_field(np.eye(3), GridSpec(-4, 4, -4, 4, 161, 161))
-    assert component_count(field, 0.3) == 1
+    assert component_count(np.eye(3), field, 0.3) == 1
 
 
 def test_components_diag_large_eps_stay_separate():
     # The ratio equals 1 on the whole imaginary axis, so the two components
     # of diag(1,-1) never merge, for any eps < 1 (Apollonius-circle picture).
     field = compute_field(DIAG, GridSpec.square(19.5, 801))
-    assert component_count(field, 0.9) == 2
+    assert component_count(DIAG, field, 0.9) == 2
 
 
 def test_components_hausdorff_convergence():
@@ -412,10 +412,9 @@ def test_component_without_eigenvalue_is_named_in_raster_order():
     ratio = np.ones((41, 41))
     ratio[[10, 30], 20] = np.inf
     ratio[19:22, 19:22] = np.inf
-    field = SpectralField(grid, np.ones_like(ratio), np.ones_like(ratio), ratio,
-                          as_matrix(DIAG))
+    field = SpectralField(grid, np.ones_like(ratio), np.ones_like(ratio), ratio)
     with pytest.raises(GridResolutionError, match=r"^component 2 of 3 contains no eigenvalue"):
-        component_count(field, 0.2)
+        component_count(DIAG, field, 0.2)
 
 
 # --- the component labeler, against scipy.ndimage.label ------------------------------

@@ -1,8 +1,9 @@
 """Per-theorem checks: worked examples, limit reductions, preconditions."""
 
 import dataclasses
-import io
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,8 +11,15 @@ import pytest
 from condspec.errors import PreconditionError
 from condspec.geometry import convex_hull, distance_to_polygon
 from condspec.matrixio import generate
-from condspec import theorems
-from condspec.numkernel import U_MACH, as_matrix, condition_ratio, eigenvalues, spectral_norm
+from condspec import spectra, theorems
+from condspec.numkernel import (
+    U_MACH,
+    ComplexMatrix,
+    as_matrix,
+    condition_ratio,
+    eigenvalues,
+    spectral_norm,
+)
 from condspec.spectra import (
     CONDITION,
     PSEUDO,
@@ -19,9 +27,7 @@ from condspec.spectra import (
     SpectralField,
     auto_grid,
     bounding_region,
-    compute_field,
-    read_field_csv,
-    write_field_csv,
+    field_for,
 )
 from condspec.theorems import (
     Disk,
@@ -70,8 +76,17 @@ def is_convex_polygon(poly, tol: float = 0.0) -> bool:
 
 
 @pytest.fixture(scope="module")
-def diag_field():
-    return compute_field(DIAG, auto_grid(DIAG, 0.5, 161))
+def diag():
+    """DIAG wrapped once, and a grid: the checks given both share one field."""
+    A = ComplexMatrix(DIAG)
+    return A, auto_grid(A, 0.5, 161)
+
+
+def _planting(monkeypatch, field):
+    """Make `field` the one field_for builds, on field.grid, for any matrix
+    not holding one there yet."""
+    monkeypatch.setattr(spectra, "compute_field", lambda A, grid: field)
+    return field.grid
 
 
 # --- T1 ------------------------------------------------------------------------
@@ -98,21 +113,24 @@ def test_t1e_companion():
 
 # --- T2 ------------------------------------------------------------------------
 
-def test_t2_diag(diag_field):
-    r = check_t2(DIAG, 0.5, diag_field)
-    assert r.passed and r.lhs <= 3.0 + diag_field.grid.cell_diagonal()
+def test_t2_diag(diag):
+    A, grid = diag
+    r = check_t2(A, 0.5, grid)
+    assert r.passed and r.lhs <= 3.0 + grid.cell_diagonal()
 
 
-def test_t2_small_eps_members_hug_eigenvalues(diag_field):
-    r = check_t2(DIAG, 0.01, diag_field)
+def test_t2_small_eps_members_hug_eigenvalues(diag):
+    A, grid = diag
+    r = check_t2(A, 0.01, grid)
     assert r.passed
     if r.lhs:  # any classified member stays near the unit-modulus eigenvalues
-        assert r.lhs <= 1.03 * 1.0202 + diag_field.grid.cell_diagonal()
+        assert r.lhs <= 1.03 * 1.0202 + grid.cell_diagonal()
 
 
-def test_t2e_companion(diag_field):
-    r = check_t2e(DIAG, 0.5, diag_field)
-    assert r.passed and r.rhs == pytest.approx(1.5 + diag_field.grid.cell_diagonal())
+def test_t2e_companion(diag):
+    A, grid = diag
+    r = check_t2e(A, 0.5, grid)
+    assert r.passed and r.rhs == pytest.approx(1.5 + grid.cell_diagonal())
 
 
 def _on_grid_edge(mask) -> bool:
@@ -134,8 +152,9 @@ def test_t2e_default_field_holds_the_pseudospectrum_of_a_small_matrix():
 
 # --- T3 ------------------------------------------------------------------------
 
-def test_t3_diag_two_components(diag_field):
-    r = check_t3(DIAG, 0.2, diag_field)
+def test_t3_diag_two_components(diag):
+    A, grid = diag
+    r = check_t3(A, 0.2, grid)
     assert r.passed and r.lhs == 2.0 and r.details["vector_matrix_rank"] == 2
 
 
@@ -153,8 +172,9 @@ def test_t3_normal_four_components():
 
 # --- T4 ------------------------------------------------------------------------
 
-def test_t4_diag(diag_field):
-    r = check_t4(DIAG, 0.3, diag_field, seed=4)
+def test_t4_diag(diag):
+    A, grid = diag
+    r = check_t4(A, 0.3, grid, seed=4)
     assert r.passed and r.details["samples_used"] > 0
 
 
@@ -243,28 +263,29 @@ def test_t6_needs_no_grid_covering_the_bounding_disk():
     assert r.rhs < r.lhs <= bounding_region(A, 0.05)
 
 
-def _field_certifying_radius_3(A):
-    """A hand-built field of A on [-3, 3]^2 whose only members (ratio = inf)
-    are the nodes with 2.8 <= |z| <= 3, so it certifies a condition-
-    spectral radius near 3 whatever A is."""
+def _field_certifying_radius_3():
+    """A hand-built field on [-3, 3]^2 whose only members (ratio = inf) are
+    the nodes with 2.8 <= |z| <= 3, so it certifies a condition-spectral
+    radius near 3 whatever matrix it is planted on."""
     grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 31, 31)
     ratio = np.where((np.abs(grid.nodes()) >= 2.8) & (np.abs(grid.nodes()) <= 3.0),
                      np.inf, 1.0)
     ones = np.ones(ratio.shape)
-    return SpectralField(grid, ones, ones, ratio, matrix=as_matrix(A))
+    return SpectralField(grid, ones, ones, ratio)
 
 
 @pytest.mark.parametrize("scale, passed, status", [
     (0.5, False, "decay observed with sup <= M"),
     (1.0, True, "horizon-insufficient"),
 ])
-def test_t6_certified_radius_without_growth(scale, passed, status):
+def test_t6_certified_radius_without_growth(scale, passed, status, monkeypatch):
     # The antecedent holds (radius about 3 - 0.28 > (1 + 4*0.1)/(1 - 0.2)),
     # yet no power of A exceeds M = 2: powers of 0.5*I decay, so the
     # supremum is ||A^0|| = 1 and the check fails; those of I stay at 1,
     # so a longer horizon might still grow and the check passes.
     A = scale * np.eye(2)
-    r = check_t6(A, 0.1, TransientConfig(M=2.0, k_max=20), grid=_field_certifying_radius_3(A))
+    grid = _planting(monkeypatch, _field_certifying_radius_3())
+    r = check_t6(A, 0.1, TransientConfig(M=2.0, k_max=20), grid=grid)
     assert r.lhs > r.rhs == pytest.approx(1.75)
     assert r.passed is passed and r.details["status"] == status
 
@@ -394,11 +415,12 @@ def test_t8_containment_random():
     assert check_t8(A, 0.3, 121).passed
 
 
-def test_t8e_companion(diag_field):
-    assert check_t8e(DIAG, 0.3, diag_field).passed
+def test_t8e_companion(diag):
+    A, grid = diag
+    assert check_t8e(A, 0.3, grid).passed
 
 
-def test_t3_and_t8_memory_is_bounded_by_the_members():
+def test_t3_and_t8_memory_is_bounded_by_the_members(monkeypatch):
     # n = 64 at eps 0.4 on a 161 x 161 grid: 10,162 condition members and
     # 3,213 pseudospectrum members.  A members x n array of complex
     # differences and their moduli takes 15 MiB; a running minimum over the
@@ -411,7 +433,8 @@ def test_t3_and_t8_memory_is_bounded_by_the_members():
     grid = auto_grid(A, 0.4, 161)
     dist = np.abs(grid.nodes()[:, :, None] - d)
     smin, smax = dist.min(axis=2), dist.max(axis=2)
-    field = SpectralField(grid, smin, smax, condition_ratio(smin, smax, A.n), A)
+    field = SpectralField(grid, smin, smax, condition_ratio(smin, smax, A.n))
+    _planting(monkeypatch, field)
     assert field.member_nodes(0.4).size > 10_000
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -419,7 +442,7 @@ def test_t3_and_t8_memory_is_bounded_by_the_members():
         for check in (check_t3, check_t8, check_t8e):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            assert check(A, 0.4, field).passed
+            assert check(A, 0.4, grid).passed
             assert tracemalloc.get_traced_memory()[1] - base < 2**20, check.__name__
     finally:
         if not tracing:
@@ -499,7 +522,7 @@ def test_t9_normal_members_near_range():
     assert r.passed
 
 
-def test_t9_jordan_disk(diag_field):
+def test_t9_jordan_disk():
     r = check_t9(JORDAN2, 0.2, 161)
     # eps1 = 0.5 at ||A|| = 1: members stay within 0.5 + slack of the half disk
     assert r.passed and r.rhs == pytest.approx(0.5 + r.slack_used)
@@ -608,22 +631,23 @@ def test_suite_samples_through_each_check(A):
     eps, grid, samples, seed = 0.2, 61, 12, 7
     names = ["t4", "t5", "t7"]
     suite = run_suite(A, [eps], grid=grid, samples=samples, seed=seed, theorems=names)
-    field = theorems.field_for(A, grid, eps)
-    S = theorems.default_similarity(A.shape[0])
+    m = ComplexMatrix(A)
+    spec = spectra.grid_for(m, grid, eps)
+    S = theorems.default_similarity(m.n)
     direct = []
     for i_t, name in enumerate(names):
         for suffix in ("", "e"):
             check = getattr(theorems, f"check_{name}{suffix}")
-            args = (A, S, eps) if name == "t5" else (A, eps)
-            direct.append(check(*args, grid=field, count=samples, seed=seed + 31 * i_t))
+            args = (m, S, eps) if name == "t5" else (m, eps)
+            direct.append(check(*args, grid=spec, count=samples, seed=seed + 31 * i_t))
     assert [r.to_dict() for r in suite] == [r.to_dict() for r in direct]
 
 
 def test_suite_rejects_unknown_selector(monkeypatch):
-    def no_field(*args):
-        raise AssertionError("the field was sized before the selectors were checked")
+    def no_grid(*args):
+        raise AssertionError("the grid was sized before the selectors were checked")
 
-    monkeypatch.setattr(theorems, "field_for", no_field)
+    monkeypatch.setattr(theorems, "grid_for", no_grid)
     with pytest.raises(ValueError, match="t11"):
         run_suite(DIAG, [0.2], theorems=["t11"])
 
@@ -650,43 +674,98 @@ def test_suite_degenerate_1x1():
 
 
 def test_suite_on_shared_matrices_matches_fresh_runs():
-    # A ComplexMatrix and a SpectralField keep the facts of earlier runs
-    # (norm, eigenvalues, power norms, member sets).  Running A, then B,
+    # A ComplexMatrix keeps the facts of earlier runs (norm, eigenvalues,
+    # power norms, its fields and their member sets).  Running A, then B,
     # then A again on the same instances must write the reports of runs on
     # freshly wrapped copies, to the bit.
     from condspec import jsonio
-    from condspec.numkernel import ComplexMatrix
 
     eps = (0.05, 0.2, 0.4)
 
-    def suite(M, field):
-        return jsonio.dumps([r.to_dict() for r in run_suite(M, eps, grid=field, samples=12,
-                                                            seed=3)])
-
-    def fresh(M):
-        a = np.array(M.entries)
-        return suite(a, compute_field(a, auto_grid(a, 0.4, 61)))
+    def suite(M):
+        return jsonio.dumps([r.to_dict() for r in run_suite(M, eps, grid=auto_grid(M, 0.4, 61),
+                                                            samples=12, seed=3)])
 
     A = generate("jordan", 4, value=0.9)
     B = ComplexMatrix(random_complex(3, 21))
-    fields = {id(M): compute_field(M, auto_grid(M, 0.4, 61)) for M in (A, B)}
-    runs = [suite(M, fields[id(M)]) for M in (A, B, A)]
-    assert runs == [fresh(A), fresh(B), fresh(A)]
+    runs = [suite(M) for M in (A, B, A)]
+    assert runs == [suite(np.array(M.entries)) for M in (A, B, A)]
 
 
+# --- the field is a fact of its matrix --------------------------------------------
 
-def test_a_field_must_belong_to_the_checked_matrix():
-    # diag(3, -3)'s field has members where diag(0.1, -0.1)'s bound excludes them.
-    A, B = np.diag([0.1, -0.1]), np.diag([3.0, -3.0])
-    field = compute_field(B, GridSpec.square(5, 81))
-    for run in (lambda: check_t2(A, 0.1, grid=field), lambda: check_t8(A, 0.1, grid=field),
-                lambda: run_suite(A, [0.1], grid=field)):
-        with pytest.raises(ValueError, match="another matrix"):
-            run()
-    assert check_t2(B.copy(), 0.1, grid=field).passed  # an equal copy is the same matrix
-    # A field read from CSV knows no matrix and is taken as given.
-    text = io.StringIO()
-    write_field_csv(field, text)
-    read = read_field_csv(io.StringIO(text.getvalue()))
-    assert read.matrix is None
-    assert check_t2(B, 0.1, grid=read).to_dict() == check_t2(B, 0.1, grid=field).to_dict()
+def _counting_fields(monkeypatch):
+    """Count the fields spectra builds from here on."""
+    built = []
+    compute = spectra.compute_field
+
+    def counted(A, grid):
+        built.append(grid)
+        return compute(A, grid)
+
+    monkeypatch.setattr(spectra, "compute_field", counted)
+    return built
+
+
+def test_suite_of_t1_and_t10_builds_no_field(monkeypatch):
+    def no_field(A, grid):
+        raise AssertionError("T1 and T10 read no field")
+
+    monkeypatch.setattr(spectra, "compute_field", no_field)
+    reports = run_suite(random_complex(4, 30), [0.1, 0.3], theorems=["t1", "t10"], samples=8)
+    assert len(reports) == 8 and all(r.passed for r in reports)
+
+
+def test_suite_builds_one_field_for_every_eps(monkeypatch):
+    built = _counting_fields(monkeypatch)
+    reports = run_suite(random_complex(3, 31), [0.05, 0.2, 0.4], theorems=["t2"], grid=41)
+    assert len(reports) == 6 and len(built) == 1
+
+
+def test_checks_on_one_matrix_and_grid_share_one_field(monkeypatch):
+    built = _counting_fields(monkeypatch)
+    A, grid = ComplexMatrix(random_complex(3, 32)), GridSpec.square(6.0, 31)
+    check_t2(A, 0.2, grid)
+    check_t8e(A, 0.3, GridSpec.square(6.0, 31))  # an equal grid: the same field
+    assert built == [grid] and field_for(A, grid, 0.2) is field_for(A, grid, 0.3)
+    check_t2(np.array(A.entries), 0.2, grid)  # a raw array is wrapped anew: its own field
+    assert len(built) == 2
+
+
+def test_grids_differing_in_a_zero_sign_get_their_own_fields(monkeypatch):
+    # GridSpec equality takes -0.0 for 0.0, but an axis ends on its bound's
+    # own bits, and field.csv writes that node's re as -0 or 0.
+    built = _counting_fields(monkeypatch)
+    A = ComplexMatrix(random_complex(3, 33))
+    plus, minus = GridSpec(-3.0, 0.0, -1.0, 1.0, 7, 5), GridSpec(-3.0, -0.0, -1.0, 1.0, 7, 5)
+    assert plus == minus
+    fields = [field_for(A, g, 0.2) for g in (plus, minus, plus)]
+    assert len(built) == 2 and fields[0] is fields[2] is not fields[1]
+    assert [np.signbit(f.grid.re_axis()[-1]) for f in fields] == [False, True, False]
+
+
+def test_a_field_does_not_outlive_its_matrix():
+    # The field holds no reference to its matrix, so dropping the matrix
+    # frees the field at once, without waiting for the cyclic collector.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        A = ComplexMatrix(random_complex(3, 34))
+        field = weakref.ref(field_for(A, GridSpec.square(5.0, 21), 0.2))
+        assert field() is not None
+        del A
+        assert field() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_grid_takes_none_an_int_or_a_gridspec():
+    A = ComplexMatrix(random_complex(3, 35))
+    field = field_for(A, 21, 0.2)
+    assert field_for(A, field.grid, 0.2) is field
+    for grid in (field, 21.0, "21"):
+        with pytest.raises(TypeError, match="grid must be None, an int or a GridSpec"):
+            check_t2(A, 0.2, grid)
+    with pytest.raises(TypeError, match="got SpectralField"):
+        run_suite(A, [0.2], grid=field)

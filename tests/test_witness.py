@@ -28,7 +28,7 @@ def random_complex(n, seed):
 
 def boundary_adjacent_points(A, eps, seed, count=10):
     field = compute_field(A, auto_grid(A, eps, 61))
-    return sample_points(field, eps, count, seed)
+    return sample_points(A, field, eps, count, seed)
 
 
 # --- the witness vector u -------------------------------------------------------
