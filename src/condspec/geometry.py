@@ -43,10 +43,7 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 
     lower = half(pts.tolist())
     upper = half(pts[::-1].tolist())
-    hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) < 2:  # all points coincident after dedupe
-        return pts[:1]
-    return hull
+    return np.array(lower[:-1] + upper[:-1])
 
 
 def _cross(o, a, b):

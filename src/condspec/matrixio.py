@@ -1,9 +1,9 @@
 """Matrix ingestion (Matrix Market, JSON, CSV), emission, and generators.
 
 Complex entries are written "a+bi" in CSV, [re, im] pairs in JSON, and
-"re im" column pairs in Matrix Market files.  All emitters use 17
-significant digits so a parse of an emitted file reproduces the entries
-bit for bit.
+"re im" column pairs in Matrix Market files.  CSV and Matrix Market write
+floats with "%.17g", JSON with repr, so a parse of a file in any of the
+three reproduces the entries bit for bit, -0.0 included.
 """
 
 from __future__ import annotations
@@ -249,7 +249,8 @@ READERS = {FORMAT_JSON: _parse_json, FORMAT_CSV: _parse_csv,
 # -- Emission ---------------------------------------------------------------
 
 def emit_matrix(M, fmt: str = FORMAT_JSON) -> str:
-    """Serialize with 17 significant digits (parse round-trips bitwise)."""
+    """Serialize M; "%.17g" floats in CSV and Matrix Market, repr in JSON, so
+    parse_matrix reads back every entry bit for bit, -0.0 included."""
     a = as_matrix(M).entries
     if fmt == FORMAT_JSON:
         obj = {"n": a.shape[0],

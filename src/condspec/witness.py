@@ -91,9 +91,7 @@ def _fix_phase(u: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the largest-magnitude entry is real
     positive (first maximum wins; deterministic output)."""
     k = int(np.argmax(np.abs(u)))
-    pivot = u[k]
-    if pivot == 0:
-        return u
+    pivot = u[k]  # nonzero: u has norm 1
     return u * (pivot.conjugate() / abs(pivot))
 
 

@@ -625,11 +625,13 @@ def test_auto_grid_past_float64_exits_2_without_warnings(tmp_path):
 
 # eps = 1e-320 makes smin / eps overflow in the pseudospectrum's distance
 # from its level; A = 1e-300 * I at eps = 0.05 makes eps / smin overflow in
-# its depth.  Both values are +inf either way.  The digests are those of the
-# reports written while numpy still printed its overflow warning.
+# its depth.  Both values are +inf either way.  The reports hold the values
+# of those written while numpy still printed its overflow warning, bit for
+# bit; the digests changed only when floats came to be written as their
+# repr (21 and 20 integral floats now read "2.0" where they read "2").
 @pytest.mark.parametrize("diagonal, eps, digest", [
-    ([1.0, -1.0], "1e-320", "38d935d668bf7d56a4ee5221fd1e21a115b6b815623666226cf442e10a2c81aa"),
-    ([1e-300, 1e-300], "0.05", "805f9d212d3276c80daeb79ada2ad17224d62af9dac1687413333c7d24202747"),
+    ([1.0, -1.0], "1e-320", "27b083ea30c10b9aacaa8b44c056a3a709922d5b569e09e35295111e0683b830"),
+    ([1e-300, 1e-300], "0.05", "84dbebc4a36d8f8fdfc1f055c567efe9b412b2b6734c2bc5f0d99d31251e73d2"),
 ], ids=["eps-1e-320", "tiny-diagonal"])
 def test_verify_overflow_to_inf_prints_no_warning(tmp_path, diagonal, eps, digest):
     matrix, report = tmp_path / "A.json", tmp_path / "report.json"

@@ -377,10 +377,13 @@ def test_matrix_source_inline():
 
 @pytest.mark.parametrize("fmt", [FORMAT_JSON, FORMAT_CSV, FORMAT_MATRIX_MARKET])
 def test_emit_parse_round_trip_bitwise(fmt):
-    m = random_matrix(4, seed=7)
-    text = emit_matrix(m, fmt)
-    back = parse_matrix(text, fmt=fmt)
-    assert np.array_equal(back.entries, m.entries)
+    # Bytes, not np.array_equal, which takes -0.0 for 0.0: a JSON writer
+    # that printed -0.0 as "-0" read it back as the integer 0.
+    signed_zeros = np.array([[complex(-0.0, 0.0), complex(2.0, -0.0)],
+                             [complex(-0.0, -0.0), complex(-3.0, 1.0)]])
+    for m in (random_matrix(4, seed=7).entries, signed_zeros):
+        back = parse_matrix(emit_matrix(m, fmt), fmt=fmt)
+        assert back.entries.tobytes() == m.tobytes()
 
 
 def test_write_matrix_infers_format(tmp_path):

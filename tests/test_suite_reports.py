@@ -4,8 +4,8 @@ tests/data/suite_reports.json holds the `to_dict()` output of every case
 below.  It was written by the σ/ε check bodies before they were merged into
 one body per pair, and written again when mirrored grids got their
 mirror-exact im axis (each moved value is named in CHANGES.md).  Each case
-is compared for equality after a JSON round trip (17 significant digits,
-exact for float64).
+is compared for equality after a JSON round trip (floats written as their
+repr, exact for float64).
 
 Regenerate (only when a report is meant to change, naming each changed
 value in CHANGES.md):
@@ -87,5 +87,5 @@ def test_reports_match_fixture(fixture_reports, case):
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     out = {name: _as_json(run()) for name, run in _cases().items()}
-    FIXTURE.write_text(jsonio.dumps(out, indent=1))
+    FIXTURE.write_text(jsonio.dumps(out))
     print(f"wrote {FIXTURE} ({FIXTURE.stat().st_size} bytes)", file=sys.stderr)
