@@ -13,10 +13,16 @@ read or written at the edges (file names, ContourLevel.kind, labels).
 Grid computation samples sigma_min, sigma_max and their ratio over a
 rectangle of the complex plane; classification, contour extraction,
 radii, distances and component counts are all derived from that field.
-The field is one numkernel.shifted_extremes call over all nodes, which
-owns the thread pool and the OpenBLAS pin, so fields and auto grids are
-bit-identical at any CONDSPEC_THREADS and OPENBLAS_NUM_THREADS.  A field
-holds no matrix: field_for keeps it among its ComplexMatrix's facts.
+Its nodes reach numkernel.shifted_extremes through one evaluator,
+SpectralField._evaluate, and numkernel owns the thread pool and the
+OpenBLAS pin, so fields and auto grids are bit-identical at any
+CONDSPEC_THREADS and OPENBLAS_NUM_THREADS.  compute_field evaluates every
+node in one call.  The field field_for keeps among its ComplexMatrix's
+facts (it holds A's entries, not the matrix) evaluates a coarse lattice
+first; by Weyl's inequality each lattice cell then bounds the values at
+its other nodes, and a membership or band query evaluates, in one call,
+only the nodes whose bounds hold one of its levels.  Its answers are the
+fully evaluated field's, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .numkernel import (  # _thread_count: condbench's environment record reads 
     as_matrix,
     condition_ratio,
     shifted_extremes,
+    singularity_threshold,
     spectral_norm,
 )
 
@@ -201,20 +208,73 @@ class GridSpec:
             self.re_axis()[:, None] + 1j * self.im_axis()[None, :]))
 
 
-@dataclass(frozen=True, eq=False)
+# Every LATTICE_STEP-th node on each axis, and the last, is evaluated
+# before a membership query decides any other node from its lattice cell.
+LATTICE_STEP = 4
+
+
+def node_rounding(sigma_max_bound):
+    """How far a computed singular value of z*I - A may lie from the exact
+    one, given an upper bound on sigma_max(z*I - A).  A backward-stable SVD
+    errs by at most p(n)*u*||z*I - A|| (LAPACK Users' Guide, 3rd ed., 4.9)
+    and forming z*I - A in floating point adds at most about 2u times the
+    same norm; the relative 1e-10 is far above both for any n this package
+    handles (n*u is 2.2e-14 at n = 200).  The absolute term covers results
+    near underflow, whose rounding is absolute."""
+    return 1e-10 * sigma_max_bound + 1e-300
+
+
 class SpectralField:
     """Per-node sigma_min, sigma_max of z*I - A and their ratio.
 
     Arrays are (nx, ny), indexed [re, im]; ratio is +inf where z*I - A is
-    numerically singular.  Member masks, member nodes and band nodes are
+    numerically singular.  A field holds given node values (read_field_csv,
+    a field made by hand), or A's entries and a grid (SpectralField.of),
+    whose nodes it evaluates as they are read: a membership or band query
+    evaluates only the nodes that certified bounds leave undecided, and
+    reading sigma_min, sigma_max, ratio or quantity() evaluates every node
+    left, in one call.  Either way each answer is the fully evaluated
+    field's, bit for bit.  Member masks, member nodes and band nodes are
     built once per (eps, kind) and instance, and are read-only.
     """
 
-    grid: GridSpec
-    sigma_min: np.ndarray
-    sigma_max: np.ndarray
-    ratio: np.ndarray
-    _facts: dict = dc_field(default_factory=dict, init=False, repr=False)
+    def __init__(self, grid: GridSpec, sigma_min, sigma_max, ratio):
+        """A field of given node values: nothing is left to evaluate."""
+        self.grid = grid
+        self._entries = None  # A's entries, on a field that evaluates its nodes
+        # (sigma_min, sigma_max, which nodes are known, nodes evaluated), replaced whole.
+        self._state = (sigma_min, sigma_max, np.ones(np.shape(sigma_min), bool), 0)
+        self._facts = {"ratio": ratio}
+
+    @classmethod
+    def of(cls, A, grid: GridSpec) -> "SpectralField":
+        """A's field on grid, no node evaluated yet.  It holds A's entries
+        array, not its ComplexMatrix, so kept among the matrix's facts it
+        does not outlive the matrix."""
+        field = cls.__new__(cls)
+        field.grid, field._entries, field._facts = grid, as_matrix(A).entries, {}
+        unknown = np.full((grid.nx, grid.ny), np.nan)
+        field._state = (unknown, unknown, np.zeros(unknown.shape, bool), 0)
+        return field
+
+    @property
+    def sigma_min(self) -> np.ndarray:
+        return self._evaluate(True)[0]
+
+    @property
+    def sigma_max(self) -> np.ndarray:
+        return self._evaluate(True)[1]
+
+    @property
+    def ratio(self) -> np.ndarray:
+        return _memo(self._facts, "ratio", lambda: _read_only(
+            condition_ratio(*self._evaluate(True)[:2], self._entries.shape[0])))
+
+    @property
+    def nodes_evaluated(self) -> int:
+        """The nodes this field has handed to shifted_extremes; a node
+        filled from its mirror node is not counted."""
+        return self._state[3]
 
     def quantity(self, kind: SpectrumKind) -> np.ndarray:
         """The kind's compared quantity at every node."""
@@ -222,9 +282,7 @@ class SpectralField:
 
     def member_mask(self, eps: float, kind: SpectrumKind = CONDITION) -> np.ndarray:
         """Membership at every node (condition spectrum by default)."""
-        e = kind.eps(eps)
-        return _memo(self._facts, ("mask", e, kind.name),
-                     lambda: _read_only(kind.inside(self.quantity(kind), e)))
+        return self._classes(kind.eps(eps), kind)[0]
 
     def member_nodes(self, eps: float, kind: SpectrumKind = CONDITION) -> np.ndarray:
         e = kind.eps(eps)
@@ -234,33 +292,115 @@ class SpectralField:
     def band_nodes(self, eps: float, kind: SpectrumKind = CONDITION) -> np.ndarray:
         """Nodes whose quantity lies within a factor 2 of the membership
         level, in grid order."""
-        e = kind.eps(eps)
+        return self._classes(kind.eps(eps), kind)[1]
 
+    def _classes(self, e: float, kind: SpectrumKind) -> tuple[np.ndarray, np.ndarray]:
+        """(member mask, band nodes) at eps e, both from one _decided."""
         def make():
-            q = self.quantity(kind)
-            return _read_only(self.grid.nodes()[(q >= kind.level(e, 0.5))
-                                                & (q <= kind.level(e, 2.0))])
-        return _memo(self._facts, ("band", e, kind.name), make)
+            q = self._decided(e, kind)
+            band = (q >= kind.level(e, 0.5)) & (q <= kind.level(e, 2.0))
+            return _read_only(kind.inside(q, e)), _read_only(self.grid.nodes()[band])
+        return _memo(self._facts, ("classes", e, kind.name), make)
+
+    def _decided(self, e: float, kind: SpectrumKind) -> np.ndarray:
+        """The kind's quantity at every evaluated node, and at every other
+        node the low end of its certified bounds.  The nodes whose bounds
+        hold one of the levels 0.5L, L and 2L (L the kind's level at e) are
+        evaluated first, in one call, so every node left compares with those
+        levels as its quantity would, and the membership and band tests give
+        the fully evaluated field's answers."""
+        if self._state[2].all():
+            return self.quantity(kind)
+        lower, upper = self._bounds()
+        lo, hi = kind.quantity(*lower), kind.quantity(*upper)
+        levels = (kind.level(e, 0.5), kind.level(e), kind.level(e, 2.0))
+        # A nan bound holds every level: each comparison with nan is false.
+        smin, smax, known, _ = self._evaluate(np.any([~((hi < v) | (lo > v)) for v in levels], 0))
+        ratio = condition_ratio(smin, smax, self._entries.shape[0])
+        return np.where(known, kind.quantity(smin, ratio), lo)
+
+    def _bounds(self) -> tuple[tuple, tuple]:
+        """Bounds on what evaluating each node would give, ((sigma_min, ratio)
+        below, (sigma_min, ratio) above), from the lattice nodes, which are
+        evaluated first.
+
+        By Weyl's inequality sigma_min and sigma_max of z*I - A are
+        1-Lipschitz in z, so the value at each corner c of the lattice cell
+        holding z bounds z's value within |z - c|, widened by node_rounding
+        of an upper bound on sigma_max over the cell for the rounding at z
+        and at c.  condition_ratio rounds monotonically in each argument, so
+        the ratio bounds are its values at the ends of the sigma bounds."""
+        def make():
+            grid = self.grid
+            (lx, ax, bx), (ly, ay, by) = _lattice_cells(grid.nx), _lattice_cells(grid.ny)
+            on_lattice = np.zeros((grid.nx, grid.ny), bool)
+            on_lattice[np.ix_(lx, ly)] = True
+            smin, smax = self._evaluate(on_lattice)[:2]
+            re, im = grid.re_axis(), grid.im_axis()
+            corners = [(np.ix_(i, j), np.hypot((re - re[i])[:, None], (im - im[j])[None, :]))
+                       for i in (ax, bx) for j in (ay, by)]
+            with np.errstate(invalid="ignore", over="ignore"):
+                cell = np.hypot((re[bx] - re[ax])[:, None], (im[by] - im[ay])[None, :])
+                margin = node_rounding(np.max([smax[c] for c, _ in corners], 0) + cell)
+                lo_min, lo_max = (np.fmax(np.max([v[c] - d for c, d in corners], 0) - margin, 0.0)
+                                  for v in (smin, smax))
+                hi_min, hi_max = (np.fmin(np.min([v[c] + d for c, d in corners], 0) + margin, np.inf)
+                                  for v in (smin, smax))
+                n = self._entries.shape[0]
+                return ((lo_min, np.where(hi_min <= singularity_threshold(n, lo_max), np.inf,
+                                          _quiet_divide(lo_max, hi_min))),
+                        (hi_min, np.where(lo_min <= singularity_threshold(n, hi_max), np.inf,
+                                          _quiet_divide(hi_max, lo_min))))
+        return _memo(self._facts, "bounds", make)
+
+    def _evaluate(self, want) -> tuple:
+        """Evaluate the nodes marked in `want` (True: all) that are not yet
+        known, in one shifted_extremes call, and return the state holding
+        them.  This is the one way grid nodes reach shifted_extremes.
+
+        For a real A, conj(z)*I - A is the complex conjugate of z*I - A and
+        has the same singular values; with LAPACK's sign-symmetric complex
+        arithmetic they are the same bits.  So on a mirrored grid a node
+        below the real axis is evaluated as its mirror node above it, and
+        the value fills both.  The state is replaced, never written into,
+        so a thread reading it meanwhile sees whole values."""
+        smin, smax, known, count = state = self._state
+        if known.all():
+            return state
+        ny = self.grid.ny
+        half = ny // 2 if self.grid.mirrored and not self._entries.imag.any() else 0
+        # The columns below the real axis, filled from their mirror columns.
+        below, mirrors = np.s_[:, :half], np.s_[:, ny - 1:ny - 1 - half:-1]
+        want = np.broadcast_to(want, known.shape)
+        todo = (want | want[:, ::-1] if half else want) & ~known
+        todo[below] = False
+        if not todo.any():
+            return state
+        values = shifted_extremes(self._entries, self.grid.nodes()[todo])
+        smin, smax, known = np.array(smin), np.array(smax), known | todo
+        smin[todo], smax[todo] = values
+        for a in (smin, smax, known):
+            a[below] = a[mirrors]
+        if known.all():
+            _read_only(smin), _read_only(smax)
+        self._state = state = (smin, smax, known, count + values[0].size)
+        return state
+
+
+def _lattice_cells(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Of an axis of count nodes: the lattice indices, and for each node the
+    lattice indices a <= node <= b of the lattice cell holding it."""
+    lattice = np.unique(np.append(np.arange(0, count, LATTICE_STEP), count - 1))
+    k = np.minimum(np.searchsorted(lattice, np.arange(count), "right") - 1, lattice.size - 2)
+    return lattice, lattice[k], lattice[k + 1]
 
 
 def compute_field(A, grid: GridSpec) -> SpectralField:
-    """Sample sigma_min/sigma_max/ratio of z*I - A at every grid node, in
-    one shifted_extremes call: node values depend only on (A, grid).
-
-    For a real A, conj(z)*I - A is the complex conjugate of z*I - A and has
-    the same singular values; with LAPACK's sign-symmetric complex
-    arithmetic they are the same bits.  So on a mirrored grid only the
-    columns with im >= 0 are computed, and each column below the real axis
-    is a copy of its mirror column."""
-    m = as_matrix(A)
-    half = grid.ny // 2 if grid.mirrored and not m.entries.imag.any() else 0
-    smin, smax = (v.reshape(grid.nx, grid.ny - half)
-                  for v in shifted_extremes(m, grid.nodes()[:, half:]))
-    if half:  # field column j is computed column max(j, ny - 1 - j) - half
-        j = np.arange(grid.ny)
-        smin, smax = (v[:, np.maximum(j, j[::-1]) - half] for v in (smin, smax))
-    smin, smax = _read_only(smin), _read_only(smax)
-    return SpectralField(grid, smin, smax, _read_only(condition_ratio(smin, smax, m.n)))
+    """A's field on grid with every node evaluated, in one shifted_extremes
+    call: node values depend only on (A, grid)."""
+    field = SpectralField.of(A, grid)
+    field._evaluate(True)
+    return field
 
 
 def condition_number_at(A, z: complex) -> float:
@@ -487,10 +627,11 @@ def grid_for(A, grid, eps) -> GridSpec:
 
 def field_for(A, grid, eps) -> SpectralField:
     """The field of A on grid_for(A, grid, eps), a fact of the ComplexMatrix
-    per grid.  Keyed by the grid's bits: GridSpec equality takes -0.0 for 0.0."""
+    per grid, whose nodes are evaluated as its queries need them.  Keyed by
+    the grid's bits: GridSpec equality takes -0.0 for 0.0."""
     grid = grid_for(m := as_matrix(A), grid, eps)
     key = np.array([grid.re_min, grid.re_max, grid.im_min, grid.im_max, grid.nx, grid.ny], float)
-    return _memo(m._facts, ("field", key.tobytes()), lambda: compute_field(m, grid))
+    return _memo(m._facts, ("field", key.tobytes()), lambda: SpectralField.of(m, grid))
 
 
 def member_radius(field: SpectralField, eps: float, kind: SpectrumKind = CONDITION) -> float:

@@ -631,6 +631,11 @@ def run_suite(A, eps_list, *, theorems=None, grid=None, transient: TransientConf
               strict: bool = False) -> list[TheoremReport]:
     """Run the selected checks for each eps on one grid; checks build its field on first read.
 
+    The checks read the field only through member masks, member nodes and
+    band nodes, which evaluate just the nodes that certified bounds leave
+    undecided (spectra.SpectralField); the reports are those of a fully
+    evaluated field, bit for bit.
+
     In non-strict mode a precondition violation (for example
     kappa(S)^2*eps >= 1 for T5, or a grid too coarse or too small for
     T3's component count) records a skipped report; strict mode re-raises

@@ -17,6 +17,8 @@ from condspec.errors import GridTooSmallError
 from condspec.matrixio import generate, write_matrix
 from condspec.numkernel import ComplexMatrix, as_matrix, eigenvalues, singular_values, spectral_norm
 from condspec.spectra import (
+    CONDITION,
+    PSEUDO,
     GridSpec,
     auto_grid,
     compute_field,
@@ -70,6 +72,25 @@ def corpus_results(corpus):
         results.append((name, A, field_for(m, grid, max(EPS_SWEEP)), reports))
     elapsed = time.perf_counter() - t0
     return results, elapsed
+
+
+def test_corpus_fields_answer_as_fully_evaluated_ones(corpus_results):
+    # Each suite read its field through field_for, which evaluates only the
+    # nodes that certified bounds leave undecided: its member masks and band
+    # nodes are the fully evaluated field's, bit for bit, for every matrix,
+    # eps and kind, from a fraction of the nodes.
+    results, _ = corpus_results
+    evaluated = everything = 0
+    for name, A, field, _ in results:
+        full = compute_field(A, field.grid)
+        for e in EPS_SWEEP:
+            for kind in (CONDITION, PSEUDO):
+                where = (name, e, kind.name)
+                assert field.member_mask(e, kind).tobytes() == full.member_mask(e, kind).tobytes(), where
+                assert field.band_nodes(e, kind).tobytes() == full.band_nodes(e, kind).tobytes(), where
+        evaluated += field.nodes_evaluated
+        everything += full.nodes_evaluated
+    assert evaluated < 0.25 * everything, (evaluated, everything)
 
 
 def test_criterion_1_equivalence_suite():

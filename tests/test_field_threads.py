@@ -293,3 +293,75 @@ def test_half_field_of_real_matrix_equals_full_computation_bitwise():
     assert len(outputs["1"]) == 4 * 7 * 4 + 3 * 7 * 2  # (n, matrix, ny) cases
     assert [line for line in outputs["1"] if " True " not in line] == []
     assert outputs["1"] == outputs["2"]
+
+
+# The certified field verify reads: its lattice and its undecided nodes go
+# through the pool like every batch, so its answers, and the nodes it
+# evaluates, are the same at any pool size, and they are the evaluated field's.
+_CERTIFIED_ANSWERS = """
+import hashlib
+from condspec.matrixio import generate
+from condspec.spectra import CONDITION, PSEUDO, auto_grid, compute_field, field_for
+for A, nodes in ((generate("random", 4, seed=3), 161), (generate("jordan", 6, value=0.9), 161),
+                 (generate("random", 72, seed=11), 21)):
+    grid = auto_grid(A, 0.4, nodes)
+    certified, full = field_for(A, grid, 0.4), compute_field(A.entries, grid)
+    digest, same = hashlib.sha256(), True
+    for e in (0.05, 0.2, 0.4):
+        for kind in (CONDITION, PSEUDO):
+            answers = [(f.member_mask(e, kind).tobytes(), f.band_nodes(e, kind).tobytes())
+                       for f in (certified, full)]
+            digest.update(b"".join(answers[0]))
+            same = same and answers[0] == answers[1]
+    print(A.n, certified.nodes_evaluated, same, digest.hexdigest())
+"""
+
+
+def test_certified_answers_independent_of_pool_size():
+    outputs = {}
+    for pool in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), CONDSPEC_THREADS=pool)
+        out = subprocess.run([sys.executable, "-c", _CERTIFIED_ANSWERS], capture_output=True,
+                             text=True, env=env, check=True, timeout=300)
+        outputs[pool] = out.stdout.splitlines()
+    assert len(outputs["1"]) == 3
+    assert [line for line in outputs["1"] if " True " not in line] == []
+    assert outputs["1"] == outputs["2"]
+
+
+def test_threads_sharing_a_certified_field_get_the_evaluated_answers():
+    # Queries race on one field: each thread's answer comes from the state
+    # its own evaluation returned, so a state replaced by another thread
+    # costs evaluations, never a wrong answer.
+    from condspec.spectra import CONDITION, PSEUDO, SpectralField
+
+    A = generate("random", 4, seed=21).entries
+    grid = GridSpec.square(3.0, 61)
+    full = compute_field(A, grid)
+    field = SpectralField.of(A, grid)
+    queries = [(e, kind) for e in (0.05, 0.1, 0.2, 0.3, 0.4) for kind in (CONDITION, PSEUDO)]
+    wrong, errors = [], []
+
+    def work(i):
+        try:
+            for e, kind in queries[i::4] + queries[::-1]:
+                if (field.member_mask(e, kind).tobytes() != full.member_mask(e, kind).tobytes()
+                        or field.band_nodes(e, kind).tobytes() != full.band_nodes(e, kind).tobytes()):
+                    wrong.append((e, kind.name))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and wrong == []
+    assert field.sigma_min.tobytes() == full.sigma_min.tobytes()
+    assert field.ratio.tobytes() == full.ratio.tobytes()

@@ -10,7 +10,10 @@ spectra, which writes them, knows the formats of the files plot reads
 back (the field CSV header and the contour keys); only matrixio names
 the matrix formats, whose reader table is cli's --format choices; and only
 spectra builds a field (cli's compute aside, which writes one), so every
-other field is read through spectra.field_for as a fact of its matrix."""
+other field is read through spectra.field_for as a fact of its matrix;
+and inside spectra grid nodes reach shifted_extremes only through
+SpectralField._evaluate, so there is one node evaluator and one home for
+its mirror rule."""
 
 import argparse
 import ast
@@ -189,6 +192,61 @@ def test_field_rule_sees_a_direct_build():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_only_spectra_and_compute_build_fields(path):
     assert _field_builds(ast.parse(path.read_text()), path.stem) == []
+
+
+# Inside spectra, shifted_extremes is called by the node evaluator and by
+# SpectrumKind.at, which takes given points; grid nodes go to neither but
+# the evaluator.
+NODE_EVALUATOR = "_evaluate"
+POINT_EVALUATOR = "at"
+
+
+def _called_name(call) -> str:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def _second_node_evaluators(tree) -> list:
+    """Lines of the calls outside the node evaluator that reach
+    shifted_extremes with grid nodes (an argument reading .nodes), or at
+    all outside SpectrumKind.at."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and function != NODE_EVALUATOR:
+                name = _called_name(child)
+                nodes = any(isinstance(n, ast.Attribute) and n.attr == "nodes"
+                            for arg in child.args for n in ast.walk(arg))
+                if (name == "shifted_extremes" and (nodes or function != POINT_EVALUATOR)
+                        or name == POINT_EVALUATOR and nodes):
+                    found.append(child.lineno)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_node_evaluator_rule_sees_a_second_evaluator():
+    source = ("class SpectralField:\n"
+              "    def _evaluate(self, want):\n"
+              "        return shifted_extremes(self._entries, self.grid.nodes()[want])\n"
+              "    def values(self):\n"
+              "        return shifted_extremes(self._entries, self.grid.nodes())\n"
+              "    def at(self, A, zs):\n        return shifted_extremes(A, zs)\n"
+              "def compute_field(A, grid):\n    return CONDITION.at(A, grid.nodes())\n"
+              "def sample(A, zs):\n    return numkernel.shifted_extremes(A, zs)\n"
+              "def in_spectrum(A, z, eps, kind):\n    return kind.at(A, z)\n")
+    assert _second_node_evaluators(ast.parse(source)) == [5, 9, 11]
+
+
+def test_spectra_has_one_node_evaluator():
+    tree = ast.parse((SOURCES[0].parent / "spectra.py").read_text())
+    assert _second_node_evaluators(tree) == []
+    [evaluator] = [fn for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == NODE_EVALUATOR]
+    assert any(isinstance(n, ast.Call) and _called_name(n) == "shifted_extremes"
+               for n in ast.walk(evaluator))
 
 
 # A kind's names, and the modules where they are text: --kind's choices,

@@ -85,7 +85,7 @@ def diag():
 def _planting(monkeypatch, field):
     """Make `field` the one field_for builds, on field.grid, for any matrix
     not holding one there yet."""
-    monkeypatch.setattr(spectra, "compute_field", lambda A, grid: field)
+    monkeypatch.setattr(spectra.SpectralField, "of", staticmethod(lambda A, grid: field))
     return field.grid
 
 
@@ -697,13 +697,13 @@ def test_suite_on_shared_matrices_matches_fresh_runs():
 def _counting_fields(monkeypatch):
     """Count the fields spectra builds from here on."""
     built = []
-    compute = spectra.compute_field
+    make = spectra.SpectralField.of
 
     def counted(A, grid):
         built.append(grid)
-        return compute(A, grid)
+        return make(A, grid)
 
-    monkeypatch.setattr(spectra, "compute_field", counted)
+    monkeypatch.setattr(spectra.SpectralField, "of", staticmethod(counted))
     return built
 
 
@@ -711,7 +711,7 @@ def test_suite_of_t1_and_t10_builds_no_field(monkeypatch):
     def no_field(A, grid):
         raise AssertionError("T1 and T10 read no field")
 
-    monkeypatch.setattr(spectra, "compute_field", no_field)
+    monkeypatch.setattr(spectra.SpectralField, "of", staticmethod(no_field))
     reports = run_suite(random_complex(4, 30), [0.1, 0.3], theorems=["t1", "t10"], samples=8)
     assert len(reports) == 8 and all(r.passed for r in reports)
 
