@@ -168,12 +168,13 @@ def _load_certificate(config: RunConfig):
 
 def _certificate_report(config: RunConfig, w):
     from .report import TheoremReport
-    from .witness import membership_from_perturbation
+    from .witness import certificate_tolerances, membership_from_perturbation
 
     eps = config.eps_list[0]
     ok = membership_from_perturbation(config.matrix, w.z, w.E, eps)
-    return TheoremReport("CERT", bool(ok), None, None, 0.0,
-                         {"z": [w.z.real, w.z.imag], "eps": float(eps),
+    relative, absolute = certificate_tolerances(config.matrix)
+    return TheoremReport("CERT", bool(ok), None, None, absolute,
+                         {"z": [w.z.real, w.z.imag], "eps": float(eps), "relative_slack": relative,
                           "status": "certificate accepted" if ok else "certificate rejected"})
 
 

@@ -18,7 +18,7 @@ SpectralField._evaluate, and numkernel owns the thread pool and the
 OpenBLAS pin, so fields and auto grids are bit-identical at any
 CONDSPEC_THREADS and OPENBLAS_NUM_THREADS.  compute_field evaluates every
 node in one call.  The field field_for keeps among its ComplexMatrix's
-facts (it holds A's entries, not the matrix) evaluates a coarse lattice
+facts (it holds its own copy of A, not the matrix) evaluates a coarse lattice
 first; by Weyl's inequality each lattice cell then bounds the values at
 its other nodes, and a membership or band query evaluates, in one call,
 only the nodes whose bounds hold one of its levels.  Its answers are the
@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import GridResolutionError, GridTooSmallError
 from .numkernel import (  # _thread_count: condbench's environment record reads it here
+    ComplexMatrix,
     _memo,
     _read_only,
     _thread_count,
@@ -241,18 +242,19 @@ class SpectralField:
     def __init__(self, grid: GridSpec, sigma_min, sigma_max, ratio):
         """A field of given node values: nothing is left to evaluate."""
         self.grid = grid
-        self._entries = None  # A's entries, on a field that evaluates its nodes
+        self._matrix = None  # a private copy of A, on a field that evaluates its nodes
         # (sigma_min, sigma_max, which nodes are known, nodes evaluated), replaced whole.
         self._state = (sigma_min, sigma_max, np.ones(np.shape(sigma_min), bool), 0)
         self._facts = {"ratio": ratio}
 
     @classmethod
     def of(cls, A, grid: GridSpec) -> "SpectralField":
-        """A's field on grid, no node evaluated yet.  It holds A's entries
-        array, not its ComplexMatrix, so kept among the matrix's facts it
-        does not outlive the matrix."""
+        """A's field on grid, no node evaluated yet.  It holds its own
+        ComplexMatrix of A's entries, wrapped once here, not the caller's
+        matrix, so kept among that matrix's facts it does not outlive it."""
         field = cls.__new__(cls)
-        field.grid, field._entries, field._facts = grid, as_matrix(A).entries, {}
+        entries = A.entries if isinstance(A, ComplexMatrix) else A
+        field.grid, field._matrix, field._facts = grid, ComplexMatrix(entries), {}
         unknown = np.full((grid.nx, grid.ny), np.nan)
         field._state = (unknown, unknown, np.zeros(unknown.shape, bool), 0)
         return field
@@ -268,7 +270,7 @@ class SpectralField:
     @property
     def ratio(self) -> np.ndarray:
         return _memo(self._facts, "ratio", lambda: _read_only(
-            condition_ratio(*self._evaluate(True)[:2], self._entries.shape[0])))
+            condition_ratio(*self._evaluate(True)[:2], self._matrix.n)))
 
     @property
     def nodes_evaluated(self) -> int:
@@ -316,7 +318,7 @@ class SpectralField:
         levels = (kind.level(e, 0.5), kind.level(e), kind.level(e, 2.0))
         # A nan bound holds every level: each comparison with nan is false.
         smin, smax, known, _ = self._evaluate(np.any([~((hi < v) | (lo > v)) for v in levels], 0))
-        ratio = condition_ratio(smin, smax, self._entries.shape[0])
+        ratio = condition_ratio(smin, smax, self._matrix.n)
         return np.where(known, kind.quantity(smin, ratio), lo)
 
     def _bounds(self) -> tuple[tuple, tuple]:
@@ -329,7 +331,10 @@ class SpectralField:
         holding z bounds z's value within |z - c|, widened by node_rounding
         of an upper bound on sigma_max over the cell for the rounding at z
         and at c.  condition_ratio rounds monotonically in each argument, so
-        the ratio bounds are its values at the ends of the sigma bounds."""
+        the ratio bounds are its values at the ends of the sigma bounds.
+        The corners are visited once each, in one order, into running bounds
+        built in place; max and min are exact, so the bounds are those of the
+        four corners taken together, bit for bit."""
         def make():
             grid = self.grid
             (lx, ax, bx), (ly, ay, by) = _lattice_cells(grid.nx), _lattice_cells(grid.ny)
@@ -337,20 +342,31 @@ class SpectralField:
             on_lattice[np.ix_(lx, ly)] = True
             smin, smax = self._evaluate(on_lattice)[:2]
             re, im = grid.re_axis(), grid.im_axis()
-            corners = [(np.ix_(i, j), np.hypot((re - re[i])[:, None], (im - im[j])[None, :]))
-                       for i in (ax, bx) for j in (ay, by)]
-            with np.errstate(invalid="ignore", over="ignore"):
-                cell = np.hypot((re[bx] - re[ax])[:, None], (im[by] - im[ay])[None, :])
-                margin = node_rounding(np.max([smax[c] for c, _ in corners], 0) + cell)
-                lo_min, lo_max = (np.fmax(np.max([v[c] - d for c, d in corners], 0) - margin, 0.0)
-                                  for v in (smin, smax))
-                hi_min, hi_max = (np.fmin(np.min([v[c] + d for c, d in corners], 0) + margin, np.inf)
-                                  for v in (smin, smax))
-                n = self._entries.shape[0]
-                return ((lo_min, np.where(hi_min <= singularity_threshold(n, lo_max), np.inf,
-                                          _quiet_divide(lo_max, hi_min))),
-                        (hi_min, np.where(lo_min <= singularity_threshold(n, hi_max), np.inf,
-                                          _quiet_divide(hi_max, lo_min))))
+            # Running over the corners in one order: the largest sigma_max,
+            # then (low, high) bounds on sigma_min and on sigma_max.
+            top, lo_min, lo_max = (np.full((grid.nx, grid.ny), -np.inf) for _ in range(3))
+            hi_min, hi_max = (np.full((grid.nx, grid.ny), np.inf) for _ in range(2))
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                for i, j in itertools.product((ax, bx), (ay, by)):
+                    d = np.hypot((re - re[i])[:, None], (im - im[j])[None, :])
+                    for v, lo, hi in ((smin, lo_min, hi_min), (smax, lo_max, hi_max)):
+                        at = v[np.ix_(i, j)]
+                        if v is smax:
+                            np.maximum(top, at, out=top)
+                        np.maximum(lo, at - d, out=lo)
+                        np.minimum(hi, np.add(at, d, out=at), out=hi)
+                top += np.hypot((re[bx] - re[ax])[:, None], (im[by] - im[ay])[None, :])
+                margin = node_rounding(top)
+                for lo in (lo_min, lo_max):
+                    np.fmax(np.subtract(lo, margin, out=lo), 0.0, out=lo)
+                for hi in (hi_min, hi_max):
+                    np.fmin(np.add(hi, margin, out=hi), np.inf, out=hi)
+                n = self._matrix.n
+                # Each ratio bound goes into the sigma_max buffer it divides.
+                for s_max, s_min in ((lo_max, hi_min), (hi_max, lo_min)):
+                    singular = s_min <= singularity_threshold(n, s_max)
+                    np.divide(s_max, s_min, out=s_max)[singular] = np.inf
+                return (lo_min, lo_max), (hi_min, hi_max)
         return _memo(self._facts, "bounds", make)
 
     def _evaluate(self, want) -> tuple:
@@ -368,7 +384,7 @@ class SpectralField:
         if known.all():
             return state
         ny = self.grid.ny
-        half = ny // 2 if self.grid.mirrored and not self._entries.imag.any() else 0
+        half = ny // 2 if self.grid.mirrored and not self._matrix.entries.imag.any() else 0
         # The columns below the real axis, filled from their mirror columns.
         below, mirrors = np.s_[:, :half], np.s_[:, ny - 1:ny - 1 - half:-1]
         want = np.broadcast_to(want, known.shape)
@@ -376,7 +392,7 @@ class SpectralField:
         todo[below] = False
         if not todo.any():
             return state
-        values = shifted_extremes(self._entries, self.grid.nodes()[todo])
+        values = shifted_extremes(self._matrix, self.grid.nodes()[todo])
         smin, smax, known = np.array(smin), np.array(smax), known | todo
         smin[todo], smax[todo] = values
         for a in (smin, smax, known):

@@ -131,10 +131,16 @@ def _build_witness(m: ComplexMatrix, z: complex, u: np.ndarray, smax: float) -> 
     return Witness(z, u, v, u, eps_hat, E)
 
 
+def certificate_tolerances(A) -> tuple[float, float]:
+    """(relative, absolute): the slack membership_from_perturbation grants
+    on ||E|| <= eps*||z - A||, and its bound on sigma_min(z*I - (A + E))."""
+    return FLOAT_SLACK, _CERT_EIG_TOL * (1.0 + spectral_norm(A))
+
+
 def membership_from_perturbation(A, z: complex, E, eps) -> bool:
     """Validate a third-party certificate: accept iff ||E|| <= eps*||z - A||
-    (FLOAT_SLACK relative slack) and z is an eigenvalue of A + E.  Acceptance
-    guarantees condition-spectrum membership of z."""
+    and z is an eigenvalue of A + E, each within certificate_tolerances.
+    Acceptance guarantees condition-spectrum membership of z."""
     e = CONDITION.eps(eps)
     m = as_matrix(A)
     pert = as_matrix(E)
@@ -146,8 +152,8 @@ def membership_from_perturbation(A, z: complex, E, eps) -> bool:
         smin = float(shifted_extremes(perturbed, z)[0][0])
     except ValueError:
         return False  # z*I - A, A + E or z*I - (A + E) overflows float64: not checkable
-    return (spectral_norm(pert) <= e * smax * (1.0 + FLOAT_SLACK)
-            and smin <= _CERT_EIG_TOL * (1.0 + spectral_norm(m)))
+    relative, absolute = certificate_tolerances(m)
+    return spectral_norm(pert) <= e * smax * (1.0 + relative) and smin <= absolute
 
 
 def check_equivalence(A, z: complex, eps) -> TheoremReport:

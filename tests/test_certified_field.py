@@ -2,6 +2,9 @@
 certified node bounds give the fully evaluated field's answers, bit for
 bit, while evaluating only the nodes the bounds cannot decide."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -171,9 +174,33 @@ def test_field_for_certifies_and_holds_no_matrix():
     m = ComplexMatrix(generate("random", 5, seed=3).entries)
     grid = auto_grid(m, 0.4, 161)
     field = field_for(m, grid, 0.4)
-    assert field._entries is m.entries
+    assert field._matrix is not m and field._matrix.entries.tobytes() == m.entries.tobytes()
     assert_same_answers(field, compute_field(m, grid), [0.05, 0.2, 0.4])
     assert field.nodes_evaluated < 0.2 * 161 * 161
+    # Kept among m's facts, the field does not keep m alive.
+    held = weakref.ref(m)
+    del m
+    assert held() is None and field.member_mask(0.2).any()
+
+
+def test_a_field_wraps_its_matrix_once(monkeypatch):
+    wraps = []
+    inner = ComplexMatrix.__post_init__
+
+    def counting(self):
+        wraps.append(self)
+        inner(self)
+
+    A = generate("random", 4, seed=5).entries
+    grid = auto_grid(A, 0.4, 41)
+    monkeypatch.setattr(ComplexMatrix, "__post_init__", counting)
+    field = SpectralField.of(A, grid)
+    assert len(wraps) == 1
+    for e in (0.05, 0.2):
+        field.member_mask(e)
+        field.band_nodes(e, PSEUDO)
+    field.ratio
+    assert len(wraps) == 1 and field.nodes_evaluated > 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -201,3 +228,95 @@ def test_levels_at_every_node_where_the_bound_is_attained(grid):
     values = sorted(set(full.sigma_min.ravel().tolist()) - {0.0})
     for v in values:
         assert_same_answers(SpectralField.of(A, grid), full, [0.5 * v, v, 2.0 * v], [PSEUDO])
+
+
+def reference_bounds(field):
+    """SpectralField._bounds as first written: every corner's gathers and
+    distances stacked, then reduced with np.max and np.min."""
+    grid = field.grid
+    (lx, ax, bx), (ly, ay, by) = spectra._lattice_cells(grid.nx), spectra._lattice_cells(grid.ny)
+    on_lattice = np.zeros((grid.nx, grid.ny), bool)
+    on_lattice[np.ix_(lx, ly)] = True
+    smin, smax = field._evaluate(on_lattice)[:2]
+    re, im = grid.re_axis(), grid.im_axis()
+    corners = [(np.ix_(i, j), np.hypot((re - re[i])[:, None], (im - im[j])[None, :]))
+               for i in (ax, bx) for j in (ay, by)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        cell = np.hypot((re[bx] - re[ax])[:, None], (im[by] - im[ay])[None, :])
+        margin = spectra.node_rounding(np.max([smax[c] for c, _ in corners], 0) + cell)
+        lo_min, lo_max = (np.fmax(np.max([v[c] - d for c, d in corners], 0) - margin, 0.0)
+                          for v in (smin, smax))
+        hi_min, hi_max = (np.fmin(np.min([v[c] + d for c, d in corners], 0) + margin, np.inf)
+                          for v in (smin, smax))
+        threshold, divide = spectra.singularity_threshold, spectra._quiet_divide
+        n = field._matrix.n
+        return ((lo_min, np.where(hi_min <= threshold(n, lo_max), np.inf, divide(lo_max, hi_min))),
+                (hi_min, np.where(lo_min <= threshold(n, hi_max), np.inf, divide(hi_max, lo_min))))
+
+
+def assert_reference_bounds(A, grid):
+    field = SpectralField.of(A, grid)
+    got = field._bounds()
+    want = reference_bounds(field)
+    for g, w in zip(got, want):
+        assert [a.tobytes() for a in g] == [a.tobytes() for a in w]
+    return got
+
+
+@st.composite
+def bound_grids(draw, A):
+    """A rectangle near A's spectrum, mirrored about the real axis or not,
+    with nx != ny."""
+    nx = draw(st.integers(2, 41))
+    ny = draw(st.integers(2, 40))
+    ny += ny >= nx
+    scale = max(float(np.abs(A).max()), 1e-300)
+    re_lo, im_lo = (draw(st.floats(-2.0, 1.0)) * scale for _ in range(2))
+    re_hi, im_hi = (lo + draw(st.floats(0.01, 3.0)) * scale for lo in (re_lo, im_lo))
+    if draw(st.booleans()):
+        im_lo, im_hi = -abs(im_hi), abs(im_hi)
+    assume(np.isfinite([re_lo, re_hi, im_lo, im_hi]).all() and re_lo < re_hi and im_lo < im_hi)
+    return GridSpec(re_lo, re_hi, im_lo, im_hi, nx, ny)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bounds_equal_the_stacked_corner_formula(data):
+    A = data.draw(matrices())
+    assert_reference_bounds(A, data.draw(bound_grids(A)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("grid", [GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 13),
+                                  GridSpec(-1.0, 2.0, 0.5, 3.0, 14, 6)])
+def test_bounds_past_float64_hold_every_level_as_before(grid):
+    # sigma_max overflows to inf on the lattice, so the margin is inf and
+    # inf - inf is nan until fmax and fmin clamp the bounds to [0, inf].
+    A = np.full((3, 3), 1.5e308)
+    (lo_min, lo_ratio), (hi_min, hi_ratio) = assert_reference_bounds(A, grid)
+    for low, high in ((lo_min, hi_min), (lo_ratio, hi_ratio)):
+        assert not low.any() and np.isposinf(high).all()
+
+
+# _bounds' tracemalloc peak on a 161 x 161 field, in full-grid float64
+# arrays, the lattice evaluated beforehand.  Measured: 18.2 arrays
+# (3,772,137 bytes) when the four corners were stacked for np.max and np.min,
+# 9.4 (1,953,955 bytes) with running bounds: 5 running arrays, then one
+# corner's distances, gather and difference at a time.
+BOUNDS_PEAK_ARRAYS = 12
+
+
+def test_bounds_peak_memory_on_a_corpus_field():
+    A = generate("random", 6, seed=11).entries
+    field = SpectralField.of(A, auto_grid(A, 0.4, 161, PSEUDO))
+    lattice = spectra._lattice_cells(161)[0]
+    on_lattice = np.zeros((161, 161), bool)
+    on_lattice[np.ix_(lattice, lattice)] = True
+    field._evaluate(on_lattice)
+    tracemalloc.start()
+    try:
+        field._bounds()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BOUNDS_PEAK_ARRAYS * 161 * 161 * 8

@@ -15,7 +15,7 @@ from condspec import jsonio
 from condspec.cli import INT_RANGES, main
 from condspec.matrixio import parse_matrix, write_matrix
 from condspec.numkernel import singular_values, as_matrix, spectral_norm
-from condspec.witness import witness_perturbation
+from condspec.witness import certificate_tolerances, witness_perturbation
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -160,6 +160,13 @@ def test_valid_certificate_accepted(diag_file, tmp_path):
                  "--grid", "81", "--theorems", "t1", "--certificate", str(cert),
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
+    # The report records the tolerances the check granted: the absolute one
+    # on sigma_min(z*I - (A + E)) as slack_used, the relative one on ||E||.
+    [report] = [e for e in jsonio.loads((tmp_path / "r.json").read_text())
+                if e["theorem_id"] == "CERT"]
+    relative, absolute = certificate_tolerances(np.diag([1.0, -1.0]))
+    assert report["slack_used"] == absolute == 1e-8 * (1.0 + 1.0)
+    assert report["details"]["relative_slack"] == relative == 1e-12
 
 
 def test_malformed_matrix_exits_2(tmp_path):
@@ -627,11 +634,14 @@ def test_auto_grid_past_float64_exits_2_without_warnings(tmp_path):
 # from its level; A = 1e-300 * I at eps = 0.05 makes eps / smin overflow in
 # its depth.  Both values are +inf either way.  The reports hold the values
 # of those written while numpy still printed its overflow warning, bit for
-# bit; the digests changed only when floats came to be written as their
-# repr (21 and 20 integral floats now read "2.0" where they read "2").
+# bit; the digests changed when floats came to be written as their repr
+# (21 and 20 integral floats now read "2.0" where they read "2"), and the
+# second when T7 began reporting the slack it grants to the members T5
+# checks: T7σ holds 0 members (lhs null, slack_used 0.0), and T7ε, which
+# has no admissible k > 0, slack_used 0.0.
 @pytest.mark.parametrize("diagonal, eps, digest", [
     ([1.0, -1.0], "1e-320", "27b083ea30c10b9aacaa8b44c056a3a709922d5b569e09e35295111e0683b830"),
-    ([1e-300, 1e-300], "0.05", "84dbebc4a36d8f8fdfc1f055c567efe9b412b2b6734c2bc5f0d99d31251e73d2"),
+    ([1e-300, 1e-300], "0.05", "23ae033233f69013832f29328dda8b5ab59e0a417a2a4adcbbe19e32be8934dc"),
 ], ids=["eps-1e-320", "tiny-diagonal"])
 def test_verify_overflow_to_inf_prints_no_warning(tmp_path, diagonal, eps, digest):
     matrix, report = tmp_path / "A.json", tmp_path / "report.json"

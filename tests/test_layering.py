@@ -230,9 +230,9 @@ def _second_node_evaluators(tree) -> list:
 def test_node_evaluator_rule_sees_a_second_evaluator():
     source = ("class SpectralField:\n"
               "    def _evaluate(self, want):\n"
-              "        return shifted_extremes(self._entries, self.grid.nodes()[want])\n"
+              "        return shifted_extremes(self._matrix, self.grid.nodes()[want])\n"
               "    def values(self):\n"
-              "        return shifted_extremes(self._entries, self.grid.nodes())\n"
+              "        return shifted_extremes(self._matrix, self.grid.nodes())\n"
               "    def at(self, A, zs):\n        return shifted_extremes(A, zs)\n"
               "def compute_field(A, grid):\n    return CONDITION.at(A, grid.nodes())\n"
               "def sample(A, zs):\n    return numkernel.shifted_extremes(A, zs)\n"

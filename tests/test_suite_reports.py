@@ -3,7 +3,9 @@
 tests/data/suite_reports.json holds the `to_dict()` output of every case
 below.  It was written by the σ/ε check bodies before they were merged into
 one body per pair, and written again when mirrored grids got their
-mirror-exact im axis (each moved value is named in CHANGES.md).  Each case
+mirror-exact im axis.  T7's slack_used values were later edited in place
+when T7 began reporting the largest slack it grants (each moved value is
+named in CHANGES.md).  Each case
 is compared for equality after a JSON round trip (floats written as their
 repr, exact for float64).
 

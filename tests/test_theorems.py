@@ -350,6 +350,25 @@ def test_t7e_leaves_out_members_on_the_level():
     assert r.passed and r.details["members"] == 2
 
 
+def test_t7_reports_the_largest_slack_it_grants():
+    # The eigenvalues +-3 are the members (kappa(0*I - A) = 1 is not one),
+    # and each (member, 4) pair is granted 1e-10 * 3**4 = 8.1e-9.
+    A = np.diag([3.0, -3.0])
+    r = check_t7(A, 0.05, k_list=[1, 2, 3, 4], grid=41, z_samples=[0.0])
+    assert r.passed and r.details["members"] == 2
+    assert r.slack_used == 1e-10 * 3.0 ** 4
+    assert check_t7(A, 0.05, k_list=[1, 2, 3, 4], grid=41).slack_used >= 1e-10 * 3.0 ** 4
+
+
+def test_t7_checks_the_members_t5_checks():
+    # At z = 1e-300, z*I - 1e-300*I rounds to kappa 1: the eigenvalues are
+    # not clear members, so T7, as T5, checks none.
+    A = 1e-300 * np.eye(2)
+    assert check_t5(A, np.eye(2), 0.05, seed=3).details["members_checked"] == 0
+    r = check_t7(A, 0.05, seed=3)
+    assert r.details["members"] == 0 and r.lhs is None and r.slack_used == 0.0
+
+
 def test_t7e_inadmissible_k():
     with pytest.raises(PreconditionError, match=r"k = 4 inadmissible: k\*eps = 1\.2 >= \|\|A\|\|"):
         check_t7e(DIAG, 0.3, k_list=[0, 4], grid=81)  # 4*0.3 >= ||A|| = 1

@@ -7,11 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from condspec import jsonio
 from condspec.errors import NotAMemberError, ParseError
-from condspec.numkernel import as_matrix, eigenvalues, singular_values, spectral_norm
-from condspec.spectra import auto_grid, compute_field, condition_number_at, in_condition_spectrum
+from condspec.numkernel import (
+    as_matrix,
+    eigenvalues,
+    shifted_extremes,
+    singular_values,
+    spectral_norm,
+)
+from condspec.spectra import FLOAT_SLACK, auto_grid, compute_field, condition_number_at, in_condition_spectrum
 from condspec.theorems import sample_points
+from condspec import witness
 from condspec.witness import (
     Witness,
+    certificate_tolerances,
     check_equivalence,
     membership_from_perturbation,
     witness_from_json_obj,
@@ -171,6 +179,25 @@ def test_certificate_soundness_implies_membership():
         w = witness_perturbation(A, z, eps)
         if membership_from_perturbation(A, z, w.E, eps):
             assert condition_number_at(A, z) >= (1.0 / eps) * (1 - 1e-9)
+
+
+def test_certificate_tolerances_are_the_ones_applied(monkeypatch):
+    A = random_complex(4, 8)
+    z, eps = complex(eigenvalues(A)[0]) + 0.01, 0.3
+    w = witness_perturbation(A, z, eps)
+    relative, absolute = certificate_tolerances(A)
+    assert (relative, absolute) == (FLOAT_SLACK, 1e-8 * (1.0 + spectral_norm(A)))
+    assert membership_from_perturbation(A, z, w.E, eps)
+    # sigma_min(z*I - (A + E)) as the check finds it: the absolute
+    # tolerance decides it exactly, and a relative slack of -1 leaves no
+    # norm budget.
+    smin = float(shifted_extremes(A + w.E.entries, z)[0][0])
+    assert 0.0 < smin <= absolute
+    for tolerances, accepted in (((relative, smin), True),
+                                 ((relative, np.nextafter(smin, 0.0)), False),
+                                 ((-1.0, absolute), False)):
+        monkeypatch.setattr(witness, "certificate_tolerances", lambda A, t=tolerances: t)
+        assert membership_from_perturbation(A, z, w.E, eps) == accepted
 
 
 # --- check_equivalence ------------------------------------------------------------
