@@ -11,7 +11,8 @@ This module is the only one that calls LAPACK.  Every call runs with
 every loaded OpenBLAS pinned to one thread (a multi-threaded SVD rounds
 differently from n ~ 64 on), so concurrent calls run one after another.
 The batched calls, sigma(zI - A) at many z and the W(A) sweep at many
-angles, share one pool over chunks of points whose size depends on n alone.
+angles, split their points evenly over one process-wide pool; each point
+is solved on its own, so its bits do not depend on the split.
 """
 
 from __future__ import annotations
@@ -266,19 +267,56 @@ def _chunk_size(n: int) -> int:
     return max(min(512, 2**15 // n**2), 500 // n + 1)
 
 
-def _run_chunks(count: int, n: int, fill) -> None:
-    """fill(lo) for each chunk of _chunk_size(n) points (a function of n
-    alone) from lo, on a pool of CONDSPEC_THREADS workers when there are
-    several.  Each point is solved on its own, so no value depends on its
-    chunk or worker."""
-    starts = range(0, count, _chunk_size(n))
-    workers = _thread_count()  # read on every call, so a bad value always raises
-    if len(starts) > 1:
+def _parts(count: int, n: int, workers: int) -> list[slice]:
+    """The slices a batched call of count points at dimension n is cut
+    into: the fewest parts of at most _chunk_size(n) points, raised to a
+    multiple of workers while every part keeps k*n > 500, with
+    np.array_split's boundaries.  A batch at or below that floor holds the
+    GIL and runs slower on two threads than on one, so where no split
+    within the size cap keeps every part above it, the parts are full caps
+    and one remainder: one part at most holds the GIL."""
+    cap = _chunk_size(n)
+    fewest, most = -(-count // cap), count // (500 // n + 1)
+    if fewest > most:
+        return [slice(lo, min(lo + cap, count)) for lo in range(0, count, cap)]
+    parts = min(most, -(-fewest // workers) * workers)
+    size, extra = divmod(count, max(parts, 1))
+    bounds = [i * size + min(i, extra) for i in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+# (pid, workers, executor) of the process's pool, built by the first call
+# with more than one part and replaced when CONDSPEC_THREADS changes.  A
+# forked child inherits the object but not its threads, so the pid keys
+# it too.  Read and replaced only under _BLAS_PIN_LOCK.
+_pool = None
+
+
+def _executor(workers: int):
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        if _pool is not None and _pool[0] == os.getpid():
+            _pool[2].shutdown()
         from concurrent.futures import ThreadPoolExecutor  # loaded by the first pool only
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
+        _pool = (os.getpid(), workers, ThreadPoolExecutor(max_workers=workers))
+    return _pool[2]
+
+
+def _run_chunks(count: int, n: int, fill) -> None:
+    """fill(part) for each slice of _parts(count, n, CONDSPEC_THREADS), on
+    the process's pool when there are several workers and parts, inline
+    otherwise.  The caller holds _BLAS_PIN_LOCK."""
+    workers = _thread_count()  # read on every call, so a bad value always raises
+    parts = _parts(count, n, workers)
+    if workers > 1 and len(parts) > 1:
+        pool = _executor(workers)
+        futures = [pool.submit(fill, part) for part in parts]
+        for f in futures:  # every part ends before the call returns or raises
+            f.exception()
+        for f in futures:
+            f.result()
     else:
-        list(map(fill, starts))
+        list(map(fill, parts))
 
 
 def _extremes(a: np.ndarray, z: np.ndarray, eye: np.ndarray,
@@ -298,22 +336,20 @@ def _extremes(a: np.ndarray, z: np.ndarray, eye: np.ndarray,
 @_lapack("SVD did not converge")
 def shifted_extremes(A, zs) -> tuple[np.ndarray, np.ndarray]:
     """(sigma_min, sigma_max) of z*I - A for every z in zs; each z*I - A
-    must be finite.  Chunks fill their slices of the outputs, each worker
-    building its chunks in one reused buffer."""
+    must be finite.  Parts fill their slices of the outputs, each worker
+    building its parts in one reused buffer."""
     a = _entries(A)
     n = a.shape[0]
     z = np.asarray(zs, dtype=np.complex128).reshape(-1)
     smin, smax = np.empty(z.size), np.empty(z.size)
-    step = _chunk_size(n)
     eye = np.eye(n, dtype=np.complex128)
     buffers = {}  # one per worker, by thread id
 
-    def fill(lo: int):
+    def fill(part: slice):
         worker = threading.get_ident()
         buf = buffers.get(worker)
-        if buf is None:
-            buf = buffers[worker] = np.empty((min(step, z.size), n, n), dtype=np.complex128)
-        part = slice(lo, lo + step)
+        if buf is None or len(buf) < part.stop - part.start:  # parts differ by one point
+            buf = buffers[worker] = np.empty((part.stop - part.start, n, n), dtype=np.complex128)
         smin[part], smax[part] = _extremes(a, z[part], eye, buf)
 
     _run_chunks(z.size, n, fill)
@@ -323,19 +359,18 @@ def shifted_extremes(A, zs) -> tuple[np.ndarray, np.ndarray]:
 @_lapack("Hermitian eigensolve failed")
 def numerical_range_points(A, thetas) -> np.ndarray:
     """For each theta, the Rayleigh point v* A v of the top eigenvector v of
-    the Hermitian part of e^{i theta} A: a boundary point of W(A).  Chunked
+    the Hermitian part of e^{i theta} A: a boundary point of W(A).  Split
     and pooled as in shifted_extremes."""
     a = _entries(A)
     phases = np.exp(1j * np.asarray(thetas, dtype=np.float64))
     points = np.empty(phases.size, dtype=np.complex128)
-    step = _chunk_size(a.shape[0])
 
-    def fill(lo: int):
-        rotated = phases[lo:lo + step, None, None] * a
+    def fill(part: slice):
+        rotated = phases[part, None, None] * a
         _, vecs = np.linalg.eigh(0.5 * (rotated + rotated.conj().transpose(0, 2, 1)))
         # v stays a strided column view, as in a per-angle solve: a
         # contiguous copy takes another matmul kernel and other last bits.
-        points[lo:lo + step] = [v.conj() @ a @ v for v in vecs[:, :, -1]]
+        points[part] = [v.conj() @ a @ v for v in vecs[:, :, -1]]
 
     _run_chunks(phases.size, a.shape[0], fill)
     return points

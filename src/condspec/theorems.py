@@ -281,9 +281,11 @@ def _similarity_report(kind, target, A, S, eps, grid, z_samples, count, seed) ->
     checked = int(keep.sum())
     worst = float(np.min(kind.depth(qb, e2), initial=np.inf))
     passed = checked == 0 or worst >= 1.0 - BOUNDARY_BAND
+    details = {"kappa_S": kappa, "target_eps": e2, "members_checked": checked}
+    if checked == 0:
+        details["status"] = "vacuous: no member outside the boundary band"
     return TheoremReport(f"T5{kind.suffix}", bool(passed), worst if checked else None, 1.0,
-                         BOUNDARY_BAND,
-                         {"kappa_S": kappa, "target_eps": e2, "members_checked": checked})
+                         BOUNDARY_BAND, details)
 
 
 def check_t5(A, S, eps, grid=None, z_samples=None, count: int = 64, seed: int = 0) -> TheoremReport:
@@ -406,7 +408,9 @@ def _power_bound_report(kind, rule, A, eps, k_list, grid, z_samples, count,
     passed = not np.isfinite(worst) or worst >= 0.0
     details = {"members": int(len(members)), "k_list": list(k_list),
                "note": "lhs is min over (member, k) of ||A^k|| - bound + slack"}
-    if overflowed == pairs > 0:
+    if pairs == 0:
+        details["status"] = "vacuous: no (member, k) pair with k > 0"
+    elif overflowed == pairs:
         details["status"] = "skipped: every (member, k) bound overflows float64"
     elif overflowed:
         details["status"] = (f"partial: {overflowed} of {pairs} (member, k) bounds "

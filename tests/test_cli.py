@@ -316,12 +316,13 @@ assert main(["plot", "--field", base + "/c/field.csv", "--contours",
              "--width", "300", "--out", base + "/p.svg"]) == 0
 print(json.dumps([bare, after_import, loaded()]))
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    # two workers on any host: a call on one worker runs inline, with no pool
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), CONDSPEC_THREADS="2")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True, timeout=120)
     bare, after_import, after_commands = jsonio.loads(out.stdout.splitlines()[-1])
     assert bare == [] and after_import == []
-    # a 41 x 41 field takes several chunks, so compute starts the pool
+    # a 41 x 41 field takes several parts, so compute starts the pool
     assert after_commands == ["concurrent.futures"]
 
 
@@ -638,10 +639,11 @@ def test_auto_grid_past_float64_exits_2_without_warnings(tmp_path):
 # (21 and 20 integral floats now read "2.0" where they read "2"), and the
 # second when T7 began reporting the slack it grants to the members T5
 # checks: T7σ holds 0 members (lhs null, slack_used 0.0), and T7ε, which
-# has no admissible k > 0, slack_used 0.0.
+# has no admissible k > 0, slack_used 0.0; and again when those two and
+# T5σ, which checks 0 members, gained their "vacuous: ..." status.
 @pytest.mark.parametrize("diagonal, eps, digest", [
     ([1.0, -1.0], "1e-320", "27b083ea30c10b9aacaa8b44c056a3a709922d5b569e09e35295111e0683b830"),
-    ([1e-300, 1e-300], "0.05", "23ae033233f69013832f29328dda8b5ab59e0a417a2a4adcbbe19e32be8934dc"),
+    ([1e-300, 1e-300], "0.05", "402fa1529c6d78b587ea52633b09fca39a278f0ad1a512c85af7e0f85b66fb84"),
 ], ids=["eps-1e-320", "tiny-diagonal"])
 def test_verify_overflow_to_inf_prints_no_warning(tmp_path, diagonal, eps, digest):
     matrix, report = tmp_path / "A.json", tmp_path / "report.json"

@@ -83,6 +83,17 @@ def test_numkernel_holds_both():
         assert any(what in line for line in found), what
 
 
+def test_one_function_builds_the_thread_pool():
+    # one pool per process: a second builder would run beside it
+    tree = ast.parse((SOURCES[0].parent / "numkernel.py").read_text())
+
+    def builds(node):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                and _dotted(c.func).rpartition(".")[2] == "ThreadPoolExecutor"]
+    builders = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and builds(fn)]
+    assert builders == ["_executor"] and len(builds(tree)) == 1
+
+
 def _square_calls(tree, module: str) -> list:
     """Lines of the calls of a method named square outside spectra.auto_grid."""
     calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)

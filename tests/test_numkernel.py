@@ -3,7 +3,9 @@ the derived cases (characteristic-polynomial bisection for the norm,
 Faddeev-LeVerrier + Durand-Kerner for eigenvalues, Gram-matrix
 eigensolve for power norms)."""
 
+import multiprocessing
 import sys
+import threading
 import tracemalloc
 from itertools import permutations
 
@@ -11,11 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from condspec import numkernel
 from condspec.errors import ConvergenceError
 from condspec.numkernel import (
     U_MACH,
     ComplexMatrix,
     _chunk_size,
+    _parts,
     as_matrix,
     condition_number,
     condition_ratio,
@@ -401,15 +405,16 @@ def test_shifted_extremes_of_the_conjugate_transpose(case):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("n, count", [(2, 1100), (96, 40), (128, 11)])
+@pytest.mark.parametrize("n, count", [(2, 1099), (96, 40), (128, 11)])
 def test_shifted_extremes_chunks_match_per_point_svd_bitwise(monkeypatch, threads, n, count):
-    # 1100 points at n = 2 make chunks of 512, 512 and 76; 40 at n = 96 make
-    # six of 6 and one of 4; 11 at n = 128 make 4, 4 and 3.  Each case spans
-    # at least three chunks, the last one partial, so points on both sides of
-    # each boundary are compared and a worker's reused buffer is only partly
+    # 1099 points at n = 2 make 367, 366 and 366 on one worker and three of
+    # 275 and one of 274 on two; 40 at n = 96 make six of 6 and one of 4;
+    # 11 at n = 128 make 4, 4 and 3.  Each case spans at least three parts,
+    # the last one shorter than the first, so points on both sides of each
+    # boundary are compared and a worker's reused buffer is only partly
     # overwritten.
-    step = _chunk_size(n)
-    assert count > 2 * step and count % step
+    parts = _parts(count, n, int(threads))
+    assert len(parts) >= 3 and parts[-1].stop - parts[-1].start < parts[0].stop
     monkeypatch.setenv("CONDSPEC_THREADS", threads)
     m = as_matrix(random_complex(n, n))
     rng = np.random.default_rng(count)
@@ -417,6 +422,106 @@ def test_shifted_extremes_chunks_match_per_point_svd_bitwise(monkeypatch, thread
     smin, smax = shifted_extremes(m, zs)
     expected = np.array([singular_values(m.shifted(z))[[-1, 0]] for z in zs])
     assert np.array_equal(smin, expected[:, 0]) and np.array_equal(smax, expected[:, 1])
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.integers(1, 512), st.integers(0, 5000), st.integers(1, 32))
+def test_parts_split_evenly_above_the_gil_floor(n, count, workers):
+    parts = _parts(count, n, workers)
+    sizes = [p.stop - p.start for p in parts]
+    bounds = [0] + [p.stop for p in parts]
+    assert [p.start for p in parts] == bounds[:-1] and bounds[-1] == count
+    assert min(sizes, default=1) >= 1
+    cap, floor = _chunk_size(n), 500 // n + 1  # floor: fewest points with k*n > 500
+    assert max(sizes, default=0) <= cap
+    fewest, most = -(-count // cap), count // floor
+    if fewest > most:
+        # no split within the cap keeps every part above the floor: full
+        # caps and one remainder, so one part at most holds the GIL
+        assert sizes[:-1] == [cap] * (len(sizes) - 1)
+    elif count:
+        assert len(parts) == 1 or min(sizes) * n > 500
+        assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
+        wanted = -(-fewest // workers) * workers  # the fewest parts that fill every worker
+        assert len(parts) == (wanted if wanted <= most else most)
+
+
+def _pooled_case():
+    # 1099 points at n = 2 take three or four parts: a multi-part call on
+    # any worker count above one.
+    rng = np.random.default_rng(8)
+    return as_matrix(random_complex(2, 8)), rng.uniform(-3, 3, 1099) + 1j * rng.uniform(-3, 3, 1099)
+
+
+def test_multi_part_calls_reuse_one_pool(monkeypatch):
+    monkeypatch.setenv("CONDSPEC_THREADS", "2")
+    m, zs = _pooled_case()
+    expected = shifted_extremes(m, zs)
+    pool, threads = numkernel._pool[2], threading.active_count()
+    for _ in range(20):
+        got = shifted_extremes(m, zs)
+        numerical_range_boundary(m, 1099)
+    assert numkernel._pool[2] is pool
+    assert threading.active_count() <= threads + 1  # at most the pool's second worker is new
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+def test_a_new_thread_count_replaces_the_pool_and_shuts_the_old_one_down(monkeypatch):
+    m, zs = _pooled_case()
+    pools = []
+    for threads in ("8", "2", "8"):
+        monkeypatch.setenv("CONDSPEC_THREADS", threads)
+        shifted_extremes(m, zs)
+        pools.append(numkernel._pool[2])
+    assert len({id(p) for p in pools}) == 3
+    for old in pools[:2]:
+        with pytest.raises(RuntimeError, match="shutdown"):
+            old.submit(int)
+
+
+def test_a_bad_thread_count_raises_while_a_pool_is_alive(monkeypatch):
+    m, zs = _pooled_case()
+    monkeypatch.setenv("CONDSPEC_THREADS", "2")
+    shifted_extremes(m, zs)
+    pool = numkernel._pool[2]
+    for bad in ("zero", "0"):
+        monkeypatch.setenv("CONDSPEC_THREADS", bad)
+        with pytest.raises(ValueError, match="CONDSPEC_THREADS"):
+            shifted_extremes(m, zs)
+    monkeypatch.setenv("CONDSPEC_THREADS", "2")
+    shifted_extremes(m, zs)
+    assert numkernel._pool[2] is pool
+
+
+def _send_extremes(conn, m, zs):
+    conn.send(shifted_extremes(m, zs))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_a_forked_child_builds_its_own_pool(monkeypatch):
+    # The child inherits the parent's pool object but none of its threads:
+    # work queued on it would never run.
+    monkeypatch.setenv("CONDSPEC_THREADS", "2")
+    m, zs = _pooled_case()
+    expected = shifted_extremes(m, zs)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_extremes, args=(send, m, zs))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child did not answer within 60 s"
+        got = recv.recv()
+    finally:
+        recv.close()
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert not child.is_alive() and child.exitcode == 0
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 def test_workers_build_chunks_in_their_own_buffers(monkeypatch):

@@ -221,6 +221,13 @@ def test_t5e_companion():
     assert check_t5e(A, S, 0.3, seed=8).passed
 
 
+def test_t5_with_no_member_to_check_is_vacuous():
+    # A = 1e-300 I: no sample is a clear condition-spectrum member
+    r = check_t5(1e-300 * np.eye(2), np.diag([2.0, 1.0]), 0.05, grid=21)
+    assert r.passed and r.lhs is None and r.details["members_checked"] == 0
+    assert r.details["status"] == "vacuous: no member outside the boundary band"
+
+
 @pytest.mark.parametrize("check", [check_t5, check_t5e])
 def test_t5_rejects_similarity_of_another_size(check):
     with pytest.raises(ValueError) as exc:
@@ -317,7 +324,15 @@ def test_transient_config_validation():
 
 def test_t7_k_zero_trivial():
     r = check_t7(DIAG, 0.3, k_list=[0], grid=81)
-    assert r.passed
+    assert r.passed and r.lhs is None and r.details["status"].startswith("vacuous")
+
+
+@pytest.mark.parametrize("A, eps, grid", [(1e-300 * np.eye(2), 0.05, 21), (DIAG, 0.4, None)])
+def test_t7_with_no_counted_pair_is_vacuous(A, eps, grid):
+    # 1e-300 I has no member; at eps = 0.4 only k = 0 is admissible
+    r = check_t7(A, eps, grid=grid)
+    assert r.passed and r.lhs is None
+    assert r.details["status"] == "vacuous: no (member, k) pair with k > 0"
 
 
 def test_t7_small_eps_reduces_to_eigenvalue_power_bound():
