@@ -424,7 +424,7 @@ def test_shifted_extremes_chunks_match_per_point_svd_bitwise(monkeypatch, thread
     assert np.array_equal(smin, expected[:, 0]) and np.array_equal(smax, expected[:, 1])
 
 
-@settings(max_examples=3000, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(st.integers(1, 512), st.integers(0, 5000), st.integers(1, 32))
 def test_parts_split_evenly_above_the_gil_floor(n, count, workers):
     parts = _parts(count, n, workers)

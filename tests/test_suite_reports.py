@@ -5,7 +5,8 @@ below.  It was written by the σ/ε check bodies before they were merged into
 one body per pair, and written again when mirrored grids got their
 mirror-exact im axis.  T7's slack_used values were later edited in place
 when T7 began reporting the largest slack it grants (each moved value is
-named in CHANGES.md).  Each case
+named in CHANGES.md), and the whole file was then re-encoded once by the
+command below, its values unchanged.  Each case
 is compared for equality after a JSON round trip (floats written as their
 repr, exact for float64).
 
