@@ -404,17 +404,25 @@ def test_shifted_extremes_of_the_conjugate_transpose(case):
     assert (np.abs(smin_h - smin) <= tol).all() and (np.abs(smax_h - smax) <= tol).all()
 
 
+BITWISE_CASES = [(2, 1100), (2, 1099), (96, 40), (128, 11)]
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("n, count", [(2, 1099), (96, 40), (128, 11)])
+@pytest.mark.parametrize("n, count", BITWISE_CASES)
 def test_shifted_extremes_chunks_match_per_point_svd_bitwise(monkeypatch, threads, n, count):
-    # 1099 points at n = 2 make 367, 366 and 366 on one worker and three of
-    # 275 and one of 274 on two; 40 at n = 96 make six of 6 and one of 4;
-    # 11 at n = 128 make 4, 4 and 3.  Each case spans at least three parts,
-    # the last one shorter than the first, so points on both sides of each
-    # boundary are compared and a worker's reused buffer is only partly
-    # overwritten.
+    # 1100 points at n = 2 make 367, 367 and 366 on one worker and four of
+    # 275 on two; 1099 make 367, 366 and 366 on one and three of 275 and one
+    # of 274 on two; 40 at n = 96 make six of 6 and one of 4; 11 at n = 128
+    # make 4, 4 and 3.  Each case spans at least three parts, so points on
+    # both sides of each boundary are compared, and at each n and worker
+    # count some case ends on a part shorter than its first, so a worker's
+    # reused buffer is only partly overwritten.
+    def short_last(parts):
+        return parts[-1].stop - parts[-1].start < parts[0].stop
+
     parts = _parts(count, n, int(threads))
-    assert len(parts) >= 3 and parts[-1].stop - parts[-1].start < parts[0].stop
+    assert len(parts) >= 3
+    assert any(short_last(_parts(c, n, int(threads))) for k, c in BITWISE_CASES if k == n)
     monkeypatch.setenv("CONDSPEC_THREADS", threads)
     m = as_matrix(random_complex(n, n))
     rng = np.random.default_rng(count)
