@@ -11,8 +11,10 @@ This module is the only one that calls LAPACK.  Every call runs with
 every loaded OpenBLAS pinned to one thread (a multi-threaded SVD rounds
 differently from n ~ 64 on), so concurrent calls run one after another.
 The batched calls, sigma(zI - A) at many z and the W(A) sweep at many
-angles, split their points evenly over one process-wide pool; each point
-is solved on its own, so its bits do not depend on the split.
+angles, cut their points by one rule (_parts) into nearly equal parts, run
+on one process-wide pool; each part builds its own arrays and keeps no
+state between calls, and each point is solved on its own, so its bits do
+not depend on the split.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ class ComplexMatrix:
     """Immutable square matrix of finite complex numbers.
 
     Facts of A (singular values, norm, eigenvalues, eigendecomposition, power
-    norms; spectra adds a field per grid, theorems the W(A) polygon) are
-    computed on first use and kept on the instance, read-only: it is shared,
-    so a caller writing into one would change every later reader's answer.
+    norms; spectra adds the field of the last grid asked for, theorems the
+    W(A) polygon) are computed on first use and kept on the instance,
+    read-only: it is shared, so a caller writing into one would change every
+    later reader's answer.
     A raw array wrapped anew starts with no facts.
     """
 
@@ -258,28 +261,18 @@ def condition_ratio(smin, smax, n: int) -> np.ndarray:
     return np.where(smin <= singularity_threshold(n, smax), np.inf, ratio)
 
 
-def _chunk_size(n: int) -> int:
-    """Points per chunk of a batched LAPACK call at dimension n: about 2**15
-    matrix entries and at most 512 points, but always k points with
-    k*n > 500.  numpy's gufunc loop releases the GIL only past that size
-    (NPY_BEGIN_THREADS_THRESHOLDED), so a smaller batch would hold the GIL
-    and the pool's workers would take turns."""
-    return max(min(512, 2**15 // n**2), 500 // n + 1)
-
-
 def _parts(count: int, n: int, workers: int) -> list[slice]:
     """The slices a batched call of count points at dimension n is cut
-    into: the fewest parts of at most _chunk_size(n) points, raised to a
-    multiple of workers while every part keeps k*n > 500, with
-    np.array_split's boundaries.  A batch at or below that floor holds the
-    GIL and runs slower on two threads than on one, so where no split
-    within the size cap keeps every part above it, the parts are full caps
-    and one remainder: one part at most holds the GIL."""
-    cap = _chunk_size(n)
-    fewest, most = -(-count // cap), count // (500 // n + 1)
-    if fewest > most:
-        return [slice(lo, min(lo + cap, count)) for lo in range(0, count, cap)]
-    parts = min(most, -(-fewest // workers) * workers)
+    into, with np.array_split's boundaries: the fewest parts of at most
+    cap = min(512, 2**15 // n**2) points (at least 1), raised to a multiple
+    of workers, but never so many that a part has k*n <= 500.  numpy's
+    gufunc loop releases the GIL only past that size
+    (NPY_BEGIN_THREADS_THRESHOLDED), so a smaller part would hold the GIL
+    and the pool's workers would take turns.  Where the two conflict the
+    floor wins: a part holds at most max(cap, 2*floor - 1) points."""
+    cap, floor = max(1, min(512, 2**15 // n**2)), 500 // n + 1
+    fewest = -(-count // cap)
+    parts = min(max(1, count // floor), -(-fewest // workers) * workers)  # 0 when count is 0
     size, extra = divmod(count, max(parts, 1))
     bounds = [i * size + min(i, extra) for i in range(parts + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -319,38 +312,25 @@ def _run_chunks(count: int, n: int, fill) -> None:
         list(map(fill, parts))
 
 
-def _extremes(a: np.ndarray, z: np.ndarray, eye: np.ndarray,
-              buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_min, sigma_max) of z*I - a for one chunk, from one batched SVD.
-    z*I - a is built in buf[:z.size], overwriting it."""
-    stack = buf[:z.size]
-    with np.errstate(invalid="ignore", over="ignore"):
-        np.multiply(z[:, None, None], eye, out=stack)
-        np.subtract(stack, a, out=stack)
-    if not np.isfinite(stack).all():
-        raise ValueError("shifted matrix entries must be finite (no NaN/Inf)")
-    s = np.linalg.svd(stack, compute_uv=False)
-    return s[:, -1], s[:, 0]
-
-
 @_lapack("SVD did not converge")
 def shifted_extremes(A, zs) -> tuple[np.ndarray, np.ndarray]:
     """(sigma_min, sigma_max) of z*I - A for every z in zs; each z*I - A
-    must be finite.  Parts fill their slices of the outputs, each worker
-    building its parts in one reused buffer."""
+    must be finite.  Each part builds its own stack of z*I - A, in one
+    array, and fills its slices of the outputs from one batched SVD."""
     a = _entries(A)
     n = a.shape[0]
     z = np.asarray(zs, dtype=np.complex128).reshape(-1)
     smin, smax = np.empty(z.size), np.empty(z.size)
     eye = np.eye(n, dtype=np.complex128)
-    buffers = {}  # one per worker, by thread id
 
     def fill(part: slice):
-        worker = threading.get_ident()
-        buf = buffers.get(worker)
-        if buf is None or len(buf) < part.stop - part.start:  # parts differ by one point
-            buf = buffers[worker] = np.empty((part.stop - part.start, n, n), dtype=np.complex128)
-        smin[part], smax[part] = _extremes(a, z[part], eye, buf)
+        with np.errstate(invalid="ignore", over="ignore"):
+            stack = np.multiply(z[part, None, None], eye)
+            np.subtract(stack, a, out=stack)
+        if not np.isfinite(stack).all():
+            raise ValueError("shifted matrix entries must be finite (no NaN/Inf)")
+        s = np.linalg.svd(stack, compute_uv=False)
+        smin[part], smax[part] = s[:, -1], s[:, 0]
 
     _run_chunks(z.size, n, fill)
     return smin, smax

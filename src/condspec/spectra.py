@@ -642,12 +642,17 @@ def grid_for(A, grid, eps) -> GridSpec:
 
 
 def field_for(A, grid, eps) -> SpectralField:
-    """The field of A on grid_for(A, grid, eps), a fact of the ComplexMatrix
-    per grid, whose nodes are evaluated as its queries need them.  Keyed by
-    the grid's bits: GridSpec equality takes -0.0 for 0.0."""
+    """The field of A on grid_for(A, grid, eps), whose nodes are evaluated
+    as its queries need them.  The ComplexMatrix keeps one field, replaced
+    when another grid is asked for, told apart by the grid's bits: GridSpec
+    equality takes -0.0 for 0.0."""
     grid = grid_for(m := as_matrix(A), grid, eps)
-    key = np.array([grid.re_min, grid.re_max, grid.im_min, grid.im_max, grid.nx, grid.ny], float)
-    return _memo(m._facts, ("field", key.tobytes()), lambda: SpectralField.of(m, grid))
+    key = np.array([grid.re_min, grid.re_max, grid.im_min, grid.im_max, grid.nx, grid.ny],
+                   float).tobytes()
+    held = m._facts.get("field")
+    if held is None or held[0] != key:
+        held = m._facts["field"] = (key, SpectralField.of(m, grid))
+    return held[1]
 
 
 def member_radius(field: SpectralField, eps: float, kind: SpectrumKind = CONDITION) -> float:

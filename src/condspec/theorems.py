@@ -56,21 +56,6 @@ from .spectra import (
 )
 
 
-@dataclass(frozen=True)
-class Disk:
-    """Closed disk in the complex plane."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("disk radius must be >= 0")
-
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
-        return abs(z - self.center) <= self.radius + slack
-
-
 @dataclass(frozen=True, eq=False)
 class NumericalRangeBoundary:
     """Support-angle sweep of the numerical range: for each angle theta the
@@ -444,13 +429,6 @@ def _gerschgorin_disks(kind, m, e) -> tuple[np.ndarray, np.ndarray]:
     pad = kind.pad(e, m.norm, np.sqrt(m.n))
     absA = np.abs(m.entries)
     return np.diag(m.entries), absA.sum(axis=1) - np.diag(absA) + pad
-
-
-def gerschgorin_condition_disks(A, eps) -> list[Disk]:
-    """Disks D(a_jj, r_j + sqrt(N)*2eps/(1-eps)*||A||) with row sums
-    r_j = sum_{k != j} |a_jk| covering the condition spectrum."""
-    centers, radii = _gerschgorin_disks(CONDITION, as_matrix(A), CONDITION.eps(eps))
-    return [Disk(complex(c), float(r)) for c, r in zip(centers, radii)]
 
 
 def _disk_cover_report(kind, A, eps, grid) -> TheoremReport:

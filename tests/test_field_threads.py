@@ -74,20 +74,25 @@ def test_field_bytes_independent_of_both_thread_variables():
 
 @needs_openblas
 def test_pin_holds_during_field_and_is_restored(blas_at_two, monkeypatch):
-    # n = 72 cuts the 49 nodes into chunks of 7, which run on the pool.
+    # n = 72 cuts the 49 nodes into parts of 7, which run on the pool.  Each
+    # part's batched SVD is recorded with the corner z - a_00 of each z*I - A
+    # in its stack, which tells the nodes apart.
+    A = generate("random", 72, seed=11)
     seen = []
-    inner = numkernel._extremes
+    inner = np.linalg.svd
 
-    def recording(a, z, *args):
-        seen.append((_blas_counts(), z.copy()))
-        return inner(a, z, *args)
+    def recording(m, *args, **kwargs):
+        if m.ndim == 3:
+            seen.append((_blas_counts(), m[:, 0, 0].copy()))
+        return inner(m, *args, **kwargs)
 
-    monkeypatch.setattr(numkernel, "_extremes", recording)
-    compute_field(generate("random", 72, seed=11), GRID)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    compute_field(A, GRID)
     assert len(seen) > 1
     assert all(counts == [1] * len(controls) for counts, _ in seen)
     covered = np.sort_complex(np.concatenate([z for _, z in seen]))
-    assert np.array_equal(covered, np.sort_complex(GRID.nodes().reshape(-1)))
+    corners = GRID.nodes().reshape(-1) * np.complex128(1) - A.entries[0, 0]
+    assert np.array_equal(covered, np.sort_complex(corners))
     assert _blas_counts() == [2] * len(controls)
 
 
@@ -133,7 +138,8 @@ def test_suite_runs_pinned_and_restores(blas_at_two, monkeypatch):
 
 
 def test_range_sweep_bytes_independent_of_pool_size(monkeypatch):
-    # n = 65 cuts 257 angles into 33 eigh batches of at most 8 points.
+    # n = 65 cuts 257 angles into 32 eigh batches: one of 9 points and 31
+    # of 8, each above numpy's GIL floor (8 points: 8 * 65 > 500).
     A = generate("random", 65, seed=165)
     batches = []
     inner = np.linalg.eigh
@@ -147,7 +153,7 @@ def test_range_sweep_bytes_independent_of_pool_size(monkeypatch):
     for pool in ("1", "2"):
         monkeypatch.setenv("CONDSPEC_THREADS", pool)
         points[pool] = theorems.numerical_range_boundary(A, 257).boundary_points.tobytes()
-    assert sorted(batches) == [1, 1] + [8] * 64
+    assert sorted(batches) == [8] * 62 + [9, 9]
     assert points["1"] == points["2"]
 
 

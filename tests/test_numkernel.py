@@ -18,7 +18,6 @@ from condspec.errors import ConvergenceError
 from condspec.numkernel import (
     U_MACH,
     ComplexMatrix,
-    _chunk_size,
     _parts,
     as_matrix,
     condition_number,
@@ -404,7 +403,7 @@ def test_shifted_extremes_of_the_conjugate_transpose(case):
     assert (np.abs(smin_h - smin) <= tol).all() and (np.abs(smax_h - smax) <= tol).all()
 
 
-BITWISE_CASES = [(2, 1100), (2, 1099), (96, 40), (128, 11)]
+BITWISE_CASES = [(2, 1100), (2, 1099), (96, 40), (128, 14)]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -412,17 +411,12 @@ BITWISE_CASES = [(2, 1100), (2, 1099), (96, 40), (128, 11)]
 def test_shifted_extremes_chunks_match_per_point_svd_bitwise(monkeypatch, threads, n, count):
     # 1100 points at n = 2 make 367, 367 and 366 on one worker and four of
     # 275 on two; 1099 make 367, 366 and 366 on one and three of 275 and one
-    # of 274 on two; 40 at n = 96 make six of 6 and one of 4; 11 at n = 128
-    # make 4, 4 and 3.  Each case spans at least three parts, so points on
-    # both sides of each boundary are compared, and at each n and worker
-    # count some case ends on a part shorter than its first, so a worker's
-    # reused buffer is only partly overwritten.
-    def short_last(parts):
-        return parts[-1].stop - parts[-1].start < parts[0].stop
-
+    # of 274 on two.  At n = 96 and 128 the floor binds: 40 points make six
+    # parts of 7 or 6 and 14 make 5, 5 and 4, above caps of 3 and 2.  Each
+    # case spans at least three parts, so points on both sides of each
+    # boundary are compared.
     parts = _parts(count, n, int(threads))
     assert len(parts) >= 3
-    assert any(short_last(_parts(c, n, int(threads))) for k, c in BITWISE_CASES if k == n)
     monkeypatch.setenv("CONDSPEC_THREADS", threads)
     m = as_matrix(random_complex(n, n))
     rng = np.random.default_rng(count)
@@ -435,23 +429,28 @@ def test_shifted_extremes_chunks_match_per_point_svd_bitwise(monkeypatch, thread
 @settings(max_examples=1000, deadline=None)
 @given(st.integers(1, 512), st.integers(0, 5000), st.integers(1, 32))
 def test_parts_split_evenly_above_the_gil_floor(n, count, workers):
+    # numpy releases the GIL in a batched SVD of k n x n matrices only when
+    # k*n > 500 (the floor).  One rule at every n: the fewest parts of at
+    # most 512 points and 2**15 entries (the cap), raised to a multiple of
+    # the workers, never below the floor, which wins where the two conflict.
     parts = _parts(count, n, workers)
     sizes = [p.stop - p.start for p in parts]
     bounds = [0] + [p.stop for p in parts]
     assert [p.start for p in parts] == bounds[:-1] and bounds[-1] == count
-    assert min(sizes, default=1) >= 1
-    cap, floor = _chunk_size(n), 500 // n + 1  # floor: fewest points with k*n > 500
-    assert max(sizes, default=0) <= cap
-    fewest, most = -(-count // cap), count // floor
-    if fewest > most:
-        # no split within the cap keeps every part above the floor: full
-        # caps and one remainder, so one part at most holds the GIL
-        assert sizes[:-1] == [cap] * (len(sizes) - 1)
-    elif count:
-        assert len(parts) == 1 or min(sizes) * n > 500
-        assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
-        wanted = -(-fewest // workers) * workers  # the fewest parts that fill every worker
-        assert len(parts) == (wanted if wanted <= most else most)
+    assert (len(parts) == 0) == (count == 0) and min(sizes, default=1) >= 1
+    cap, floor = max(1, min(512, 2**15 // n**2)), 500 // n + 1  # floor: fewest points with k*n > 500
+    assert len(parts) <= 1 or min(sizes) * n > 500
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1 and sizes == sorted(sizes, reverse=True)
+    assert max(sizes, default=0) <= max(cap, 2 * floor - 1)
+    fewest = -(-count // cap)
+    assert len(parts) == min(max(1, count // floor), -(-fewest // workers) * workers)
+
+
+def test_where_the_cap_and_the_floor_conflict_the_floor_wins():
+    # 961 nodes at n = 96 (cap 3, floor 6) make 160 parts of 6 or 7 points,
+    # not 160 of 6 and one of 1, which would hold the GIL.
+    sizes = [p.stop - p.start for p in _parts(961, 96, 2)]
+    assert len(sizes) == 160 and set(sizes) == {6, 7}
 
 
 def _pooled_case():
@@ -533,8 +532,8 @@ def test_a_forked_child_builds_its_own_pool(monkeypatch):
 
 
 def test_workers_build_chunks_in_their_own_buffers(monkeypatch):
-    # 8 workers on any core count, switching threads every microsecond: a
-    # buffer shared between workers would let one chunk's z*I - A overwrite
+    # 8 workers on any core count, switching threads every microsecond: an
+    # array shared between parts would let one chunk's z*I - A overwrite
     # another's while its SVD runs.
     m = as_matrix(random_complex(40, 5))
     rng = np.random.default_rng(5)
@@ -551,22 +550,11 @@ def test_workers_build_chunks_in_their_own_buffers(monkeypatch):
     assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
-def test_chunk_size_releases_the_gil_and_bounds_memory():
-    # numpy releases the GIL in a batched SVD of k n x n matrices only when
-    # k*n > 500; past that, a chunk holds at most 512 points and 2**15
-    # entries, or the fewest points that still clear the threshold.
-    for n in range(1, 513):
-        k = _chunk_size(n)
-        assert k * n > 500 and k <= 512
-        assert k * n * n <= 2**15 or (k - 1) * n <= 500
-        if n <= 45:
-            assert k == min(512, max(16, 2**15 // n**2))
-
-
 def test_field_memory_is_bounded_per_worker(monkeypatch):
-    # n = 128 on a 9 x 9 grid: 21 chunks of at most 4 points on 2 workers,
-    # each building z*I - A in one 1 MiB buffer, so about 2.4 MiB in all;
-    # a fresh stack per chunk would add 1 MiB or more for every chunk in flight.
+    # n = 128 on a 9 x 9 grid: 20 parts of 4 or 5 points on 2 workers, each
+    # building z*I - A in a fresh array of about 1 MiB, so about 2.9 MiB in
+    # all; a part that kept its array past its SVD, or made a second
+    # temporary, would add about 1 MiB for every part in flight.
     monkeypatch.setenv("CONDSPEC_THREADS", "2")
     A = generate("random", 128, seed=3)
     grid = GridSpec.square(3.0, 9)

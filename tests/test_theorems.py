@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from condspec.errors import PreconditionError
-from condspec.geometry import convex_hull, distance_to_polygon
+from condspec.geometry import convex_hull, distance_to_disks, distance_to_polygon
 from condspec.matrixio import generate
 from condspec import spectra, theorems
 from condspec.numkernel import (
@@ -30,7 +30,6 @@ from condspec.spectra import (
     field_for,
 )
 from condspec.theorems import (
-    Disk,
     TransientConfig,
     check_t1,
     check_t1e,
@@ -50,7 +49,6 @@ from condspec.theorems import (
     check_t9,
     check_t10,
     check_t10e,
-    gerschgorin_condition_disks,
     numerical_range_boundary,
     run_suite,
 )
@@ -427,21 +425,25 @@ def test_eps_to_zero_limit_of_pad_radius_and_disks(kind):
         kind.eps(0.0)
 
 
+def _condition_disks(A, eps):
+    return theorems._gerschgorin_disks(CONDITION, as_matrix(A), CONDITION.eps(eps))
+
+
 def test_gerschgorin_reduces_to_classical():
     A = random_complex(3, 60)
-    disks = gerschgorin_condition_disks(A, 1e-12)
+    centers, radii = _condition_disks(A, 1e-12)
     absA = np.abs(A)
-    for j, d in enumerate(disks):
-        assert d.center == complex(A[j, j])
-        assert d.radius == pytest.approx(absA[j].sum() - absA[j, j], rel=1e-9)
-    for lam in eigenvalues(A):  # classical Gerschgorin containment
-        assert any(d.contains(complex(lam), slack=1e-9) for d in disks)
+    for j, (center, radius) in enumerate(zip(centers, radii)):
+        assert center == complex(A[j, j])
+        assert radius == pytest.approx(absA[j].sum() - absA[j, j], rel=1e-9)
+    # classical Gerschgorin containment
+    assert (distance_to_disks(eigenvalues(A), centers, radii) <= 1e-9).all()
 
 
 def test_gerschgorin_diag_formula():
-    disks = gerschgorin_condition_disks(DIAG, 0.5)
-    assert disks[0].center == 1.0 and disks[1].center == -1.0
-    assert disks[0].radius == pytest.approx(np.sqrt(2) * 2.0, rel=1e-12)
+    centers, radii = _condition_disks(DIAG, 0.5)
+    assert centers[0] == 1.0 and centers[1] == -1.0
+    assert radii[0] == pytest.approx(np.sqrt(2) * 2.0, rel=1e-12)
 
 
 def test_t8_containment_random():
@@ -481,13 +483,6 @@ def test_t3_and_t8_memory_is_bounded_by_the_members(monkeypatch):
     finally:
         if not tracing:
             tracemalloc.stop()
-
-
-def test_disk_validation():
-    assert Disk(0, 0.0).contains(0j) and not Disk(0, 0.0).contains(1e-300)
-    for radius in (-1.0, -5e-324):
-        with pytest.raises(ValueError, match="radius must be >= 0"):
-            Disk(0j, radius)
 
 
 # --- numerical range -------------------------------------------------------------
@@ -774,8 +769,22 @@ def test_grids_differing_in_a_zero_sign_get_their_own_fields(monkeypatch):
     plus, minus = GridSpec(-3.0, 0.0, -1.0, 1.0, 7, 5), GridSpec(-3.0, -0.0, -1.0, 1.0, 7, 5)
     assert plus == minus
     fields = [field_for(A, g, 0.2) for g in (plus, minus, plus)]
-    assert len(built) == 2 and fields[0] is fields[2] is not fields[1]
+    assert built == [plus, minus, plus]  # the matrix keeps the last one only
+    assert fields[0] is not fields[1] and fields[1] is not fields[2]
     assert [np.signbit(f.grid.re_axis()[-1]) for f in fields] == [False, True, False]
+
+
+def test_checks_over_several_eps_keep_one_field(monkeypatch):
+    # Direct checks given no grid size their auto grids by their own eps,
+    # so each eps asks for another grid; the matrix keeps the last field.
+    built = _counting_fields(monkeypatch)
+    A = ComplexMatrix(random_complex(8, 36))
+    for e in (0.05, 0.1, 0.2, 0.3, 0.4):
+        assert check_t2(A, e).passed
+    assert len(set(built)) == len(built) == 5
+    assert [key for key in A._facts if "field" in key] == ["field"]
+    assert A._facts["field"][1].grid == built[-1]
+    assert field_for(A, None, 0.4) is A._facts["field"][1] and len(built) == 5
 
 
 def test_a_field_does_not_outlive_its_matrix():
