@@ -438,7 +438,7 @@ def test_parts_split_evenly_above_the_gil_floor(n, count, workers):
     bounds = [0] + [p.stop for p in parts]
     assert [p.start for p in parts] == bounds[:-1] and bounds[-1] == count
     assert (len(parts) == 0) == (count == 0) and min(sizes, default=1) >= 1
-    cap, floor = max(1, min(512, 2**15 // n**2)), 500 // n + 1  # floor: fewest points with k*n > 500
+    cap, floor = max(1, min(512, 2**15 // n**2)), 500 // n + 1
     assert len(parts) <= 1 or min(sizes) * n > 500
     assert max(sizes, default=0) - min(sizes, default=0) <= 1 and sizes == sorted(sizes, reverse=True)
     assert max(sizes, default=0) <= max(cap, 2 * floor - 1)
@@ -533,7 +533,7 @@ def test_a_forked_child_builds_its_own_pool(monkeypatch):
 
 def test_workers_build_chunks_in_their_own_buffers(monkeypatch):
     # 8 workers on any core count, switching threads every microsecond: an
-    # array shared between parts would let one chunk's z*I - A overwrite
+    # array shared between parts would let one part's z*I - A overwrite
     # another's while its SVD runs.
     m = as_matrix(random_complex(40, 5))
     rng = np.random.default_rng(5)
