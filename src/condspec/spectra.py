@@ -783,10 +783,11 @@ def write_field_csv(field: SpectralField, fp) -> None:
 
 
 def read_field_csv(fp) -> SpectralField:
-    """Inverse of write_field_csv: read_field_grid's rule, then np.loadtxt
-    over the rows in grid order."""
+    """Inverse of write_field_csv: read_field_grid's rule over the rows in
+    file order, then np.loadtxt over their value columns."""
     _read_field_header(fp)
-    grid, lines = _grid_and_lines(fp.readlines())
+    lines = fp.readlines()
+    grid = _grid_in_order(lines)
     values = np.loadtxt(lines, delimiter=",", usecols=(2, 3, 4), ndmin=2)
     return SpectralField(grid, *map(_read_only, values.T.reshape(3, grid.nx, grid.ny)))
 
@@ -795,16 +796,11 @@ def read_field_grid(fp) -> GridSpec:
     """The grid of a field CSV by the format's one rule, never parsing node
     values: rows of 5 fields in write_field_csv's order, re blocks ascending,
     each holding the first block's ascending im tokens, finite axis values,
-    at least 2 per axis.  Rows in that order are streamed; rows in any other
-    order are read again (fp must be seekable), sorted by (re, im) and checked
-    by the same rule.  ValueError names the first offending data row."""
+    at least 2 per axis.  The rows are streamed in one pass, one re block at
+    a time, so fp may be a pipe.  ValueError names the first data row that
+    breaks the rule; a file in any other row order is rejected."""
     _read_field_header(fp)
-    start = fp.tell()
-    try:
-        return _grid_in_order(map(str.split, fp, itertools.repeat(",")))
-    except ValueError:
-        fp.seek(start)
-        return _grid_and_lines(fp.readlines())[0]
+    return _grid_in_order(fp)
 
 
 def _read_field_header(fp) -> None:
@@ -812,56 +808,42 @@ def _read_field_header(fp) -> None:
         raise ValueError(f"unexpected field CSV header: {header!r}")
 
 
-def _grid_and_lines(lines: list) -> tuple[GridSpec, list]:
-    """(grid, the data lines in grid order): as given, else sorted by (re,
-    im).  Errors name rows by their place in the file."""
-    try:
-        return _grid_in_order(map(str.split, lines, itertools.repeat(","))), lines
-    except ValueError:
-        pass
-    re, im = (_axis([(line.split(",", 2) + [""])[c] for line in lines], name, ascending=False)
-              for c, name in enumerate(("re", "im")))  # a line with no comma has im ""
-    order = np.lexsort((im, re))
-    lines = [lines[k] for k in order]
-    place = np.append(order, len(order)).__getitem__  # and a missing last row after the last
-    return _grid_in_order(map(str.split, lines, itertools.repeat(",")), place), lines
-
-
-def _grid_in_order(rows, place=lambda k: k) -> GridSpec:
-    """The grid of field CSV data rows (lists of fields) in write_field_csv's
-    order, one re block at a time.  A row that breaks it raises ValueError
-    naming data row place(k) + 1, its 0-based position k found only then."""
+def _grid_in_order(lines) -> GridSpec:
+    """The grid of field CSV data lines in write_field_csv's order, read
+    one re block at a time.  A row that breaks it raises ValueError naming
+    its data row, whose number is found only then."""
+    rows = map(str.split, lines, itertools.repeat(","))
     re_tokens, im_tokens = [], None
     for re_token, block in itertools.groupby(rows, operator.itemgetter(0)):
         tokens = [f[1] if len(f) == 5 else f"<{len(f)} fields>" for f in block]
         if im_tokens is None:
-            im_tokens, im = tokens, _axis(tokens, "im", place)
+            im_tokens, im = tokens, _axis(tokens, "im")
         if tokens != im_tokens:
             ny = len(im_tokens)
-            _axis(re_tokens + [re_token], "re", lambda b: place(b * ny))  # a re fault comes first
+            _axis(re_tokens + [re_token], "re", ny)  # a re fault comes first
             j = next(j for j in range(len(tokens) + 1) if tokens[j:j + 1] != im_tokens[j:j + 1])
-            raise ValueError(f"field CSV data row {place(len(re_tokens) * ny + j) + 1}: the block "
+            raise ValueError(f"field CSV data row {len(re_tokens) * ny + j + 1}: the block "
                              f"of re {re_token} holds im {tokens[j:j + 1]} where the first "
                              f"block holds {im_tokens[j:j + 1]}")
         re_tokens.append(re_token)
     if im_tokens is None:
         raise ValueError("field CSV has no data rows")
-    re = _axis(re_tokens, "re", lambda b: place(b * len(im)))
+    re = _axis(re_tokens, "re", len(im))
     return GridSpec(float(re[0]), float(re[-1]), float(im[0]), float(im[-1]), len(re), len(im))
 
 
-def _axis(tokens: list, name: str, place=lambda k: k, ascending: bool = True) -> np.ndarray:
+def _axis(tokens: list, name: str, stride: int = 1) -> np.ndarray:
     """Floats of axis tokens (for decimal text, the bits of np.loadtxt), each
-    finite and, if `ascending`, above the one before it, else ValueError
-    naming data row place(k) + 1 for the first token k that is not."""
+    finite and above the one before it, else ValueError naming data row
+    k * stride + 1 for the first token k that is not."""
     values = []
     for k, token in enumerate(tokens):
         try:
             value = float(token)
         except ValueError:
             value = math.nan
-        if not math.isfinite(value) or ascending and values and value <= values[-1]:
-            raise ValueError(f"field CSV data row {place(k) + 1}: {name} {token!r} is not a finite "
-                             "number" + (f" above the {name} before it" if ascending else ""))
+        if not math.isfinite(value) or values and value <= values[-1]:
+            raise ValueError(f"field CSV data row {k * stride + 1}: {name} {token!r} is not a "
+                             f"finite number above the {name} before it")
         values.append(value)
     return np.array(values)

@@ -519,19 +519,40 @@ def diag_field_csv(diag_file, tmp_path):
     return outdir / "field.csv", outdir / "contours_condition.json"
 
 
-def test_plot_writes_the_same_svg_from_shuffled_field_rows(diag_field_csv, tmp_path):
+def test_plot_rejects_shuffled_field_rows_with_exit_2(diag_field_csv, tmp_path, capsys):
     field, contours = diag_field_csv
     header, *rows = field.read_text().splitlines(keepends=True)
     random.Random(5).shuffle(rows)
     shuffled = tmp_path / "shuffled.csv"
     shuffled.write_text(header + "".join(rows))
-    svgs = []
-    for path in (field, shuffled):
-        svg = tmp_path / f"{path.stem}.svg"
-        assert main(["plot", "--field", str(path), "--contours", str(contours),
-                     "--out", str(svg)]) == 0
-        svgs.append(svg.read_bytes())
-    assert svgs[0] == svgs[1]
+    svg = tmp_path / "fig.svg"
+    assert main(["plot", "--field", str(shuffled), "--contours", str(contours),
+                 "--out", str(svg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field CSV data row 2: ") and err.count("\n") == 1
+    assert not svg.exists()
+
+
+def test_plot_streams_the_field_from_a_pipe(diag_field_csv, tmp_path):
+    field, contours = diag_field_csv
+    text = field.read_text()
+    header, *rows = text.splitlines(keepends=True)
+    k = len(rows) // 2 + 7  # rows k and k + 1 lie inside one re block
+    rows[k], rows[k + 1] = rows[k + 1], rows[k]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    runs = []
+    for name, data in (("file", None), ("pipe", text), ("swapped", header + "".join(rows))):
+        svg = tmp_path / f"{name}.svg"
+        source = str(field) if data is None else "/dev/stdin"
+        runs.append(subprocess.run([sys.executable, "-m", "condspec", "plot", "--field", source,
+                                    "--contours", str(contours), "--out", str(svg)],
+                                   input=data, capture_output=True, text=True, env=env,
+                                   timeout=120))
+    assert [run.returncode for run in runs] == [0, 0, 2]
+    assert (tmp_path / "pipe.svg").read_bytes() == (tmp_path / "file.svg").read_bytes()
+    [line] = runs[2].stderr.splitlines()
+    assert line.startswith(f"error: field CSV data row {k + 1}: the block of re ")
+    assert not (tmp_path / "swapped.svg").exists()
 
 
 @pytest.mark.parametrize("damage", ["drop-row", "duplicate-row", "4-field-row"])

@@ -13,7 +13,8 @@ spectra builds a field (cli's compute aside, which writes one), so every
 other field is read through spectra.field_for as a fact of its matrix;
 and inside spectra grid nodes reach shifted_extremes only through
 SpectralField._evaluate, so there is one node evaluator and one home for
-its mirror rule."""
+its mirror rule; and the field CSV's grid reader never seeks, tells or
+reads the whole file, so it reads a pipe in one pass."""
 
 import argparse
 import ast
@@ -375,3 +376,34 @@ def test_format_choices_are_the_reader_table():
     choices = [action.choices for parser in sub.choices.values() for action in parser._actions
                if "--format" in action.option_strings]
     assert len(choices) == 4 and all(c == tuple(matrixio.READERS) for c in choices)
+
+
+# The field CSV's grid is read in one pass over the rows in file order, so a
+# pipe reads as a file does: its streaming reader and its row rule call no
+# method that rereads, rewinds or holds the whole file.
+STREAMING_READERS = {"read_field_grid", "_grid_in_order"}
+WHOLE_FILE_CALLS = {"seek", "tell", "read", "readlines"}
+
+
+def _whole_file_calls(tree) -> list:
+    """Lines of the seek, tell, read and readlines calls inside the streaming readers."""
+    return sorted(node.lineno for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name in STREAMING_READERS
+                  for node in ast.walk(fn) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr in WHOLE_FILE_CALLS)
+
+
+def test_streaming_rule_sees_a_second_pass():
+    source = ("def read_field_grid(fp):\n    _read_field_header(fp)\n    start = fp.tell()\n"
+              "    try:\n        return _grid_in_order(map(str.split, fp, repeat(',')))\n"
+              "    except ValueError:\n        fp.seek(start)\n"
+              "        return _grid_and_lines(fp.readlines())[0]\n"
+              "def _grid_in_order(rows):\n    return rows.read()\n"
+              "def read_field_csv(fp):\n    return fp.readlines()\n")
+    assert _whole_file_calls(ast.parse(source)) == [3, 7, 8, 10]
+
+
+def test_field_grid_is_read_in_one_pass():
+    tree = ast.parse((SOURCES[0].parent / "spectra.py").read_text())
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert STREAMING_READERS <= readers and _whole_file_calls(tree) == []

@@ -554,7 +554,9 @@ def test_field_memory_is_bounded_per_worker(monkeypatch):
     # n = 128 on a 9 x 9 grid: 20 parts of 4 or 5 points on 2 workers, each
     # building z*I - A in a fresh array of about 1 MiB, so about 2.9 MiB in
     # all; a part that kept its array past its SVD, or made a second
-    # temporary, would add about 1 MiB for every part in flight.
+    # temporary, would add about 1 MiB for every part in flight.  The bound
+    # lies between the two: under pytest the in-place build peaked at
+    # 2.84-2.91 MiB and `z*eye - a` as one expression at 3.78-5.09 MiB.
     monkeypatch.setenv("CONDSPEC_THREADS", "2")
     A = generate("random", 128, seed=3)
     grid = GridSpec.square(3.0, 9)
@@ -568,7 +570,7 @@ def test_field_memory_is_bounded_per_worker(monkeypatch):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 3.5 * 2**20
 
 
 def test_shifted_extremes_empty_points():

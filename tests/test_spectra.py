@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 import io
+import os
 import random
 import tracemalloc
 from pathlib import Path
@@ -599,11 +600,38 @@ def test_field_grid_matches_full_parse_on_compute_output():
     assert read_field_grid(io.StringIO(text)) == read_field_csv(io.StringIO(text)).grid
 
 
-def test_field_grid_reads_rows_in_any_order():
+def test_field_grid_rejects_rows_in_any_other_order():
     field = compute_field(DIAG, GridSpec(-2.0, 2.0, -1.0, 1.0, 7, 5))
     header, *rows = field_csv(field).splitlines(keepends=True)
-    for order in (rows[::-1], random.Random(3).sample(rows, len(rows))):
-        assert read_field_grid(io.StringIO(header + "".join(order))) == field.grid
+    # Reversed, the first block's im tokens descend; shuffled, the second row
+    # starts a re block below the first.
+    for order, message in ((rows[::-1], r"data row 2: im '0.5' is not a finite number above"),
+                           (random.Random(3).sample(rows, len(rows)),
+                            r"data row 2: re '-1.3333333333333335' is not a finite number above")):
+        with pytest.raises(ValueError, match=message):
+            read_field_grid(io.StringIO(header + "".join(order)))
+
+
+def _pipe(text):
+    """The read end of an os.pipe holding text (a few kB, so the pipe's buffer holds it all)."""
+    r, w = os.pipe()
+    with open(w, "w") as writer:
+        writer.write(text)
+    return open(r)
+
+
+def test_field_grid_streams_a_pipe_in_one_pass():
+    field = compute_field(DIAG, GridSpec(-2.0, 2.0, -1.0, 1.0, 7, 5))
+    text = field_csv(field)
+    with _pipe(text) as fp:
+        assert read_field_grid(fp) == field.grid
+    header, *rows = text.splitlines(keepends=True)
+    swapped = header + "".join(rows[:8] + rows[9:10] + rows[8:9] + rows[10:])
+    # Data row 9 holds the second block's fifth im where its fourth belongs.
+    with _pipe(swapped) as fp, pytest.raises(ValueError, match=(
+            r"data row 9: the block of re -1\.3333333333333335 holds im \['1'\] where the "
+            r"first block holds \['0\.5'\]")):
+        read_field_grid(fp)
 
 
 def test_field_grid_leaves_value_tokens_unparsed_in_compute_order():
@@ -627,20 +655,29 @@ def test_field_csv_with_a_duplicated_node_is_rejected(reader):
         reader(io.StringIO(_DUPLICATED_NODE))
 
 
-def test_field_csv_reads_any_row_order_bit_for_bit():
+def test_field_csv_reads_compute_order_bit_for_bit():
     field = compute_field(random_complex(3, 32), GridSpec(-2.0, 2.0, -0.0, 1.5, 9, 6))
-    header, *rows = field_csv(field).splitlines(keepends=True)
-    for order in (rows, rows[::-1], random.Random(4).sample(rows, len(rows))):
-        back = read_field_csv(io.StringIO(header + "".join(order)))
-        assert back.grid == field.grid
-        for name in ("sigma_min", "sigma_max", "ratio"):
-            assert getattr(back, name).tobytes() == getattr(field, name).tobytes()
+    text = field_csv(field)
+    back = read_field_csv(io.StringIO(text))
+    assert back.grid == field.grid
+    for name in ("sigma_min", "sigma_max", "ratio"):
+        assert getattr(back, name).tobytes() == getattr(field, name).tobytes()
+    header, *rows = text.splitlines(keepends=True)
+    for order, message in ((rows[::-1], r"data row 2: im '1.2' is not a finite number above"),
+                           (random.Random(4).sample(rows, len(rows)),
+                            r"data row 2: the block of re -0.5 holds im \['0.29999999999999999'\]")):
+        with pytest.raises(ValueError, match=message):
+            read_field_csv(io.StringIO(header + "".join(order)))
 
 
-def test_field_grid_leaves_value_tokens_unparsed_in_any_order():
+def test_field_grid_rejects_shuffled_rows_without_parsing_values():
+    # Rows 1 and 2 are two re blocks, 2 then 1: the order fault is named,
+    # never the value tokens.
     rows = [f"{re},{im},x,y,z\n" for re in (0, 1, 2) for im in (-1, 1)]
     text = "re,im,sigma_min,sigma_max,ratio\n" + "".join(random.Random(5).sample(rows, 6))
-    assert read_field_grid(io.StringIO(text)) == GridSpec(0.0, 2.0, -1.0, 1.0, 3, 2)
+    with pytest.raises(ValueError, match=r"data row 2: re '1' is not a finite number above "
+                                         r"the re before it"):
+        read_field_grid(io.StringIO(text))
 
 
 def test_field_grid_never_reads_the_values(monkeypatch):
@@ -649,8 +686,7 @@ def test_field_grid_never_reads_the_values(monkeypatch):
 
     monkeypatch.setattr(spectra, "read_field_csv", no_full_parse)
     field = compute_field(DIAG, GridSpec(-2.0, 2.0, -1.0, 1.0, 5, 4))
-    header, *rows = field_csv(field).splitlines(keepends=True)
-    assert read_field_grid(io.StringIO(header + "".join(rows[::-1]))) == field.grid
+    assert read_field_grid(io.StringIO(field_csv(field))) == field.grid
 
 
 _ROWS_3x2 = [f"{re},{im},1,1,1\n" for re in (0, 1, 2) for im in (-1, 1)]
@@ -662,35 +698,42 @@ def _swap(rows, i, j):
     return rows
 
 
-# Each file breaks the rule first at the named data row, in compute's
-# order or, after sorting by (re, im), in another; the message names that
-# row by its place in the file (one past the last when the file ends early).
+# Each file breaks the rule first at the named data row, read in file
+# order; the message names that row by its place in the file (one past the
+# last when the file ends early).
 @pytest.mark.parametrize("rows, message", [
     (_ROWS_3x2[:3] + _ROWS_3x2[4:], r"data row 4: the block of re 1 holds im \[\] where "
                                     r"the first block holds \['1'\]"),
     (_ROWS_3x2[:5], r"data row 6: the block of re 2 holds im \[\] where the first block "
                     r"holds \['1'\]"),
     # The first block defines the im axis, so the next block's first row is named.
-    (_ROWS_3x2[::-1][:5], r"data row 4: the block of re 1 holds im \['-1'\] where the first "
-                          r"block holds \['1'\]"),
+    (_ROWS_3x2[1:], r"data row 2: the block of re 1 holds im \['-1'\] where the first "
+                    r"block holds \['1'\]"),
+    # Reversed, the first block's im tokens descend.
+    (_ROWS_3x2[::-1][:5], r"data row 2: im '-1' is not a finite number above the im before it"),
     (_ROWS_3x2[:3] + ["1,1,1,1\n"] + _ROWS_3x2[4:],
      r"data row 4: the block of re 1 holds im \['<4 fields>'\] where the first block holds"),
     (_ROWS_3x2[:2] + ["\n"] + _ROWS_3x2[2:], r"data row 3: re '\\n' is not a finite number"),
+    # Re blocks 2 then 0, each of one row: row 2 is out of order before the
+    # comment line is reached.
     (_swap(_ROWS_3x2[:2] + ["# note\n"] + _ROWS_3x2[2:], 0, 6),
-     r"data row 3: re '# note\\n' is not a finite number"),
+     r"data row 2: re '0' is not a finite number above the re before it"),
     (_ROWS_3x2[:4] + ["x,-1,1,1,1\n"] + _ROWS_3x2[5:], r"data row 5: re 'x' is not a finite"),
+    # The first block is row 1 alone, so row 2 starts a block of another im.
     (_swap(_ROWS_3x2[:1] + ["0,nan,1,1,1\n"] + _ROWS_3x2[2:], 1, 5),
-     r"data row 6: im 'nan' is not a finite number"),
+     r"data row 2: the block of re 2 holds im \['1'\] where the first block holds \['-1'\]"),
     (_ROWS_3x2[:2] + ["1.0,-1,1,1,1\n"] + _ROWS_3x2[3:],
      r"data row 4: the block of re 1.0 holds im \[\] where the first block holds \['1'\]"),
+    # Every block holds the first block's im tokens; the re axis 0, 1, 1.0 does not ascend.
     ([r.replace("2,", "1.0,", 1) if r.startswith("2,") else r for r in _ROWS_3x2],
-     r"data row 5: the block of re 1 holds im \[\] where the first block holds \['1'\]"),
-    # Sorted, the re blocks run 0, 0.0, 0, 0.0, 1: the re at data row 3 is the
-    # first fault, before the short blocks after it.
+     r"data row 5: re '1.0' is not a finite number above the re before it"),
+    # The re blocks run 0, 0.0, 1: the re at data row 3 is the first fault,
+    # before the short block after it.
     (["0,-1,1,1,1\n", "0,1,1,1,1\n", "0.0,-1,1,1,1\n", "0.0,1,1,1,1\n", "1,-1,1,1,1\n"],
      r"data row 3: re '0.0' is not a finite number above the re before it"),
     (["0,0,1,1,1\n", "1,0,1,1,1\n"], r"grid rectangle must have positive extent"),
-], ids=["dropped-row", "dropped-last-row", "reversed-dropped-first-block-row", "4-fields",
+], ids=["dropped-row", "dropped-last-row", "dropped-first-block-row",
+        "reversed-dropped-first-block-row", "4-fields",
         "blank-line", "comment-line-shuffled", "non-numeric-re", "nan-im-shuffled",
         "two-spellings-in-a-block", "two-spellings-of-a-value", "re-fault-before-a-short-block",
         "one-im-value"])
@@ -700,6 +743,20 @@ def test_field_csv_rule_names_the_first_offending_row(reader, rows, message):
         reader(io.StringIO("re,im,sigma_min,sigma_max,ratio\n" + "".join(rows)))
 
 
+def _grid_and_peak(path):
+    """read_field_grid's result (or ValueError) and its traced peak bytes."""
+    with open(path) as fp:
+        tracemalloc.start()
+        try:
+            try:
+                grid = read_field_grid(fp)
+            except ValueError as exc:
+                grid = exc
+            return grid, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 def test_field_grid_keeps_only_the_axes_in_memory(tmp_path):
     n = 301
     values = np.linspace(1.0, 2.0, n * n).reshape(n, n)
@@ -707,14 +764,15 @@ def test_field_grid_keeps_only_the_axes_in_memory(tmp_path):
     with open(path, "w") as fp:
         write_field_csv(SpectralField(GridSpec.square(1.0, n), values, values, values), fp)
     assert path.stat().st_size > 8_000_000
-    with open(path) as fp:
-        tracemalloc.start()
-        try:
-            grid = read_field_grid(fp)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    grid, peak = _grid_and_peak(path)
     assert grid == GridSpec.square(1.0, n)
+    assert peak < 1_000_000
+    # Reversed, the file is rejected after its first re block, never held whole.
+    header, *rows = path.read_text().splitlines(keepends=True)
+    reversed_path = tmp_path / "reversed.csv"
+    reversed_path.write_text(header + "".join(rows[::-1]))
+    error, peak = _grid_and_peak(reversed_path)
+    assert isinstance(error, ValueError) and str(error).startswith("field CSV data row 2: im ")
     assert peak < 1_000_000
 
 
