@@ -30,9 +30,9 @@ _EXPORTS = {
                 "compute_field", "condition_number_at", "condition_spectral_radius",
                 "distance_to_condition_spectrum", "extract_contours",
                 "in_condition_spectrum", "in_pseudospectrum"),
-    "theorems": ("NumericalRangeBoundary", "TransientConfig", "check_t1", "check_t2",
-                 "check_t3", "check_t4", "check_t5", "check_t6", "check_t7", "check_t8",
-                 "check_t9", "check_t10", "numerical_range_boundary", "run_suite"),
+    "theorems": ("TransientConfig", "check_t1", "check_t2", "check_t3", "check_t4",
+                 "check_t5", "check_t6", "check_t7", "check_t8", "check_t9", "check_t10",
+                 "numerical_range_boundary", "run_suite"),
     "witness": ("Witness", "check_equivalence", "membership_from_perturbation",
                 "witness_perturbation"),
     "matrixio": ("generate", "parse_matrix"),

@@ -251,14 +251,23 @@ def singularity_threshold(n: int, sigma_max: float) -> float:
     return n * U_MACH * sigma_max
 
 
-def condition_ratio(smin, smax, n: int) -> np.ndarray:
+def condition_ratio(smin, smax, n: int, out=None) -> np.ndarray:
     """sigma_max / sigma_min elementwise; +inf where sigma_min is at or
     below the singularity threshold.  A finite result is always below
-    1/(n*U_MACH), so +inf marks exactly the numerically singular entries."""
+    1/(n*U_MACH), so +inf marks exactly the numerically singular entries.
+    This is the one place the singularity rule is applied.
+
+    out, if given, is a float64 array of the broadcast shape that receives
+    the result; it may be smax itself, as the threshold is taken before
+    the divide overwrites it."""
     smin, smax = np.asarray(smin), np.asarray(smax)
+    singular = smin <= singularity_threshold(n, smax)
+    if out is None:
+        out = np.empty(singular.shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = smax / smin
-    return np.where(smin <= singularity_threshold(n, smax), np.inf, ratio)
+        np.divide(smax, smin, out=out)
+    out[singular] = np.inf
+    return out
 
 
 def _parts(count: int, n: int, workers: int) -> list[slice]:

@@ -44,7 +44,6 @@ from .numkernel import (  # _thread_count: condbench's environment record reads 
     as_matrix,
     condition_ratio,
     shifted_extremes,
-    singularity_threshold,
     spectral_norm,
 )
 
@@ -287,21 +286,21 @@ class SpectralField:
         return self._classes(kind.eps(eps), kind)[0]
 
     def member_nodes(self, eps: float, kind: SpectrumKind = CONDITION) -> np.ndarray:
-        e = kind.eps(eps)
-        return _memo(self._facts, ("nodes", e, kind.name),
-                     lambda: _read_only(self.grid.nodes()[self.member_mask(e, kind)]))
+        """Member nodes, in grid order."""
+        return self._classes(kind.eps(eps), kind)[1]
 
     def band_nodes(self, eps: float, kind: SpectrumKind = CONDITION) -> np.ndarray:
         """Nodes whose quantity lies within a factor 2 of the membership
         level, in grid order."""
-        return self._classes(kind.eps(eps), kind)[1]
+        return self._classes(kind.eps(eps), kind)[2]
 
-    def _classes(self, e: float, kind: SpectrumKind) -> tuple[np.ndarray, np.ndarray]:
-        """(member mask, band nodes) at eps e, both from one _decided."""
+    def _classes(self, e: float, kind: SpectrumKind) -> tuple[np.ndarray, ...]:
+        """(member mask, member nodes, band nodes) at eps e, all from one _decided."""
         def make():
-            q = self._decided(e, kind)
+            q, nodes = self._decided(e, kind), self.grid.nodes()
+            inside = kind.inside(q, e)
             band = (q >= kind.level(e, 0.5)) & (q <= kind.level(e, 2.0))
-            return _read_only(kind.inside(q, e)), _read_only(self.grid.nodes()[band])
+            return tuple(map(_read_only, (inside, nodes[inside], nodes[band])))
         return _memo(self._facts, ("classes", e, kind.name), make)
 
     def _decided(self, e: float, kind: SpectrumKind) -> np.ndarray:
@@ -361,12 +360,10 @@ class SpectralField:
                     np.fmax(np.subtract(lo, margin, out=lo), 0.0, out=lo)
                 for hi in (hi_min, hi_max):
                     np.fmin(np.add(hi, margin, out=hi), np.inf, out=hi)
-                n = self._matrix.n
-                # Each ratio bound goes into the sigma_max buffer it divides.
-                for s_max, s_min in ((lo_max, hi_min), (hi_max, lo_min)):
-                    singular = s_min <= singularity_threshold(n, s_max)
-                    np.divide(s_max, s_min, out=s_max)[singular] = np.inf
-                return (lo_min, lo_max), (hi_min, hi_max)
+            # Each ratio bound goes into the sigma_max buffer it divides.
+            for s_max, s_min in ((lo_max, hi_min), (hi_max, lo_min)):
+                condition_ratio(s_min, s_max, self._matrix.n, out=s_max)
+            return (lo_min, lo_max), (hi_min, hi_max)
         return _memo(self._facts, "bounds", make)
 
     def _evaluate(self, want) -> tuple:

@@ -56,22 +56,6 @@ from .spectra import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class NumericalRangeBoundary:
-    """Support-angle sweep of the numerical range: for each angle theta the
-    Rayleigh point of the top eigenvector of the Hermitian part of
-    e^{i theta} A.  The points form a convex polygonal under-approximation
-    of the boundary."""
-
-    boundary_points: np.ndarray
-    angles: np.ndarray
-
-    def polygon(self) -> np.ndarray:
-        pts = np.column_stack([self.boundary_points.real, self.boundary_points.imag])
-        scale = 1.0 + float(np.abs(self.boundary_points).max(initial=0.0))
-        return dedupe_ring(pts, 1e-12 * scale)
-
-
 @dataclass(frozen=True)
 class TransientConfig:
     """Power-norm threshold M and the horizon k_max to search."""
@@ -262,9 +246,11 @@ def _similarity_report(kind, target, A, S, eps, grid, z_samples, count, seed) ->
     b = similarity_transform(S, m)
     z_samples = np.concatenate([_points(m, grid, e, z_samples, count, seed, kind), m.eigvals])
     keep = _clear_members(kind, m, z_samples, e)
-    qb = kind.at(b, z_samples[keep])[1]
+    smin, ratio = CONDITION.at(b, z_samples[keep])
+    # Where z*I - B is numerically singular, z is a member at every level.
+    depth = np.where(ratio == np.inf, np.inf, kind.depth(kind.quantity(smin, ratio), e2))
     checked = int(keep.sum())
-    worst = float(np.min(kind.depth(qb, e2), initial=np.inf))
+    worst = float(np.min(depth, initial=np.inf))
     passed = checked == 0 or worst >= 1.0 - BOUNDARY_BAND
     details = {"kappa_S": kappa, "target_eps": e2, "members_checked": checked}
     if checked == 0:
@@ -460,13 +446,15 @@ def check_t8e(A, eps, grid=None) -> TheoremReport:
 # ---------------------------------------------------------------------------
 # T9: numerical range vs the spectrum
 
-def numerical_range_boundary(A, n_angles: int = 256) -> NumericalRangeBoundary:
-    """Boundary of W(A) by n_angles equally spaced support angles
-    (numkernel.numerical_range_points)."""
+def numerical_range_boundary(A, n_angles: int = 256) -> np.ndarray:
+    """Boundary points of W(A) at n_angles equally spaced support angles
+    theta = 2*pi*k/n_angles: for each, the Rayleigh point of the top
+    eigenvector of the Hermitian part of e^{i theta} A
+    (numkernel.numerical_range_points).  In angle order they form a convex
+    polygonal under-approximation of the boundary."""
     if n_angles < 8:
         raise ValueError("n_angles must be >= 8")
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    return NumericalRangeBoundary(numerical_range_points(A, thetas), thetas)
+    return numerical_range_points(A, np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False))
 
 
 def _sagitta(norm_a: float, n_angles: int) -> float:
@@ -487,8 +475,12 @@ def _range_cover_report(kind, A, eps, grid, n_angles) -> TheoremReport:
     if members.size == 0:
         return TheoremReport(f"T9{kind.suffix}", True, 0.0, pad + slack, slack,
                              {"status": "vacuous: no classified members"})
-    poly = _memo(m._facts, ("W", n_angles),  # a fact of m: once per suite, never if vacuous
-                 lambda: _read_only(numerical_range_boundary(m, n_angles).polygon()))
+
+    def polygon():  # W(A)'s, a fact of m: built once per suite and never if vacuous
+        w = numerical_range_boundary(m, n_angles)
+        scale = 1.0 + float(np.abs(w).max(initial=0.0))
+        return _read_only(dedupe_ring(np.column_stack([w.real, w.imag]), 1e-12 * scale))
+    poly = _memo(m._facts, ("W", n_angles), polygon)
     pts = np.column_stack([members.real, members.imag])
     # The kernels square coordinates.  Scaled below 1 by a power of two,
     # which is exact, each distance scaled back keeps its bits, and no

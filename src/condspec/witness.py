@@ -24,7 +24,6 @@ from .numkernel import (
     as_matrix,
     condition_ratio,
     shifted_extremes,
-    singularity_threshold,
     spectral_norm,
     svd,
 )
@@ -122,7 +121,7 @@ def _build_witness(m: ComplexMatrix, z: complex, u: np.ndarray, smax: float) -> 
     """The witness of z from u and smax as _smallest_right_singular_vector gives them."""
     residual = m.entries @ u - z * u
     eps_hat = float(np.linalg.norm(residual))
-    if eps_hat <= singularity_threshold(m.n, smax):
+    if condition_ratio(eps_hat, smax, m.n) == np.inf:  # a numerically zero residual
         v = np.zeros(m.n, dtype=np.complex128)
         v[0] = 1.0
         return Witness(z, u, v, u, 0.0, ComplexMatrix(np.zeros((m.n, m.n))))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from condspec import spectra
+from condspec import numkernel, spectra
 from condspec.matrixio import generate
 from condspec.numkernel import ComplexMatrix
 from condspec.spectra import (
@@ -248,7 +248,7 @@ def reference_bounds(field):
                           for v in (smin, smax))
         hi_min, hi_max = (np.fmin(np.min([v[c] + d for c, d in corners], 0) + margin, np.inf)
                           for v in (smin, smax))
-        threshold, divide = spectra.singularity_threshold, spectra._quiet_divide
+        threshold, divide = numkernel.singularity_threshold, spectra._quiet_divide
         n = field._matrix.n
         return ((lo_min, np.where(hi_min <= threshold(n, lo_max), np.inf, divide(lo_max, hi_min))),
                 (hi_min, np.where(lo_min <= threshold(n, hi_max), np.inf, divide(hi_max, lo_min))))

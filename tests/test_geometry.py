@@ -238,7 +238,10 @@ def test_hull_matches_sorted_hull(pts):
 
 
 def _range_polygon(A):
-    return numerical_range_boundary(A, 256).polygon()
+    """T9's W(A) polygon at 256 angles, as it keeps it among A's facts."""
+    m = as_matrix(A)
+    check_t9(m, 0.1, n_angles=256)
+    return m._facts[("W", 256)]
 
 
 POLYGONS = {
@@ -266,7 +269,7 @@ def test_distance_matches_per_edge_loop(name):
 def test_batched_range_matches_per_angle_loop(n):
     for A in (generate("random", n, seed=100 + n), generate("jordan", n, value=0.9)):
         for n_angles in (8, 257):
-            got = numerical_range_boundary(A, n_angles).boundary_points
+            got = numerical_range_boundary(A, n_angles)
             assert np.array_equal(got, reference_range(A, n_angles))
 
 

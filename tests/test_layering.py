@@ -14,7 +14,9 @@ other field is read through spectra.field_for as a fact of its matrix;
 and inside spectra grid nodes reach shifted_extremes only through
 SpectralField._evaluate, so there is one node evaluator and one home for
 its mirror rule; and the field CSV's grid reader never seeks, tells or
-reads the whole file, so it reads a pipe in one pass."""
+reads the whole file, so it reads a pipe in one pass; and only numkernel
+reads the singularity threshold, so numkernel.condition_ratio is the one
+place that decides whether z*I - A is numerically singular."""
 
 import argparse
 import ast
@@ -407,3 +409,33 @@ def test_field_grid_is_read_in_one_pass():
     tree = ast.parse((SOURCES[0].parent / "spectra.py").read_text())
     readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
     assert STREAMING_READERS <= readers and _whole_file_calls(tree) == []
+
+
+# The singularity rule, sigma_min <= n*U_MACH*sigma_max, is applied by
+# numkernel.condition_ratio alone: the other modules read its +inf.  Its
+# threshold function and the unit roundoff it scales are not named elsewhere.
+THRESHOLD_NAMES = {"singularity_threshold", "U_MACH"}
+
+
+def _threshold_uses(tree) -> list:
+    """Lines that name singularity_threshold or U_MACH: a call, a read or an import."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id in THRESHOLD_NAMES
+                   or isinstance(node, ast.Attribute) and node.attr in THRESHOLD_NAMES
+                   or isinstance(node, ast.ImportFrom)
+                   and any(a.name in THRESHOLD_NAMES for a in node.names)})
+
+
+def test_threshold_rule_sees_a_second_singularity_rule():
+    source = ("from .numkernel import condition_ratio, singularity_threshold\n"
+              "singular = s_min <= singularity_threshold(n, s_max)\n"
+              "if eps_hat <= numkernel.singularity_threshold(m.n, smax):\n    pass\n"
+              "tiny = smin <= n * numkernel.U_MACH * smax\n"
+              "ratio = condition_ratio(smin, smax, n)\n")
+    assert _threshold_uses(ast.parse(source)) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "numkernel"],
+                         ids=lambda p: p.stem)
+def test_only_numkernel_applies_the_singularity_rule(path):
+    assert _threshold_uses(ast.parse(path.read_text())) == []

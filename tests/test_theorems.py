@@ -226,6 +226,18 @@ def test_t5_with_no_member_to_check_is_vacuous():
     assert r.details["status"] == "vacuous: no member outside the boundary band"
 
 
+@pytest.mark.parametrize("eps", [1e-20, 1e-300])
+@pytest.mark.parametrize("check", [check_t5, check_t5e])
+def test_t5_counts_a_numerically_singular_target_point_as_a_member(check, eps):
+    # At A's computed eigenvalue 5.37..., sigma_min(z*I - A) is 0.0; for
+    # B = S^-1 A S it is 6.5e-16, below B's singularity threshold 1.7e-15
+    # but far above eps.  condition_ratio gives +inf there, so z is a member
+    # of B's spectra at every level, of both kinds.
+    A = np.array([[1.0, 2.0], [3.0, 4.0]])
+    r = check(A, theorems.default_similarity(2), eps, z_samples=np.empty(0))
+    assert r.passed and r.lhs == np.inf and r.details["members_checked"] >= 1
+
+
 @pytest.mark.parametrize("check", [check_t5, check_t5e])
 def test_t5_rejects_similarity_of_another_size(check):
     with pytest.raises(ValueError) as exc:
@@ -382,6 +394,25 @@ def test_t7_checks_the_members_t5_checks():
     assert r.details["members"] == 0 and r.lhs is None and r.slack_used == 0.0
 
 
+@pytest.mark.parametrize("check, lhs, status", [
+    (check_t7, 1.176470589235294e+199, "partial: 16 of 18"),
+    (check_t7e, 1e+190, "partial: 22 of 24"),
+])
+def test_t7_counts_the_bounds_that_overflow(check, lhs, status):
+    # |lam|**k overflows from k = 2 on: only the k = 1 pairs are compared.
+    r = check(np.array([[1e200, 1.0], [0.0, 1e200]]), 0.05, grid=41)
+    assert r.passed and r.lhs == lhs and r.details["members"] == 2
+    assert r.details["status"] == (f"{status} (member, k) bounds overflow float64; "
+                                   "lhs covers the rest")
+
+
+@pytest.mark.parametrize("check", [check_t7, check_t7e])
+def test_t7_skips_when_every_bound_overflows(check):
+    r = check(np.diag([1e300, -1e300]), 0.05, k_list=[2, 3], grid=41)
+    assert r.passed and r.lhs is None and r.slack_used == 0.0
+    assert r.details["status"] == "skipped: every (member, k) bound overflows float64"
+
+
 def test_t7e_inadmissible_k():
     with pytest.raises(PreconditionError, match=r"k = 4 inadmissible: k\*eps = 1\.2 >= \|\|A\|\|"):
         check_t7e(DIAG, 0.3, k_list=[0, 4], grid=81)  # 4*0.3 >= ||A|| = 1
@@ -488,25 +519,24 @@ def test_t3_and_t8_memory_is_bounded_by_the_members(monkeypatch):
 # --- numerical range -------------------------------------------------------------
 
 def test_range_hermitian_degenerates_to_segment():
-    nrb = numerical_range_boundary(DIAG, 64)
-    assert np.abs(nrb.boundary_points.imag).max() <= 1e-10
-    assert nrb.boundary_points.real.min() >= -1 - 1e-10
-    assert nrb.boundary_points.real.max() <= 1 + 1e-10
+    points = numerical_range_boundary(DIAG, 64)
+    assert np.abs(points.imag).max() <= 1e-10
+    assert points.real.min() >= -1 - 1e-10
+    assert points.real.max() <= 1 + 1e-10
 
 
 def test_range_normal_matches_eigenvalue_hull():
     q, _ = np.linalg.qr(random_complex(3, 70))
     eig = np.array([1.0, 1.0j, -1.0 - 1.0j])
     A = q @ np.diag(eig) @ q.conj().T
-    nrb = numerical_range_boundary(A, 512)
+    points = numerical_range_boundary(A, 512)
     hull = convex_hull(np.column_stack([eig.real, eig.imag]))
-    pts = np.column_stack([nrb.boundary_points.real, nrb.boundary_points.imag])
+    pts = np.column_stack([points.real, points.imag])
     assert distance_to_polygon(pts, hull).max() <= 1e-6
 
 
 def test_range_jordan_block_is_half_disk_radius():
-    nrb = numerical_range_boundary(JORDAN2, 256)
-    moduli = np.abs(nrb.boundary_points)
+    moduli = np.abs(numerical_range_boundary(JORDAN2, 256))
     assert np.abs(moduli - 0.5).max() <= 1e-6
     # Rayleigh-quotient oracle: random unit vectors never exceed the radius
     rng = np.random.default_rng(3)
@@ -518,11 +548,11 @@ def test_range_jordan_block_is_half_disk_radius():
 
 
 def test_range_invariants():
-    A = random_complex(5, 71)
-    nrb = numerical_range_boundary(A, 128)
+    A = as_matrix(random_complex(5, 71))
     norm = spectral_norm(A)
-    assert np.abs(nrb.boundary_points).max() <= norm + 1e-10
-    poly = nrb.polygon()
+    assert np.abs(numerical_range_boundary(A, 128)).max() <= norm + 1e-10
+    check_t9(A, 0.1, n_angles=128)
+    poly = A._facts[("W", 128)]  # the polygon T9 builds from those points
     assert is_convex_polygon(poly, tol=1e-9 * (1 + norm) ** 2)
     eig = eigenvalues(A)
     pts = np.column_stack([eig.real, eig.imag])
@@ -530,7 +560,7 @@ def test_range_invariants():
 
 
 def test_range_rejects_few_angles():
-    assert len(numerical_range_boundary(DIAG, 8).angles) == 8  # the CLI's --angles low edge
+    assert len(numerical_range_boundary(DIAG, 8)) == 8  # the CLI's --angles low edge
     for n_angles in (4, 7):
         with pytest.raises(ValueError, match="n_angles must be >= 8"):
             numerical_range_boundary(DIAG, n_angles)
